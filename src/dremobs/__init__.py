@@ -9,37 +9,16 @@ from .errors import (
     SimulationAbort,
     TraceFormatError,
 )
-from .estimator import (
-    DremEstimator,
-    ExcitationReport,
-    MixedSignals,
-    adaptation_rate,
-    excitation_rate,
-    mix,
-    pe_check,
-    residual_dbar,
-)
-from .filters import (
-    FilterUnit,
-    RegressorStack,
-    filter_derivative,
-    regressor_row,
-    reset_filters,
-    stack_regressors,
-)
+from .estimator import DremEstimator, ExcitationReport, adaptation_rates, pe_check
 from .linalg import (
     StabilityVerdict,
-    adjugate,
     characteristic_polynomial,
-    det_adjugate,
-    determinant,
+    det_adjugate_batch,
     hurwitz_verdict,
     is_hurwitz,
-    norm2,
-    norm_inf,
     routh_verdict,
 )
-from .observer import ErrorMetrics, ObserverState, error_metrics, observer_derivative
+from .observer import ErrorMetrics, ObserverState, error_metrics
 from .plant import (
     NoiseSpec,
     OutputRegion,
@@ -48,18 +27,15 @@ from .plant import (
     TimeScheduleRule,
     chua_preset,
     chua_robust_noise,
-    plant_derivative,
     sample_noise,
+    stable_closed_loop,
 )
 from .sim import (
     Diagnostics,
-    HybridState,
     RunResult,
     StateLayout,
     StepConfig,
     SwitchEvent,
-    detect_switch,
-    rk4_step,
     run_simulation,
 )
 from .trace import SimulationTrace, read_trace, traces_equal, write_trace
@@ -74,32 +50,17 @@ __all__ = [
     "TraceFormatError",
     "DremEstimator",
     "ExcitationReport",
-    "MixedSignals",
-    "adaptation_rate",
-    "excitation_rate",
-    "mix",
+    "adaptation_rates",
     "pe_check",
-    "residual_dbar",
-    "FilterUnit",
-    "RegressorStack",
-    "filter_derivative",
-    "regressor_row",
-    "reset_filters",
-    "stack_regressors",
     "StabilityVerdict",
-    "adjugate",
     "characteristic_polynomial",
-    "det_adjugate",
-    "determinant",
+    "det_adjugate_batch",
     "hurwitz_verdict",
     "is_hurwitz",
-    "norm2",
-    "norm_inf",
     "routh_verdict",
     "ErrorMetrics",
     "ObserverState",
     "error_metrics",
-    "observer_derivative",
     "NoiseSpec",
     "OutputRegion",
     "PlantModel",
@@ -107,16 +68,13 @@ __all__ = [
     "TimeScheduleRule",
     "chua_preset",
     "chua_robust_noise",
-    "plant_derivative",
     "sample_noise",
+    "stable_closed_loop",
     "Diagnostics",
-    "HybridState",
     "RunResult",
     "StateLayout",
     "StepConfig",
     "SwitchEvent",
-    "detect_switch",
-    "rk4_step",
     "run_simulation",
     "SimulationTrace",
     "read_trace",

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimator import DremEstimator
+from .estimator import DEFAULT_GAIN, DremEstimator
 from .observer import ObserverState
 from .plant import (
     CHUA_FILTER_GAINS,
@@ -35,7 +35,6 @@ MODES = ("ideal", "robust", "verify")
 
 DEFAULT_STEP = 1e-3
 DEFAULT_END = 100.0
-DEFAULT_GAMMA = 10.0
 
 
 @dataclass
@@ -55,11 +54,7 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def build_estimator(self) -> DremEstimator:
-        return DremEstimator(
-            theta_hat=self.theta_init.copy(),
-            gamma=self.gamma.copy(),
-            num_filters=self.model.m + self.model.n,
-        )
+        return DremEstimator(theta_hat=self.theta_init.copy(), gamma=self.gamma.copy())
 
     def build_observer(self) -> ObserverState:
         return ObserverState(self.observer_gain, self.model, x_hat=self.observer_init)
@@ -164,7 +159,10 @@ def _build_switching(spec: dict, path: str):
                     upper_closed=bool(r.get("max_inclusive", True)),
                 )
             )
-        return StateRegionRule(tuple(regions))
+        try:
+            return StateRegionRule(tuple(regions))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}.regions: {exc}") from exc
     entries_spec = spec.get("entries")
     _expect(isinstance(entries_spec, list) and entries_spec, f"{path}.entries", "expected a non-empty list")
     entries = []
@@ -302,7 +300,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         gamma = _as_float_list(raw["gamma"], "config.gamma", length=model.s)
         _expect(bool(np.all(gamma > 0.0)), "config.gamma", "entries must be positive")
     else:
-        gamma = np.full(model.s, DEFAULT_GAMMA)
+        gamma = np.full(model.s, DEFAULT_GAIN)
 
     if "theta_init" in raw:
         theta_init = _as_matrix(raw["theta_init"], "config.theta_init", rows=model.s, cols=model.m)

@@ -1,37 +1,31 @@
-"""Regressor mixing and the gated element-wise adaptation law.
+"""Gated element-wise adaptation law and excitation monitoring.
 
-Mixing multiplies the stacked regression by the adjugate of the regressor
-matrix, turning it into decoupled scalar regressions scaled by the common
-determinant.  Only the parameters of the currently active subsystem adapt;
-the rest stay frozen.  The trailing mixed components correspond to the
-state-at-switch unknowns and are never estimated.
+Mixing (see ``dremobs.linalg.Cofactors``) multiplies the stacked regression
+by the adjugate of the regressor matrix, turning it into decoupled scalar
+regressions scaled by the common determinant.  Only the parameters of the
+currently active subsystem adapt; the rest stay frozen.  The trailing mixed
+components correspond to the state-at-switch unknowns and are never
+estimated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .filters import RegressorStack
-from .linalg import det_adjugate
 
 DEFAULT_GAIN = 10.0
 
 
 @dataclass
 class DremEstimator:
-    """Per-subsystem parameter estimates with scalar adaptation gains.
-
-    ``theta_hat`` has shape (s, m); ``excitation_integrals`` accumulates the
-    squared mixing determinant during each subsystem's active phases.
-    """
+    """Initial per-subsystem parameter estimates, shape (s, m), with one
+    scalar adaptation gain per subsystem."""
 
     theta_hat: np.ndarray
     gamma: np.ndarray
-    num_filters: int
-    excitation_integrals: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         theta = np.atleast_2d(np.asarray(self.theta_hat, dtype=float))
@@ -44,17 +38,8 @@ class DremEstimator:
             )
         if np.any(gamma <= 0.0):
             raise ConfigurationError("adaptation gains must be positive")
-        if self.num_filters < theta.shape[1]:
-            raise ConfigurationError("the filter count cannot be below m")
-        if self.excitation_integrals is None:
-            exc = np.zeros(theta.shape[0])
-        else:
-            exc = np.asarray(self.excitation_integrals, dtype=float)
-            if exc.shape != (theta.shape[0],):
-                raise DimensionError("excitation_integrals must have one entry per subsystem")
         self.theta_hat = theta
         self.gamma = gamma
-        self.excitation_integrals = exc
 
     @property
     def s(self) -> int:
@@ -65,72 +50,33 @@ class DremEstimator:
         return self.theta_hat.shape[1]
 
     @classmethod
-    def create(cls, s: int, m: int, n: int, gamma=DEFAULT_GAIN) -> "DremEstimator":
-        """Zero-initialised estimator for an (n, m, s) plant."""
+    def create(cls, s: int, m: int, gamma=DEFAULT_GAIN) -> "DremEstimator":
+        """Zero-initialised estimator for s subsystems of m parameters."""
         gamma_arr = np.broadcast_to(np.asarray(gamma, dtype=float), (s,)).copy()
-        return cls(theta_hat=np.zeros((s, m)), gamma=gamma_arr, num_filters=m + n)
+        return cls(theta_hat=np.zeros((s, m)), gamma=gamma_arr)
 
 
-@dataclass(frozen=True)
-class MixedSignals:
-    """Mixing determinant and the adjugate-mixed regression vector."""
+def adaptation_rates(
+    theta_hat: np.ndarray,
+    gamma: np.ndarray,
+    delta: float,
+    zbar: np.ndarray,
+    active: int,
+    out_theta: np.ndarray,
+    out_exc: np.ndarray,
+) -> None:
+    """Write the gated rates of the estimates and excitation accumulators.
 
-    delta: float
-    zbar: np.ndarray
-
-
-def mix(stack: RegressorStack) -> MixedSignals:
-    """Multiply the stacked regression by the adjugate of the regressor matrix.
-
-    No division takes place anywhere: a singular stack simply yields a zero
-    determinant, which stalls the adaptation instead of breaking it.
+    Component j of the active subsystem moves by
+    gamma * delta * (zbar_j - delta * theta_hat_j); its accumulator grows by
+    delta^2.  Every other subsystem gets exactly zero.  Mixed components
+    beyond the first m (the state-at-switch block) are not adapted.
     """
-    delta, adj = det_adjugate(stack.nt)
-    return MixedSignals(delta=delta, zbar=adj @ stack.zf)
-
-
-def adaptation_rate(
-    est: DremEstimator, mixed: MixedSignals, active: int
-) -> np.ndarray:
-    """Rates for every estimate; zero for all inactive subsystems.
-
-    Component j of the active subsystem moves proportionally to
-    delta * (zbar_j - delta * theta_hat_j).  Mixed components beyond the
-    first m (the state-at-switch block) are not adapted.
-    """
-    if not 1 <= active <= est.s:
-        raise ConfigurationError(f"subsystem index {active} outside 1..{est.s}")
-    if mixed.zbar.shape[0] < est.m:
-        raise DimensionError("mixed vector shorter than the parameter dimension")
-    rates = np.zeros_like(est.theta_hat)
     i = active - 1
-    rates[i] = est.gamma[i] * mixed.delta * (
-        mixed.zbar[: est.m] - mixed.delta * est.theta_hat[i]
-    )
-    return rates
-
-
-def excitation_rate(mixed: MixedSignals, active: int, s: int) -> np.ndarray:
-    """Accumulator rates: squared determinant for the active subsystem only."""
-    if not 1 <= active <= s:
-        raise ConfigurationError(f"subsystem index {active} outside 1..{s}")
-    rates = np.zeros(s)
-    rates[active - 1] = mixed.delta * mixed.delta
-    return rates
-
-
-def residual_dbar(mixed: MixedSignals, theta_bar_star: np.ndarray) -> np.ndarray:
-    """Mixed-equation residual against the ground-truth augmented parameter.
-
-    Verification-only: the augmented parameter (active parameters stacked
-    with the state at the last switch) is available in simulation.
-    """
-    theta_bar = np.asarray(theta_bar_star, dtype=float)
-    if theta_bar.shape != mixed.zbar.shape:
-        raise DimensionError(
-            f"augmented parameter must match the mixed vector shape {mixed.zbar.shape}"
-        )
-    return mixed.zbar - mixed.delta * theta_bar
+    out_theta[:] = 0.0
+    out_theta[i] = gamma[i] * delta * (zbar[: out_theta.shape[1]] - delta * theta_hat[i])
+    out_exc[:] = 0.0
+    out_exc[i] = delta * delta
 
 
 @dataclass(frozen=True)
@@ -149,18 +95,29 @@ class ExcitationReport:
     min_means: np.ndarray
     all_windows_pass: np.ndarray
 
-    def failing_subsystems(self) -> list[int]:
-        return [i + 1 for i, ok in enumerate(self.all_windows_pass) if not ok]
+
+def excitation_segments(trace) -> np.ndarray:
+    """Trapezoid areas of the squared determinant over each grid step.
+
+    A step ending at a switch instant uses the pre-reset determinant from
+    the trace header for its right endpoint, so the integrand's one-sided
+    limit is used on both sides of each filter restart.
+    """
+    t = trace.t
+    d2_left = trace.delta[:-1] ** 2
+    d2_right = trace.delta[1:] ** 2
+    for time, pre in zip(trace.switch_times, trace.pre_reset_delta):
+        if np.isnan(pre):
+            continue
+        row = int(np.searchsorted(t, time))
+        if 1 <= row < t.shape[0]:
+            d2_right[row - 1] = pre * pre
+    return 0.5 * np.diff(t) * (d2_left + d2_right)
 
 
 def pe_check(trace, window: float, alpha0: float) -> ExcitationReport:
-    """Sliding-window means of the gated squared determinant, by trapezoid.
-
-    The quadrature honours the filter restarts recorded in the trace: on a
-    subinterval ending at a switch instant the right endpoint uses the
-    pre-reset determinant stored in the header, so the integrand's one-sided
-    limit is used on both sides of each jump.
-    """
+    """Sliding-window means of the gated squared determinant, by the
+    trapezoid rule of ``excitation_segments``."""
     if alpha0 <= 0.0:
         raise ConfigurationError("alpha0 must be positive")
     t = trace.t
@@ -175,17 +132,7 @@ def pe_check(trace, window: float, alpha0: float) -> ExcitationReport:
     steps_per_window = int(round(window / h))
     if steps_per_window < 1:
         raise ConfigurationError("window must cover at least one step")
-    d2_left = trace.delta[:-1] ** 2
-    d2_right = trace.delta[1:] ** 2
-    # Right endpoints at switch rows use the determinant seen just before the
-    # filter restart.
-    for time, pre in zip(trace.switch_times, trace.pre_reset_delta):
-        if np.isnan(pre):
-            continue
-        row = int(np.searchsorted(t, time))
-        if 1 <= row < t.shape[0]:
-            d2_right[row - 1] = pre * pre
-    seg = 0.5 * np.diff(t) * (d2_left + d2_right)
+    seg = excitation_segments(trace)
     sigma_step = trace.sigma[:-1]
     s = trace.num_subsystems
     cums = np.zeros((s, t.shape[0]))

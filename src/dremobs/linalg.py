@@ -1,16 +1,17 @@
-"""Small dense real matrix kernel: determinant, adjugate, norms, stability test.
+"""Small dense real matrix kernel: division-free cofactors, stability test.
 
-Every matrix in the estimation pipeline is tiny (side <= 8), so the routines
-here favour exactness and well-definedness over asymptotic speed.  In
-particular the adjugate is built entry-by-entry from signed minors, which
-keeps it meaningful for singular inputs: the mixing step multiplies by the
-adjugate precisely because no division ever takes place, and the regressor
+Every matrix in the estimation pipeline is tiny (side <= MAX_SIDE), so the
+routines here favour exactness and well-definedness over asymptotic speed.
+The adjugate is built entry by entry from signed minors, which keeps it
+meaningful for singular inputs: the mixing step multiplies by the adjugate
+precisely because no division ever takes place, and the regressor
 determinant routinely passes through zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -37,173 +38,124 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def as_square(value, name: str = "matrix") -> np.ndarray:
-    arr = as_matrix(value, name)
-    rows, cols = arr.shape
-    if rows != cols:
-        raise DimensionError(f"{name} must be square, got shape {arr.shape}")
-    if rows > MAX_SIDE:
-        raise DimensionError(f"{name} side {rows} exceeds the supported maximum {MAX_SIDE}")
-    return arr
+def _minor_tables(k: int, cells: list[tuple[int, int]]) -> tuple:
+    """Evaluation tables for the minors behind the cofactors at ``cells``.
 
-
-def _det_rec(m: list[list[float]], size: int) -> float:
-    # First-row cofactor expansion on plain lists; closed forms for the bases.
-    if size == 1:
-        return m[0][0]
-    if size == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if size == 3:
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-    total = 0.0
-    sign = 1.0
-    rest = m[1:]
-    for j in range(size):
-        minor = [[row[c] for c in range(size) if c != j] for row in rest]
-        total += sign * m[0][j] * _det_rec(minor, size - 1)
-        sign = -sign
-    return total
-
-
-def determinant(matrix) -> float:
-    """Determinant by first-row cofactor expansion (side <= 8)."""
-    a = as_square(matrix)
-    return float(_det_rec(a.tolist(), a.shape[0]))
-
-
-def adjugate(matrix) -> np.ndarray:
-    """Transpose of the cofactor matrix; satisfies adj(M) @ M = det(M) * I.
-
-    Defined (and finite) for singular inputs as well.
+    Every minor is expanded by the generalised Laplace rule along the first
+    half of its rows: det = sum over column choices S of
+    sign(S) * det(top rows, S) * det(bottom rows, complement of S).
+    Sub-minors are shared between all requested cofactors, so evaluation is
+    a few gathers and products per minor size, with no pivoting and no
+    division anywhere.  Values live in one buffer: slot 0 holds the empty
+    minor (1.0), slots 1..k*k the entries, then one block per minor size.
     """
-    a = as_square(matrix)
-    k = a.shape[0]
-    if k == 1:
-        return np.ones((1, 1))
-    m = a.tolist()
-    adj = np.empty((k, k))
-    for i in range(k):
-        rows = [m[r] for r in range(k) if r != i]
-        for j in range(k):
-            minor = [[row[c] for c in range(k) if c != j] for row in rows]
-            adj[j, i] = (-1.0) ** (i + j) * _det_rec(minor, k - 1)
-    return adj
+    slot = {((), ()): 0}
+    for r in range(k):
+        for c in range(k):
+            slot[((r,), (c,))] = 1 + r * k + c
+    expansions: dict[tuple, list] = {}
 
+    def need(rows: tuple, cols: tuple) -> None:
+        if (rows, cols) in slot or (rows, cols) in expansions:
+            return
+        half = len(rows) // 2
+        top, bottom = rows[:half], rows[half:]
+        terms = []
+        for picked in combinations(range(len(cols)), half):
+            left = (top, tuple(cols[a] for a in picked))
+            right = (bottom, tuple(c for a, c in enumerate(cols) if a not in picked))
+            need(*left)
+            need(*right)
+            terms.append((left, right))
+        expansions[(rows, cols)] = terms
 
-# ---------------------------------------------------------------------------
-# Batched cofactor evaluation for the simulation hot path.  Each adjugate
-# entry is still a signed minor; only the minor determinants are evaluated
-# by vectorised closed forms (LAPACK beyond 4x4) instead of recursive
-# expansion.  Tests pin this against determinant()/adjugate() above.
+    targets = []
+    for i, j in cells:
+        target = (tuple(r for r in range(k) if r != i), tuple(c for c in range(k) if c != j))
+        need(*target)
+        targets.append(target)
 
-# Column pairs for the two-row Laplace split of a 4x4 determinant.
-_PAIR_A = np.array([0, 0, 0, 1, 1, 2])
-_PAIR_B = np.array([1, 2, 3, 2, 3, 3])
-_PAIR_COMP = np.array([5, 4, 3, 2, 1, 0])
-_PAIR_SIGN = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
-
-
-def batched_det_small(stack: np.ndarray) -> np.ndarray:
-    """Determinants of a (batch, k, k) stack via closed forms for k <= 4.
-
-    The k = 4 case expands along the first two rows (products of
-    complementary 2x2 determinants), which keeps exact cancellation for
-    duplicated rows; larger sizes fall back to LAPACK.
-    """
-    s = np.asarray(stack, dtype=float)
-    if s.ndim != 3 or s.shape[1] != s.shape[2]:
-        raise DimensionError(f"expected a (batch, k, k) stack, got shape {s.shape}")
-    k = s.shape[1]
-    if k == 1:
-        return s[:, 0, 0].copy()
-    if k == 2:
-        return s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-    if k == 3:
-        return (
-            s[:, 0, 0] * (s[:, 1, 1] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 1])
-            - s[:, 0, 1] * (s[:, 1, 0] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 0])
-            + s[:, 0, 2] * (s[:, 1, 0] * s[:, 2, 1] - s[:, 1, 1] * s[:, 2, 0])
+    size = 1 + k * k
+    levels = []
+    for side in sorted({len(rows) for rows, _ in expansions}):
+        minors = [mk for mk in expansions if len(mk[0]) == side]
+        start = size
+        for mk in minors:
+            slot[mk] = size
+            size += 1
+        left = np.array([[slot[lt] for lt, _ in expansions[mk]] for mk in minors])
+        right = np.array([[slot[rt] for _, rt in expansions[mk]] for mk in minors])
+        half = side // 2
+        weights = np.array(
+            [(-1.0) ** (half * (half - 1) // 2 + sum(p)) for p in combinations(range(side), half)]
         )
-    if k == 4:
-        top = s[:, 0, _PAIR_A] * s[:, 1, _PAIR_B] - s[:, 0, _PAIR_B] * s[:, 1, _PAIR_A]
-        bot = s[:, 2, _PAIR_A] * s[:, 3, _PAIR_B] - s[:, 2, _PAIR_B] * s[:, 3, _PAIR_A]
-        return np.einsum("bp,bp,p->b", top, bot[:, _PAIR_COMP], _PAIR_SIGN)
-    return np.linalg.det(s)
+        levels.append((start, size, left, right, weights))
+    out = np.array([slot[t] for t in targets], dtype=np.intp)
+    signs = np.array([(-1.0) ** (i + j) for i, j in cells])
+    return size, levels, out, signs
 
 
-_MINOR_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+class Cofactors:
+    """Signed cofactors (-1)^(i+j) * det(M without row i and column j) of
+    k x k matrices at a fixed list of (i, j) cells.
+
+    This is the package's only determinant route: the simulation kernel
+    asks for the cofactors its adaptation law needs, ``det_adjugate_batch``
+    for all of them.  Singular inputs are fine; identical rows give exact
+    zeros.
+    """
+
+    def __init__(self, k: int, cells: list[tuple[int, int]]):
+        if not 1 <= k <= MAX_SIDE:
+            raise DimensionError(f"matrix side {k} outside the supported range 1..{MAX_SIDE}")
+        self.k = k
+        self._size, self._levels, self._out, self._signs = _minor_tables(k, cells)
+
+    def __call__(self, matrices: np.ndarray) -> np.ndarray:
+        """Cofactors of a (k, k) matrix or a (..., k, k) stack, shape
+        (..., len(cells))."""
+        k = self.k
+        batch = matrices.shape[:-2]
+        buf = np.empty(batch + (self._size,))
+        buf[..., 0] = 1.0
+        buf[..., 1 : 1 + k * k] = matrices.reshape(batch + (k * k,))
+        for start, stop, left, right, weights in self._levels:
+            prod = buf.take(left, axis=-1) * buf.take(right, axis=-1)
+            buf[..., start:stop] = np.dot(prod, weights)
+        return buf.take(self._out, axis=-1) * self._signs
 
 
-def _minor_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _MINOR_TABLES.get(k)
-    if cached is not None:
-        return cached
-    idx = np.empty((k * k, (k - 1) * (k - 1)), dtype=np.intp)
-    for i in range(k):
-        rows = [r for r in range(k) if r != i]
-        for j in range(k):
-            cols = [c for c in range(k) if c != j]
-            idx[i * k + j] = [r * k + c for r in rows for c in cols]
-    signs = np.fromfunction(lambda i, j: (-1.0) ** (i + j), (k, k))
-    _MINOR_TABLES[k] = (idx, signs)
-    return idx, signs
+_ALL_CELLS: dict[int, Cofactors] = {}
 
 
-def det_adjugate_batch(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def det_adjugate_batch(matrices) -> tuple[np.ndarray, np.ndarray]:
     """Determinants and adjugates of a (batch, k, k) stack, division-free.
 
-    The determinant is the first-row cofactor expansion over the same minors
-    that populate the adjugate, so adj(M) @ M - det(M) * I stays at rounding
-    level even for ill-conditioned or singular members of the batch.
+    The determinant is the first-row cofactor expansion over the same
+    cofactors that populate the adjugate, so adj(M) @ M - det(M) * I stays
+    at rounding level even for ill-conditioned or singular members.
     """
     ms = np.asarray(matrices, dtype=float)
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise DimensionError(f"expected a (batch, k, k) stack, got shape {ms.shape}")
+    if not np.isfinite(ms).all():
+        raise ValueError("matrix stack contains non-finite entries")
     b, k, _ = ms.shape
-    if k == 1:
-        return ms[:, 0, 0].copy(), np.ones((b, 1, 1))
-    if k == 2:
-        dets = ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]
-        adjs = np.empty_like(ms)
-        adjs[:, 0, 0] = ms[:, 1, 1]
-        adjs[:, 0, 1] = -ms[:, 0, 1]
-        adjs[:, 1, 0] = -ms[:, 1, 0]
-        adjs[:, 1, 1] = ms[:, 0, 0]
-        return dets, adjs
-    idx, signs = _minor_tables(k)
-    sub = ms.reshape(b, k * k)[:, idx].reshape(b * k * k, k - 1, k - 1)
-    minors = batched_det_small(sub).reshape(b, k, k)
-    cof = signs * minors
+    route = _ALL_CELLS.get(k)
+    if route is None:
+        route = _ALL_CELLS[k] = Cofactors(k, [(i, j) for i in range(k) for j in range(k)])
+    cof = route(ms).reshape(b, k, k)
     dets = np.einsum("bj,bj->b", ms[:, 0, :], cof[:, 0, :])
     return dets, np.swapaxes(cof, 1, 2)
-
-
-def det_adjugate(matrix) -> tuple[float, np.ndarray]:
-    """Single-matrix convenience wrapper around det_adjugate_batch."""
-    a = as_square(matrix)
-    dets, adjs = det_adjugate_batch(a[None, :, :])
-    return float(dets[0]), adjs[0]
-
-
-def norm2(vector) -> float:
-    """Euclidean norm."""
-    return float(np.linalg.norm(as_vector(vector)))
-
-
-def norm_inf(matrix) -> float:
-    """Max row sum norm."""
-    return float(np.abs(as_matrix(matrix)).sum(axis=1).max())
 
 
 def characteristic_polynomial(matrix) -> np.ndarray:
     """Coefficients of det(lambda*I - M), leading first, via the
     Faddeev-LeVerrier recursion (no eigenvalue iteration)."""
-    a = as_square(matrix)
+    a = as_matrix(matrix)
     n = a.shape[0]
+    if a.shape != (n, n):
+        raise DimensionError(f"matrix must be square, got shape {a.shape}")
     coeffs = np.empty(n + 1)
     coeffs[0] = 1.0
     mk = a.copy()

@@ -1,4 +1,7 @@
-"""Adaptive state observer driven by the active subsystem's estimate."""
+"""Adaptive state observer setup and error metrics.
+
+The observer's right-hand side (a plant copy driven by the active estimate
+plus output injection) is evaluated inside the simulation kernel."""
 
 from __future__ import annotations
 
@@ -6,10 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, GainStabilityError
-from .estimator import DremEstimator
-from .linalg import as_vector, hurwitz_verdict
-from .plant import PlantModel
+from .errors import DimensionError
+from .linalg import as_vector
+from .plant import PlantModel, stable_closed_loop
 
 
 class ObserverState:
@@ -19,20 +21,8 @@ class ObserverState:
     """
 
     def __init__(self, gain, model: PlantModel, x_hat=None):
-        gain = as_vector(gain, "observer gain")
-        if gain.shape != (model.n,):
-            raise DimensionError(
-                f"observer gain must have length {model.n}, got {gain.shape}"
-            )
-        a_closed = model.a - np.outer(gain, model.c)
-        verdict = hurwitz_verdict(a_closed)
-        if not verdict.stable:
-            kind = "indeterminate (marginal)" if verdict.indeterminate else "unstable"
-            raise GainStabilityError(
-                f"observer gain {gain.tolist()} gives an {kind} closed-loop matrix"
-            )
-        self.gain = gain
-        self.a_closed = a_closed
+        self.a_closed = stable_closed_loop(model, gain, "observer gain")
+        self.gain = as_vector(gain, "observer gain")
         if x_hat is None:
             self.x_hat = np.zeros(model.n)
         else:
@@ -40,28 +30,6 @@ class ObserverState:
             if x_hat.shape != (model.n,):
                 raise DimensionError(f"observer state must have length {model.n}")
             self.x_hat = x_hat.copy()
-
-
-def observer_derivative(
-    obs: ObserverState,
-    model: PlantModel,
-    est: DremEstimator,
-    measured_output: float,
-    u: float,
-    active: int,
-) -> np.ndarray:
-    """Observer right-hand side: model copy driven by the active estimate
-    plus output injection of the measurement discrepancy."""
-    if not 1 <= active <= est.s:
-        raise ConfigurationError(f"subsystem index {active} outside 1..{est.s}")
-    psi = model.psi(measured_output, u)
-    y_hat = float(model.c @ obs.x_hat)
-    return (
-        model.a @ obs.x_hat
-        + model.b * u
-        + psi @ est.theta_hat[active - 1]
-        + obs.gain * (measured_output - y_hat)
-    )
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ measured.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
-from .linalg import as_matrix, as_vector
+from .errors import ConfigurationError, DimensionError, GainStabilityError
+from .linalg import MAX_SIDE, as_matrix, as_vector, hurwitz_verdict
 
 MASK64 = (1 << 64) - 1
 XORSHIFT_MULTIPLIER = 0x2545F4914F6CDD1D  # xorshift64* output multiplier
@@ -61,18 +62,20 @@ class StateRegionRule:
     def __post_init__(self):
         if not self.regions:
             raise ConfigurationError("a state-region rule needs at least one region")
+        seam = _first_uncovered(self.regions)
+        if seam is not None:
+            raise ConfigurationError(
+                f"regions leave outputs near y={seam:.6g} uncovered; "
+                "they must cover the real line"
+            )
 
     @property
     def num_subsystems(self) -> int:
         return len(self.regions)
 
     def subsystem_for(self, y: float, t: float) -> int:
-        for k, region in enumerate(self.regions):
-            if region.contains(y):
-                return k + 1
-        raise ConfigurationError(
-            f"output y={y!r} lies in no declared region; regions must cover the real line"
-        )
+        # Coverage is checked at construction, so a finite y always matches.
+        return next(k + 1 for k, region in enumerate(self.regions) if region.contains(y))
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,30 @@ class TimeScheduleRule:
                 f"schedule starts at t={self.entries[0][0]:.6g} but was queried at t={t:.6g}"
             )
         return self.entries[pos][1]
+
+
+def _first_uncovered(regions) -> float | None:
+    """Where the union of the regions first fails to cover the real line,
+    or None when it covers all of it.
+
+    Regions are swept in order of their lower ends (closed before open at a
+    tie) while tracking how far the covered set reaches; an open end meeting
+    an open end leaves the seam point itself uncovered.
+    """
+    spans = []
+    for r in regions:
+        lo = -math.inf if r.lower is None else r.lower
+        hi = math.inf if r.upper is None else r.upper
+        lo_closed = r.lower_closed or lo == -math.inf
+        hi_closed = r.upper_closed or hi == math.inf
+        if lo < hi or (lo == hi and lo_closed and hi_closed):
+            spans.append((lo, not lo_closed, hi, hi_closed))
+    reach = (-math.inf, True)  # (bound, bound itself covered)
+    for lo, lo_open, hi, hi_closed in sorted(spans):
+        if lo > reach[0] or (lo == reach[0] and lo_open and not reach[1]):
+            return reach[0]
+        reach = max(reach, (hi, hi_closed))
+    return None if reach == (math.inf, True) else reach[0]
 
 
 SwitchingRule = Union[StateRegionRule, TimeScheduleRule]
@@ -140,12 +167,23 @@ class PlantModel:
             raise DimensionError(
                 f"psi must return an (n, m)=({n}, {params.shape[1]}) array, got {probe.shape}"
             )
-        if isinstance(self.switching_rule, StateRegionRule):
-            if self.switching_rule.num_subsystems != params.shape[0]:
-                raise ConfigurationError(
-                    f"switching rule declares {self.switching_rule.num_subsystems} regions "
-                    f"but there are {params.shape[0]} parameter vectors"
-                )
+        s = params.shape[0]
+        if n + params.shape[1] > MAX_SIDE:
+            raise ConfigurationError(
+                f"m + n = {n + params.shape[1]} exceeds the supported maximum {MAX_SIDE}"
+            )
+        rule = self.switching_rule
+        if isinstance(rule, StateRegionRule) and rule.num_subsystems != s:
+            raise ConfigurationError(
+                f"switching rule declares {rule.num_subsystems} regions "
+                f"but there are {s} parameter vectors"
+            )
+        if isinstance(rule, TimeScheduleRule):
+            for k, (_, index) in enumerate(rule.entries):
+                if not 1 <= index <= s:
+                    raise ConfigurationError(
+                        f"switching.entries[{k}][1]: subsystem index {index} outside 1..{s}"
+                    )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -163,6 +201,20 @@ class PlantModel:
     @property
     def s(self) -> int:
         return self.true_params.shape[0]
+
+
+def stable_closed_loop(model: PlantModel, gain, label: str = "gain") -> np.ndarray:
+    """Closed-loop matrix A - gain C of an output-injection gain, screened
+    by the Routh test: marginal or unstable loops raise GainStabilityError."""
+    gain = as_vector(gain, label)
+    if gain.shape != (model.n,):
+        raise DimensionError(f"{label} must have length {model.n}, got {gain.shape}")
+    a_closed = model.a - np.outer(gain, model.c)
+    verdict = hurwitz_verdict(a_closed)
+    if not verdict.stable:
+        kind = "indeterminate (marginal)" if verdict.indeterminate else "unstable"
+        raise GainStabilityError(f"{label} {gain.tolist()} gives an {kind} closed-loop matrix")
+    return a_closed
 
 
 @dataclass(frozen=True)
@@ -206,31 +258,6 @@ def sample_noise(spec: NoiseSpec, step_index: int) -> float:
     x = (x * XORSHIFT_MULTIPLIER) & MASK64
     u = (x >> 11) / float(1 << 53)
     return spec.v0 * (2.0 * u - 1.0)
-
-
-def plant_derivative(
-    model: PlantModel,
-    x: np.ndarray,
-    t: float,
-    active: int,
-    noise: NoiseSpec | None = None,
-) -> np.ndarray:
-    """Right-hand side of the plant at state x with subsystem ``active``.
-
-    The nonlinearity is evaluated at the true output C x; the optional
-    disturbance rate is added on top.
-    """
-    x = as_vector(x, "x")
-    if x.shape != (model.n,):
-        raise DimensionError(f"x must have length {model.n}, got {x.shape}")
-    if not 1 <= active <= model.s:
-        raise ConfigurationError(f"subsystem index {active} outside 1..{model.s}")
-    y = float(model.c @ x)
-    u = model.input_signal(t)
-    dx = model.a @ x + model.b * u + model.psi(y, u) @ model.true_params[active - 1]
-    if noise is not None and noise.omega is not None:
-        dx = dx + np.asarray(noise.omega(t), dtype=float)
-    return dx
 
 
 # ---------------------------------------------------------------------------

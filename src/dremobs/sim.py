@@ -16,16 +16,14 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, SimulationAbort
-from .estimator import DremEstimator
-from .filters import FilterUnit
-from .linalg import det_adjugate_batch
+from .errors import ConfigurationError, SimulationAbort
+from .estimator import DremEstimator, adaptation_rates
+from .linalg import Cofactors, det_adjugate_batch
 from .observer import ObserverState
-from .plant import NoiseSpec, PlantModel, SwitchingRule, sample_noise
+from .plant import NoiseSpec, PlantModel, sample_noise, stable_closed_loop
 from .trace import SimulationTrace, column_names
 
 
@@ -125,63 +123,6 @@ class StateLayout:
         return f"state[{index}]"
 
 
-@dataclass
-class HybridState:
-    """Flat system state plus the hybrid bookkeeping."""
-
-    time: float
-    flat: np.ndarray
-    active_subsystem: int
-    last_switch_time: float
-
-    def __post_init__(self):
-        self.flat = np.asarray(self.flat, dtype=float)
-        if self.last_switch_time > self.time:
-            raise ConfigurationError("last switch time cannot lie in the future")
-
-
-def rk4_step(
-    derivative: Callable[[float, np.ndarray], np.ndarray],
-    state: HybridState,
-    h: float,
-) -> HybridState:
-    """One classical Runge-Kutta step of the flat state.
-
-    Switching bookkeeping is untouched; a non-finite stage rate aborts with
-    the time and the first offending component.
-    """
-    t, flat = state.time, state.flat
-
-    def checked(ts: float, arg: np.ndarray) -> np.ndarray:
-        k = np.asarray(derivative(ts, arg), dtype=float)
-        if k.shape != flat.shape:
-            raise DimensionError(
-                f"derivative returned shape {k.shape}, expected {flat.shape}"
-            )
-        if not np.isfinite(k).all():
-            bad = int(np.argmin(np.isfinite(k)))
-            raise SimulationAbort(ts, f"state[{bad}]")
-        return k
-
-    k1 = checked(t, flat)
-    k2 = checked(t + 0.5 * h, flat + (0.5 * h) * k1)
-    k3 = checked(t + 0.5 * h, flat + (0.5 * h) * k2)
-    k4 = checked(t + h, flat + h * k3)
-    new = flat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return HybridState(
-        time=t + h,
-        flat=new,
-        active_subsystem=state.active_subsystem,
-        last_switch_time=state.last_switch_time,
-    )
-
-
-def detect_switch(rule: SwitchingRule, state: HybridState, output: float) -> int | None:
-    """New subsystem index if the rule disagrees with the current one."""
-    target = rule.subsystem_for(output, state.time)
-    return target if target != state.active_subsystem else None
-
-
 @dataclass(frozen=True)
 class SwitchEvent:
     """Reset event: time, newly active subsystem, and the true plant state
@@ -216,67 +157,46 @@ class RunResult:
     elapsed_seconds: float
     diagnostics: Diagnostics | None = None
 
-    @property
-    def theta_hat_final(self) -> np.ndarray:
-        return self.final_flat[self.layout.theta_sl].reshape(
-            self.layout.s, self.layout.m
-        )
-
-    @property
-    def x_hat_final(self) -> np.ndarray:
-        return self.final_flat[self.layout.xhat_sl]
-
 
 class _PipelineDerivative:
     """Rates of the flat state, with all filter units batched.
 
     The mixing determinant and the adapted components of the mixed vector
     are recomputed from the stage's filter states at every stage via signed
-    minors; the adjugate route never divides, so a singular regressor stack
-    is handled transparently.  Only the cofactors that feed the adaptation
-    law (columns below m, plus the first row for the determinant) are
-    evaluated.
+    cofactors; the adjugate route never divides, so a singular regressor
+    stack is handled transparently.  Only the cofactors that feed the
+    adaptation law (columns below m, plus the first row for the
+    determinant) are evaluated.
     """
 
     def __init__(
         self,
         model: PlantModel,
         layout: StateLayout,
-        filter_gains: np.ndarray,
-        observer_gain: np.ndarray,
+        a_closed: np.ndarray,
+        gains_all: np.ndarray,
         gamma: np.ndarray,
         noise: NoiseSpec | None,
     ):
-        n, m = model.n, model.m
-        mn = layout.mn
+        m, mn = model.m, layout.mn
         self.layout = layout
         self.mn = mn
-        gains_all = np.vstack([filter_gains, observer_gain[None, :]])
         self.gains_all = gains_all
-        self.acl = model.a[None, :, :] - gains_all[:, :, None] * model.c[None, None, :]
+        self.acl = a_closed
         self.a = model.a
         self.b = model.b
         self.has_b = bool(np.any(model.b != 0.0))
         self.crow = model.c
-        self.obs_gain = observer_gain
+        self.obs_gain = gains_all[-1]
         self.theta_star = model.true_params
         self.gamma = gamma
         self.psi_fn = model.psi
         self.u_fn = model.input_signal
         self.omega_fn = noise.omega if noise is not None else None
-        # Minor index tables for the cofactors used by the adaptation law:
-        # all (i, j) with j < m laid out row-major, then (0, j) for j >= m.
-        pairs = [(i, j) for i in range(mn) for j in range(m)]
-        pairs += [(0, j) for j in range(m, mn)]
-        idx = np.empty((len(pairs), (mn - 1) * (mn - 1)), dtype=np.intp)
-        signs = np.empty(len(pairs))
-        for p, (i, j) in enumerate(pairs):
-            rows = [r for r in range(mn) if r != i]
-            cols = [c for c in range(mn) if c != j]
-            idx[p] = [r * mn + c for r in rows for c in cols]
-            signs[p] = (-1.0) ** (i + j)
-        self._pair_idx = idx
-        self._pair_signs = signs
+        # All (i, j) with j < m laid out row-major, then (0, j) for j >= m.
+        self.cofactors = Cofactors(
+            mn, [(i, j) for i in range(mn) for j in range(m)] + [(0, j) for j in range(m, mn)]
+        )
         self.nt = np.empty((mn, mn))
         self.kbuf = np.empty_like(gains_all)
         self._views: dict[int, tuple] = {}
@@ -289,11 +209,23 @@ class _PipelineDerivative:
             self._views[key] = cached
         return cached
 
+    def _mix(self, fs: np.ndarray) -> tuple[float, np.ndarray]:
+        """Mixing determinant of the filter panels' regressor stack and the
+        adjugate columns below m."""
+        m, mn = self.layout.m, self.mn
+        nt = self.nt
+        np.matmul(self.crow, fs[:mn, :, 1:], out=nt)
+        cof = self.cofactors(nt)
+        cof_jm = cof[: mn * m].reshape(mn, m)
+        delta = float(nt[0, :m] @ cof_jm[0] + nt[0, m:] @ cof[mn * m :])
+        return delta, cof_jm
+
     def __call__(
         self, t: float, flat: np.ndarray, active: int, v: float, out: np.ndarray
-    ) -> None:
-        lay = self.layout
-        m, mn = lay.m, self.mn
+    ) -> float:
+        """Write the rates at ``flat`` into ``out``; return the mixing
+        determinant the adaptation law used."""
+        m = self.layout.m
         x, xhat, fs, theta, _ = self._views_of(flat)
         out_x, out_xhat, out_fs, out_theta, out_exc = self._views_of(out)
         ai = active - 1
@@ -324,27 +256,14 @@ class _PipelineDerivative:
             out_fs[:, :, 0] += self.b * u
         out_fs[:, :, 1 : 1 + m] += psi_meas
 
-        # Mixing from this stage's filter states.
-        zf = ybar - fs[:mn, :, 0] @ self.crow
-        nt = self.nt
-        np.matmul(self.crow, fs[:mn, :, 1:], out=nt)
-        sub = nt.ravel()[self._pair_idx]
-        minors = np.linalg.det(sub.reshape(-1, mn - 1, mn - 1))
-        cof = self._pair_signs * minors
-        cof_jm = cof[: mn * m].reshape(mn, m)
-        delta = float(nt[0, :m] @ cof_jm[0] + nt[0, m:] @ cof[mn * m :])
-        zbar_m = zf @ cof_jm
+        zf = ybar - fs[: self.mn, :, 0] @ self.crow
+        delta, cof_jm = self._mix(fs)
+        adaptation_rates(theta, self.gamma, delta, zf @ cof_jm, active, out_theta, out_exc)
+        return delta
 
-        out_theta[:] = 0.0
-        out_theta[ai] = self.gamma[ai] * delta * (zbar_m - delta * theta[ai])
-        out_exc[:] = 0.0
-        out_exc[ai] = delta * delta
-
-    def grid_regressor(self, flat: np.ndarray) -> np.ndarray:
-        """Regressor matrix assembled from a grid state (used for the
-        pre-reset determinant at switch instants)."""
-        _, _, fs, _, _ = self._views_of(flat)
-        return (self.crow @ fs[: self.mn, :, 1:]).copy()
+    def grid_delta(self, flat: np.ndarray) -> float:
+        """The determinant the adaptation law uses at a grid state."""
+        return self._mix(self._views_of(flat)[2])[0]
 
 
 def run_simulation(
@@ -379,16 +298,13 @@ def run_simulation(
             f"estimator is sized for (s, m) = ({estimator.s}, {estimator.m}), "
             f"model needs ({s}, {m})"
         )
-    if estimator.num_filters != m + n:
-        raise ConfigurationError(
-            f"estimator declares {estimator.num_filters} filters, model needs {m + n}"
-        )
-    # Stability screening happens in the unit/observer constructors.
-    for gain in gains:
-        FilterUnit(gain, model)
     if observer.gain.shape != (n,):
         raise ConfigurationError(f"observer gain must have length {n}")
-    ObserverState(observer.gain, model)
+    gains_all = np.vstack([gains, observer.gain[None, :]])
+    a_closed = np.stack(
+        [stable_closed_loop(model, g, "filter gain") for g in gains]
+        + [stable_closed_loop(model, observer.gain, "observer gain")]
+    )
 
     layout = StateLayout(n, m, s)
     h = cfg.step_size
@@ -403,7 +319,7 @@ def run_simulation(
     reset_template = layout.filter_reset_template()
     fs_v[:] = reset_template
 
-    deriv = _PipelineDerivative(model, layout, gains, observer.gain, estimator.gamma, noise)
+    deriv = _PipelineDerivative(model, layout, a_closed, gains_all, estimator.gamma, noise)
     rule = model.switching_rule
     active = rule.subsystem_for(float(model.c @ model.initial_state), t0)
 
@@ -419,6 +335,7 @@ def run_simulation(
     snaps = np.empty((steps + 1, layout.size))
     sigmas = np.empty(steps + 1, dtype=np.int64)
     vs = np.zeros(steps + 1)
+    deltas = np.empty(steps + 1)
     event_of = np.zeros(steps + 1, dtype=np.int64)
     snaps[0] = flat
     sigmas[0] = active
@@ -441,7 +358,7 @@ def run_simulation(
         for q in range(steps):
             t = t0 + q * h
             v = vs[q]
-            deriv(t, flat, active, v, k1)
+            deltas[q] = deriv(t, flat, active, v, k1)
             np.multiply(k1, half, out=stage)
             stage += flat
             deriv(t + half, stage, active, v, k2)
@@ -464,13 +381,12 @@ def run_simulation(
             y_next = float(crow @ flat[x_sl])
             target = rule.subsystem_for(y_next, t_next)
             if target != active:
-                delta_pre = float(np.linalg.det(deriv.grid_regressor(flat)))
                 events.append(
                     SwitchEvent(
                         time=t_next,
                         subsystem=target,
                         state=flat[x_sl].copy(),
-                        delta_before=delta_pre,
+                        delta_before=deriv.grid_delta(flat),
                     )
                 )
                 active = target
@@ -480,95 +396,7 @@ def run_simulation(
             if noise is not None:
                 vs[q + 1] = sample_noise(noise, q + 1)
             snaps[q + 1] = flat
-
-    trace, diagnostics = _assemble(
-        model,
-        layout,
-        cfg,
-        snaps,
-        sigmas,
-        vs,
-        event_of,
-        events,
-        gains,
-        observer,
-        estimator,
-        noise,
-        seed,
-        mode_label,
-        collect_diagnostics,
-    )
-    elapsed = _time.perf_counter() - started
-    return RunResult(
-        trace=trace,
-        events=events,
-        model=model,
-        layout=layout,
-        final_flat=flat.copy(),
-        elapsed_seconds=elapsed,
-        diagnostics=diagnostics,
-    )
-
-
-def _assemble(
-    model: PlantModel,
-    layout: StateLayout,
-    cfg: StepConfig,
-    snaps: np.ndarray,
-    sigmas: np.ndarray,
-    vs: np.ndarray,
-    event_of: np.ndarray,
-    events: list[SwitchEvent],
-    gains: np.ndarray,
-    observer: ObserverState,
-    estimator: DremEstimator,
-    noise: NoiseSpec | None,
-    seed: int | None,
-    mode_label: str | None,
-    collect_diagnostics: bool,
-) -> tuple[SimulationTrace, Diagnostics | None]:
-    n, m, s = layout.n, layout.m, layout.s
-    mn, nu = layout.mn, layout.num_units
-    rows = snaps.shape[0]
-    t = cfg.start_time + cfg.step_size * np.arange(rows)
-
-    x = snaps[:, layout.x_sl]
-    xhat = snaps[:, layout.xhat_sl]
-    fs = snaps[:, layout.fs_sl].reshape(rows, nu, n, layout.panel)
-    xu = fs[:, :, :, 0]
-    ups = fs[:, :, :, 1 : 1 + m]
-    phi = fs[:, :, :, 1 + m :]
-    theta = snaps[:, layout.theta_sl].reshape(rows, s, m)
-    exc = snaps[:, layout.exc_sl]
-
-    y = x @ model.c
-    ybar = y + vs
-    z = ybar[:, None] - xu[:, :mn] @ model.c
-    nt = np.einsum("k,tukj->tuj", model.c, fs[:, :mn, :, 1:])
-    delta = np.linalg.det(nt)
-    theta_err = np.linalg.norm(theta - model.true_params[None], axis=2)
-    x_err = np.linalg.norm(xhat - x, axis=1)
-
-    data = np.empty((rows, len(column_names(n, m, s))))
-    col = 0
-
-    def put(block: np.ndarray, width: int):
-        nonlocal col
-        data[:, col : col + width] = block.reshape(rows, width)
-        col += width
-
-    put(t, 1)
-    put(sigmas.astype(float), 1)
-    put(x, n)
-    put(xhat, n)
-    put(y, 1)
-    put(ybar, 1)
-    put(z, mn)
-    put(delta, 1)
-    put(theta.reshape(rows, s * m), s * m)
-    put(theta_err, s)
-    put(x_err, 1)
-    put(exc, s)
+    deltas[steps] = deriv.grid_delta(flat)
 
     meta = {
         "format": 1,
@@ -596,6 +424,75 @@ def _assemble(
             "lipschitz_psi": noise.lipschitz_psi,
         },
     }
+    trace, diagnostics = _assemble(
+        model, layout, cfg, snaps, sigmas, vs, deltas, event_of, events, meta, collect_diagnostics
+    )
+    elapsed = _time.perf_counter() - started
+    return RunResult(
+        trace=trace,
+        events=events,
+        model=model,
+        layout=layout,
+        final_flat=flat.copy(),
+        elapsed_seconds=elapsed,
+        diagnostics=diagnostics,
+    )
+
+
+def _assemble(
+    model: PlantModel,
+    layout: StateLayout,
+    cfg: StepConfig,
+    snaps: np.ndarray,
+    sigmas: np.ndarray,
+    vs: np.ndarray,
+    delta: np.ndarray,
+    event_of: np.ndarray,
+    events: list[SwitchEvent],
+    meta: dict,
+    collect_diagnostics: bool,
+) -> tuple[SimulationTrace, Diagnostics | None]:
+    n, m, s = layout.n, layout.m, layout.s
+    mn, nu = layout.mn, layout.num_units
+    rows = snaps.shape[0]
+    t = cfg.start_time + cfg.step_size * np.arange(rows)
+
+    x = snaps[:, layout.x_sl]
+    xhat = snaps[:, layout.xhat_sl]
+    fs = snaps[:, layout.fs_sl].reshape(rows, nu, n, layout.panel)
+    xu = fs[:, :, :, 0]
+    ups = fs[:, :, :, 1 : 1 + m]
+    phi = fs[:, :, :, 1 + m :]
+    theta = snaps[:, layout.theta_sl].reshape(rows, s, m)
+    exc = snaps[:, layout.exc_sl]
+
+    y = x @ model.c
+    ybar = y + vs
+    z = ybar[:, None] - xu[:, :mn] @ model.c
+    theta_err = np.linalg.norm(theta - model.true_params[None], axis=2)
+    x_err = np.linalg.norm(xhat - x, axis=1)
+
+    data = np.empty((rows, len(column_names(n, m, s))))
+    col = 0
+
+    def put(block: np.ndarray, width: int):
+        nonlocal col
+        data[:, col : col + width] = block.reshape(rows, width)
+        col += width
+
+    put(t, 1)
+    put(sigmas.astype(float), 1)
+    put(x, n)
+    put(xhat, n)
+    put(y, 1)
+    put(ybar, 1)
+    put(z, mn)
+    put(delta, 1)
+    put(theta.reshape(rows, s * m), s * m)
+    put(theta_err, s)
+    put(x_err, 1)
+    put(exc, s)
+
     trace = SimulationTrace(
         meta=meta,
         data=data,
@@ -615,10 +512,11 @@ def _assemble(
             + np.einsum("tij,tj->ti", ups[:, mn], theta_sigma)
         )
         decomp = np.linalg.norm(x - recon, axis=1)
+        nt = np.einsum("k,tukj->tuj", model.c, fs[:, :mn, :, 1:])
         lre = np.abs(z - np.einsum("tuj,tj->tu", nt, theta_bar)).max(axis=1)
         dbar = np.empty((rows, mn))
         delta_cof = np.empty(rows)
-        chunk = 20000
+        chunk = 4096  # bounds the cofactor route's temporaries
         for lo in range(0, rows, chunk):
             hi = min(lo + chunk, rows)
             dets, adjs = det_adjugate_batch(nt[lo:hi])

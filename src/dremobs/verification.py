@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimator import pe_check
+from .estimator import excitation_segments, pe_check
 from .sim import RunResult
 
 DECOMPOSITION_TOL = 1e-4
@@ -136,24 +136,9 @@ def check_monotone_decay(result: RunResult) -> CheckResult:
 
 
 def trapezoid_excitation(trace) -> np.ndarray:
-    """Per-subsystem gated integral of the squared determinant by trapezoid.
-
-    Subintervals ending at a switch instant use the pre-reset determinant
-    from the trace header for the right endpoint, matching the one-sided
-    limit of the integrand.
-    """
-    t = trace.t
-    if t.shape[0] < 2:
-        return np.zeros(trace.num_subsystems)
-    d2_left = trace.delta[:-1] ** 2
-    d2_right = trace.delta[1:] ** 2
-    for time, pre in zip(trace.switch_times, trace.pre_reset_delta):
-        if np.isnan(pre):
-            continue
-        row = int(np.searchsorted(t, time))
-        if 1 <= row < t.shape[0]:
-            d2_right[row - 1] = pre * pre
-    seg = 0.5 * np.diff(t) * (d2_left + d2_right)
+    """Per-subsystem gated integral of the squared determinant, summed over
+    the trapezoid segments of ``excitation_segments``."""
+    seg = excitation_segments(trace)
     sigma_step = trace.sigma[:-1]
     return np.array(
         [seg[sigma_step == i + 1].sum() for i in range(trace.num_subsystems)]

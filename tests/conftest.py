@@ -11,13 +11,9 @@ STEP = 1e-3
 
 def make_chua_setup(gamma=10.0, theta_init=None, xhat_init=None):
     model = d.chua_preset()
-    est = d.DremEstimator.create(model.s, model.m, model.n, gamma=gamma)
+    est = d.DremEstimator.create(model.s, model.m, gamma=gamma)
     if theta_init is not None:
-        est = d.DremEstimator(
-            theta_hat=np.asarray(theta_init, dtype=float),
-            gamma=est.gamma,
-            num_filters=est.num_filters,
-        )
+        est = d.DremEstimator(theta_hat=np.asarray(theta_init, dtype=float), gamma=est.gamma)
     obs = d.ObserverState(CHUA_OBSERVER_GAIN, model, x_hat=xhat_init)
     return model, est, obs
 

@@ -12,8 +12,8 @@ import numpy as np
 
 import dremobs as d
 from dremobs.cli import main as cli_main
-from dremobs.estimator import DremEstimator, MixedSignals, adaptation_rate
-from dremobs.linalg import adjugate, determinant
+from dremobs.estimator import adaptation_rates
+from dremobs.linalg import det_adjugate_batch
 from dremobs.plant import CHUA_FILTER_GAINS, NoiseSpec
 from dremobs.verification import trapezoid_excitation
 
@@ -34,7 +34,9 @@ class TestAcceptance:
         eye = np.eye(5)
         for _ in range(500):
             n = rng.uniform(-1.0, 1.0, (5, 5))
-            res = adjugate(n.T) @ n.T - determinant(n) * eye
+            adj_nt = det_adjugate_batch(n.T[None])[1][0]
+            det_n = det_adjugate_batch(n[None])[0][0]
+            res = adj_nt @ n.T - det_n * eye
             worst = max(worst, float(np.abs(res).max()))
         elapsed = time.perf_counter() - start
         report(
@@ -128,12 +130,13 @@ class TestAcceptance:
         gamma, delta, horizon, h = 2.0, 0.8, 2.0, 1e-3
         theta_true = 0.7
         gammas = np.array([gamma])
-        mixed = MixedSignals(delta=delta, zbar=np.array([delta * theta_true]))
+        zbar = np.array([delta * theta_true])
         theta = np.array([[0.0]])
         for _ in range(int(round(horizon / h))):
             def rate(th):
-                probe = DremEstimator(theta_hat=th, gamma=gammas, num_filters=1)
-                return adaptation_rate(probe, mixed, 1)
+                out_theta, out_exc = np.empty((1, 1)), np.empty(1)
+                adaptation_rates(th, gammas, delta, zbar, 1, out_theta, out_exc)
+                return out_theta
 
             k1 = rate(theta)
             k2 = rate(theta + h / 2 * k1)

@@ -136,6 +136,44 @@ class TestCustomPlant:
         assert result.trace.switch_times == [0.0, 0.5]
 
 
+GAP_REGIONS = {  # [2, inf), (-1, 1), (-inf, -1]
+    "type": "regions",
+    "regions": [
+        {"min": 2.0},
+        {"min": -1.0, "max": 1.0, "min_inclusive": False, "max_inclusive": False},
+        {"max": -1.0},
+    ],
+}
+
+
+class TestStaticValidation:
+    """Plants the kernel cannot run fail at load, naming the config path.
+
+    Schedule index 0 used to run, write sigma = 0 and adapt subsystem s by
+    negative indexing; index s + 1 raised a raw IndexError at the switch; a
+    gap between regions failed only when the output reached it.
+    """
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"switching": {"type": "schedule", "entries": [[0.0, 1], [0.5, 0]]}},
+             r"config\.plant: switching\.entries\[1\]\[1\]"),
+            ({"switching": {"type": "schedule", "entries": [[0.0, 1], [0.5, 3]]}},
+             r"config\.plant: switching\.entries\[1\]\[1\]"),
+            ({"switching": GAP_REGIONS, "true_params": [[0.3], [-0.4], [0.1]]},
+             r"config\.plant\.switching\.regions: .*cover the real line"),
+            ({"psi": {"output_gain": [[1.0] * 7, [0.0] * 7]}, "true_params": [[0.1] * 7]},
+             r"config\.plant: m \+ n = 9 exceeds the supported maximum 8"),
+        ],
+        ids=["index-0", "index-s+1", "region-gap", "m+n-9"],
+    )
+    def test_rejected_at_load(self, changes, match):
+        raw = {"plant": dict(custom_plant_spec(), **changes), "filter_gains": [[2.0, 0.0]] * 3}
+        with pytest.raises(ConfigurationError, match=match):
+            config_from_dict(raw)
+
+
 class TestFileLoading:
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "exp.json"

@@ -1,22 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import reference
 from dremobs.errors import ConfigurationError
-from dremobs.estimator import (
-    DremEstimator,
-    MixedSignals,
-    adaptation_rate,
-    excitation_rate,
-    mix,
-    pe_check,
-    residual_dbar,
-)
-from dremobs.filters import FilterUnit, RegressorStack, reset_filters, stack_regressors
-from dremobs.linalg import adjugate, determinant
-from dremobs.plant import CHUA_FILTER_GAINS, chua_preset
+from dremobs.estimator import DremEstimator, adaptation_rates, pe_check
+from dremobs.linalg import Cofactors, det_adjugate_batch
+from dremobs.plant import TimeScheduleRule, chua_preset
+from dremobs.sim import StateLayout
 from dremobs.trace import SimulationTrace, column_names
+
+
+def rates(est, delta, zbar, active):
+    """(theta rates, excitation rates) from the kernel's gated law."""
+    out_theta, out_exc = np.empty_like(est.theta_hat), np.empty(est.s)
+    zbar = np.asarray(zbar, dtype=float)
+    adaptation_rates(est.theta_hat, est.gamma, delta, zbar, active, out_theta, out_exc)
+    return out_theta, out_exc
 
 
 def synthetic_trace(t, sigma, delta, s=3, n=3, m=2, switch_times=None, pre_reset=None):
@@ -39,26 +41,33 @@ def synthetic_trace(t, sigma, delta, s=3, n=3, m=2, switch_times=None, pre_reset
 class TestMix:
     def test_after_reset_determinant_is_zero(self):
         model = chua_preset()
-        bank = [FilterUnit(g, model) for g in CHUA_FILTER_GAINS]
-        reset_filters(bank)
-        mixed = mix(stack_regressors(bank, 0.7, model))
-        assert mixed.delta == 0.0
-        np.testing.assert_array_equal(mixed.zbar, np.zeros(5))
+        panels = StateLayout(model.n, model.m, model.s).filter_reset_template()[:5]
+        zf, nt = reference.regressor_stack(model, panels, 0.7)
+        dets, adjs = det_adjugate_batch(nt[None])
+        assert dets[0] == 0.0
+        np.testing.assert_array_equal(adjs[0] @ zf, np.zeros(5))
 
     def test_degenerate_single_filter(self):
-        stack = RegressorStack(zf=np.array([2.5]), nt=np.array([[0.4]]))
-        mixed = mix(stack)
-        assert mixed.delta == 0.4
-        np.testing.assert_array_equal(mixed.zbar, stack.zf)
+        zf = np.array([2.5])
+        dets, adjs = det_adjugate_batch(np.array([[[0.4]]]))
+        assert dets[0] == 0.4
+        np.testing.assert_array_equal(adjs[0] @ zf, zf)
 
     def test_matches_reference_kernel_ops(self):
+        # Both uses of the cofactor route, the full adjugate and the kernel's
+        # cells (columns below m = 2, plus row 0), against LAPACK minors.
+        cells = [(i, j) for i in range(5) for j in range(2)] + [(0, j) for j in range(2, 5)]
+        kernel = Cofactors(5, cells)
         rng = np.random.default_rng(1)
         for _ in range(20):
             nt = rng.uniform(-1, 1, (5, 5))
             zf = rng.uniform(-1, 1, 5)
-            mixed = mix(RegressorStack(zf=zf, nt=nt))
-            assert abs(mixed.delta - determinant(nt)) <= 1e-12
-            np.testing.assert_allclose(mixed.zbar, adjugate(nt) @ zf, atol=1e-12)
+            delta_ref, zbar_ref = reference.mix(zf, nt)
+            dets, adjs = det_adjugate_batch(nt[None])
+            assert abs(dets[0] - delta_ref) <= 1e-12
+            np.testing.assert_allclose(adjs[0] @ zf, zbar_ref, atol=1e-12)
+            adj_ref = reference.adjugate(nt)
+            np.testing.assert_allclose(kernel(nt), [adj_ref[j, i] for i, j in cells], atol=1e-12)
 
     def test_mixing_identity_against_ground_truth(self, short_ideal_run):
         dg = short_ideal_run.diagnostics
@@ -69,64 +78,59 @@ class TestMix:
 class TestAdaptationRate:
     def make_estimator(self, theta=None, gamma=10.0):
         theta = np.zeros((3, 2)) if theta is None else np.asarray(theta, float)
-        return DremEstimator(
-            theta_hat=theta, gamma=np.full(3, gamma), num_filters=5
-        )
+        return DremEstimator(theta_hat=theta, gamma=np.full(3, gamma))
 
     def test_inactive_subsystems_have_zero_rates(self):
         est = self.make_estimator()
-        mixed = MixedSignals(delta=0.8, zbar=np.arange(5.0))
-        rates = adaptation_rate(est, mixed, active=2)
-        np.testing.assert_array_equal(rates[0], 0.0)
-        np.testing.assert_array_equal(rates[2], 0.0)
-        assert np.any(rates[1] != 0.0)
+        theta_rates, _ = rates(est, 0.8, np.arange(5.0), active=2)
+        np.testing.assert_array_equal(theta_rates[0], 0.0)
+        np.testing.assert_array_equal(theta_rates[2], 0.0)
+        assert np.any(theta_rates[1] != 0.0)
 
     def test_truth_is_a_fixed_point(self):
         theta_true = np.array([[0.3, -0.2], [1.0, 0.5], [0.0, 0.7]])
         est = self.make_estimator(theta=theta_true)
         delta = 0.9
         zbar = np.concatenate([delta * theta_true[1], [4.0, 5.0, 6.0]])
-        rates = adaptation_rate(est, MixedSignals(delta=delta, zbar=zbar), active=2)
-        np.testing.assert_allclose(rates, np.zeros((3, 2)), atol=1e-15)
+        theta_rates, _ = rates(est, delta, zbar, active=2)
+        np.testing.assert_allclose(theta_rates, np.zeros((3, 2)), atol=1e-15)
 
     def test_adaptation_ignores_trailing_mixed_entries(self):
         # The state-at-switch block of the mixed vector must not leak into
         # the parameter adaptation.
         est = self.make_estimator(theta=np.ones((3, 2)))
         zbar = np.array([0.4, -0.3, 100.0, -50.0, 7.0])
-        mixed_a = MixedSignals(delta=0.6, zbar=zbar)
         perturbed = zbar.copy()
         perturbed[2:] = [-1e6, 3e7, 0.0]
-        mixed_b = MixedSignals(delta=0.6, zbar=perturbed)
         for active in (1, 2, 3):
             np.testing.assert_array_equal(
-                adaptation_rate(est, mixed_a, active),
-                adaptation_rate(est, mixed_b, active),
+                rates(est, 0.6, zbar, active)[0],
+                rates(est, 0.6, perturbed, active)[0],
             )
 
     def test_rate_formula(self):
         est = self.make_estimator(theta=np.array([[0.1, 0.2], [0.0, 0.0], [0.0, 0.0]]))
-        mixed = MixedSignals(delta=0.5, zbar=np.array([1.0, 2.0, 0.0, 0.0, 0.0]))
-        rates = adaptation_rate(est, mixed, active=1)
+        theta_rates, _ = rates(est, 0.5, [1.0, 2.0, 0.0, 0.0, 0.0], active=1)
         expected = 10.0 * 0.5 * (np.array([1.0, 2.0]) - 0.5 * np.array([0.1, 0.2]))
-        np.testing.assert_allclose(rates[0], expected)
+        np.testing.assert_allclose(theta_rates[0], expected)
 
     def test_invalid_subsystem(self):
-        est = self.make_estimator()
-        with pytest.raises(ConfigurationError):
-            adaptation_rate(est, MixedSignals(delta=0.0, zbar=np.zeros(5)), active=0)
+        # Subsystem indices are checked once, when the model is built, so
+        # the law never sees one outside 1..s.
+        model = chua_preset()
+        for index in (0, model.s + 1):
+            with pytest.raises(ConfigurationError):
+                replace(model, switching_rule=TimeScheduleRule(((0.0, 1), (1.0, index))))
 
 
 class TestExcitationRate:
     def test_zero_determinant_gives_zero(self):
-        np.testing.assert_array_equal(
-            excitation_rate(MixedSignals(delta=0.0, zbar=np.zeros(5)), 1, 3),
-            np.zeros(3),
-        )
+        est = DremEstimator.create(3, 2)
+        np.testing.assert_array_equal(rates(est, 0.0, np.zeros(5), 1)[1], np.zeros(3))
 
     def test_only_active_accumulates(self):
-        rates = excitation_rate(MixedSignals(delta=2.0, zbar=np.zeros(5)), 3, 3)
-        np.testing.assert_array_equal(rates, [0.0, 0.0, 4.0])
+        est = DremEstimator.create(3, 2)
+        np.testing.assert_array_equal(rates(est, 2.0, np.zeros(5), 3)[1], [0.0, 0.0, 4.0])
 
 
 class TestScalarClosedForm:
@@ -135,24 +139,15 @@ class TestScalarClosedForm:
         # integrated error must match the closed-form exponential.
         gamma, delta, horizon, h = 2.0, 0.8, 2.0, 1e-3
         theta_true = 0.7
-        est = DremEstimator(
-            theta_hat=np.array([[0.0]]), gamma=np.array([gamma]), num_filters=1
-        )
-        mixed = MixedSignals(delta=delta, zbar=np.array([delta * theta_true]))
-        theta = est.theta_hat.copy()
-        steps = int(round(horizon / h))
-        for _ in range(steps):
-            def rate(th):
-                probe = DremEstimator(
-                    theta_hat=th, gamma=est.gamma, num_filters=1
-                )
-                return adaptation_rate(probe, mixed, 1)
+        zbar = np.array([delta * theta_true])
+        probe = DremEstimator(theta_hat=np.zeros((1, 1)), gamma=np.array([gamma]))
 
-            k1 = rate(theta)
-            k2 = rate(theta + h / 2 * k1)
-            k3 = rate(theta + h / 2 * k2)
-            k4 = rate(theta + h * k3)
-            theta = theta + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        def rate(t, th):
+            return rates(DremEstimator(theta_hat=th, gamma=probe.gamma), delta, zbar, 1)[0]
+
+        theta = probe.theta_hat
+        for _ in range(int(round(horizon / h))):
+            theta = reference.rk4(rate, 0.0, theta, h)
         err0 = abs(0.0 - theta_true)
         expected = math.exp(-gamma * delta**2 * horizon) * err0
         assert abs(abs(theta[0, 0] - theta_true) - expected) <= 1e-6
@@ -164,9 +159,8 @@ class TestResidual:
         assert np.abs(dg.dbar).max() <= 1e-3
 
     def test_residual_definition(self):
-        mixed = MixedSignals(delta=2.0, zbar=np.array([4.0, 6.0]))
         np.testing.assert_array_equal(
-            residual_dbar(mixed, np.array([1.0, 2.0])), [2.0, 2.0]
+            reference.residual(2.0, np.array([4.0, 6.0]), np.array([1.0, 2.0])), [2.0, 2.0]
         )
 
 

@@ -1,16 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dremobs.errors import ConfigurationError, GainStabilityError
-from dremobs.filters import (
-    FilterUnit,
-    filter_derivative,
-    regressor_row,
-    reset_filters,
-    stack_regressors,
-)
-from dremobs.plant import CHUA_FILTER_GAINS, chua_preset
+import reference
+from conftest import make_chua_setup
+from dremobs.errors import GainStabilityError
+from dremobs.plant import CHUA_FILTER_GAINS, TimeScheduleRule, chua_preset, stable_closed_loop
+from dremobs.sim import StateLayout, StepConfig, run_simulation
 
 
 @pytest.fixture()
@@ -18,105 +16,83 @@ def model():
     return chua_preset()
 
 
-@pytest.fixture()
-def bank(model):
-    return [FilterUnit(g, model) for g in CHUA_FILTER_GAINS]
+def final_panels(model, end_time, h=1e-3, schedule=None):
+    """Filter panels [xu | upsilon | phi] of every unit at the end of a run."""
+    _, est, obs = make_chua_setup()
+    if schedule is not None:
+        model = replace(model, switching_rule=TimeScheduleRule(schedule))
+    res = run_simulation(
+        model, est, obs, StepConfig(h, end_time), None, filter_gains=CHUA_FILTER_GAINS
+    )
+    return res.layout.views(res.final_flat.copy())[2]
 
 
-def integrate_unit(unit, model, y_of_t, u_of_t, h, steps):
-    """Local RK4 loop over one unit's three state blocks."""
-    for q in range(steps):
-        t = q * h
-
-        def rates(xu, ups, phi, ts):
-            saved = unit.xu, unit.upsilon, unit.phi
-            unit.xu, unit.upsilon, unit.phi = xu, ups, phi
-            out = filter_derivative(unit, model, y_of_t(ts), u_of_t(ts))
-            unit.xu, unit.upsilon, unit.phi = saved
-            return out
-
-        x0, u0, p0 = unit.xu, unit.upsilon, unit.phi
-        k1 = rates(x0, u0, p0, t)
-        k2 = rates(x0 + h / 2 * k1[0], u0 + h / 2 * k1[1], p0 + h / 2 * k1[2], t + h / 2)
-        k3 = rates(x0 + h / 2 * k2[0], u0 + h / 2 * k2[1], p0 + h / 2 * k2[2], t + h / 2)
-        k4 = rates(x0 + h * k3[0], u0 + h * k3[1], p0 + h * k3[2], t + h)
-        unit.xu = x0 + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        unit.upsilon = u0 + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        unit.phi = p0 + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+RESET_PANELS = StateLayout(3, 2, 3).filter_reset_template()
 
 
 class TestFilterUnit:
     def test_construction_is_reset_state(self, model):
-        unit = FilterUnit(CHUA_FILTER_GAINS[0], model)
-        np.testing.assert_array_equal(unit.xu, np.zeros(3))
-        np.testing.assert_array_equal(unit.upsilon, np.zeros((3, 2)))
-        np.testing.assert_array_equal(unit.phi, np.eye(3))
+        panels = final_panels(model, 0.0)
+        np.testing.assert_array_equal(panels[:, :, 0], np.zeros((6, 3)))
+        np.testing.assert_array_equal(panels[:, :, 1:3], np.zeros((6, 3, 2)))
+        np.testing.assert_array_equal(panels[:, :, 3:], np.broadcast_to(np.eye(3), (6, 3, 3)))
 
     def test_unstable_gain_rejected(self, model):
         # Positive injection into the first state destabilises the loop.
         with pytest.raises(GainStabilityError):
-            FilterUnit(np.array([-100.0, 0.0, 0.0]), model)
+            stable_closed_loop(model, np.array([-100.0, 0.0, 0.0]))
 
     def test_reset_is_idempotent(self, model):
-        unit = FilterUnit(CHUA_FILTER_GAINS[1], model)
-        unit.xu[:] = 1.0
-        unit.upsilon[:] = 2.0
-        unit.phi[:] = 3.0
-        reset_filters([unit])
-        first = (unit.xu.copy(), unit.upsilon.copy(), unit.phi.copy())
-        reset_filters([unit])
-        np.testing.assert_array_equal(unit.xu, first[0])
-        np.testing.assert_array_equal(unit.upsilon, first[1])
-        np.testing.assert_array_equal(unit.phi, first[2])
-        np.testing.assert_array_equal(unit.phi, np.eye(3))
+        # Runs ending on a restart: every restart lands on the same state.
+        schedule = ((0.0, 1), (0.0095, 2), (0.0195, 3))
+        first = final_panels(model, 0.01, schedule=schedule)
+        second = final_panels(model, 0.02, schedule=schedule)
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(first, RESET_PANELS)
 
 
 class TestFilterDerivative:
     def test_rates_at_reset_state(self, model):
-        unit = FilterUnit(CHUA_FILTER_GAINS[1], model)
+        gain = CHUA_FILTER_GAINS[1]
         y, u = 0.8, 0.0
-        dxu, dups, dphi = filter_derivative(unit, model, y, u)
-        np.testing.assert_allclose(dxu, model.b * u + unit.gain * y)
+        dxu, dups, dphi = reference.filter_rates(
+            model, gain, np.zeros(3), np.zeros((3, 2)), np.eye(3), y, u
+        )
+        np.testing.assert_allclose(dxu, model.b * u + gain * y)
         np.testing.assert_allclose(dups, model.psi(y, u))
-        np.testing.assert_allclose(dphi, unit.a_closed)
+        np.testing.assert_allclose(dphi, stable_closed_loop(model, gain))
 
     def test_unforced_states_decay(self, model):
-        unit = FilterUnit(CHUA_FILTER_GAINS[3], model)
-        unit.xu[:] = [1.0, -1.0, 0.5]
-        start = np.linalg.norm(unit.xu)
-        integrate_unit(unit, model, lambda t: 0.0, lambda t: 0.0, 1e-3, 12000)
-        assert np.linalg.norm(unit.xu) < 0.2 * start
-        assert np.linalg.norm(unit.phi) < np.linalg.norm(np.eye(3))
+        # At rest in the middle branch the output stays exactly zero, so the
+        # transition factor is the unforced response of every unit.
+        at_rest = replace(model, initial_state=np.zeros(3))
+        phi = final_panels(at_rest, 12.0, h=1e-2)[3, :, 3:]
+        xu0 = np.array([1.0, -1.0, 0.5])
+        assert np.linalg.norm(phi @ xu0) < 0.2 * np.linalg.norm(xu0)
+        assert np.linalg.norm(phi) < np.linalg.norm(np.eye(3))
 
     def test_phi_matches_matrix_exponential_oracle(self, model):
         # Constant-coefficient case: phi(1) must equal expm(a_closed).
-        unit = FilterUnit(CHUA_FILTER_GAINS[1], model)
-        integrate_unit(unit, model, lambda t: np.sin(t), lambda t: 0.0, 1e-3, 1000)
-        oracle = expm(unit.a_closed * 1.0)
-        assert np.abs(unit.phi - oracle).max() <= 1e-8
+        phi = final_panels(model, 1.0, schedule=((0.0, 1),))[1, :, 3:]
+        oracle = expm(stable_closed_loop(model, CHUA_FILTER_GAINS[1]) * 1.0)
+        assert np.abs(phi - oracle).max() <= 1e-8
 
 
 class TestRegressorAssembly:
     def test_row_right_after_reset(self, model):
-        unit = FilterUnit(CHUA_FILTER_GAINS[0], model)
         y = 1.23
-        z, nu = regressor_row(unit, y, model)
+        (z,), (nu,) = reference.regressor_stack(model, RESET_PANELS[:1], y)
         assert z == y
         np.testing.assert_array_equal(nu, np.concatenate([np.zeros(2), model.c]))
 
-    def test_stack_is_square_with_unit_count(self, model, bank):
-        stack = stack_regressors(bank, 0.5, model)
-        assert stack.zf.shape == (5,)
-        assert stack.nt.shape == (5, 5)
+    def test_stack_is_square_with_unit_count(self, model):
+        zf, nt = reference.regressor_stack(model, RESET_PANELS[:5], 0.5)
+        assert zf.shape == (5,)
+        assert nt.shape == (5, 5)
 
-    def test_stack_after_reset_is_singular(self, model, bank):
-        reset_filters(bank)
-        stack = stack_regressors(bank, 0.5, model)
-        assert np.linalg.det(stack.nt) == 0.0
-
-    def test_wrong_unit_count_is_configuration_error(self, model, bank):
-        with pytest.raises(ConfigurationError, match="m \\+ n = 5"):
-            stack_regressors(bank[:4], 0.5, model)
+    def test_stack_after_reset_is_singular(self, model):
+        _, nt = reference.regressor_stack(model, RESET_PANELS[:5], 0.5)
+        assert np.linalg.det(nt) == 0.0
 
 
 class TestRunLevelInvariants:

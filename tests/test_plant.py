@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from dremobs.plant import (
     TimeScheduleRule,
     chua_preset,
     chua_robust_noise,
-    plant_derivative,
     sample_noise,
 )
+from reference import plant_rate
 
 
 def chua_rhs_oracle(x):
@@ -55,9 +56,30 @@ class TestRegionRule:
             assert matches.index(True) == chua_preset().switching_rule.subsystem_for(y, 0.0) - 1
 
     def test_gap_raises_configuration_error(self):
-        rule = StateRegionRule((OutputRegion(lower=1.0), OutputRegion(upper=-1.0)))
-        with pytest.raises(ConfigurationError):
-            rule.subsystem_for(0.0, 0.0)
+        # Rejected at construction; open and closed seams compared exactly.
+        inf = None
+        gapped = [  # (lower, upper, lower_closed, upper_closed) per region
+            [(1.0, inf, True, True), (inf, -1.0, True, True)],
+            [(inf, 0.0, True, False), (0.0, inf, False, True)],
+            [(inf, -1.0, True, True), (-1.0, 1.0, False, False), (2.0, inf, True, True)],
+            [(-5.0, inf, True, True)],
+            [(inf, 5.0, True, False)],
+        ]
+        for spans in gapped:
+            with pytest.raises(ConfigurationError, match="cover the real line"):
+                StateRegionRule(tuple(OutputRegion(*r) for r in spans))
+
+    def test_covering_seams_accepted(self):
+        inf = None
+        covering = [
+            [(inf, 0.0, True, False), (0.0, inf, True, True)],
+            [(inf, 0.0, True, True), (0.0, inf, False, True)],
+            [(inf, 1.0, True, True), (-1.0, inf, False, True)],
+            [(3.0, 2.0, True, True), (inf, inf, True, True)],  # an empty region
+            [(inf, 0.0, True, False), (0.0, 0.0, True, True), (0.0, inf, False, True)],
+        ]
+        for spans in covering:
+            StateRegionRule(tuple(OutputRegion(*r) for r in spans))
 
 
 class TestScheduleRule:
@@ -100,14 +122,14 @@ class TestChuaPreset:
     def test_derivative_zero_state_middle_branch(self):
         model = chua_preset()
         np.testing.assert_array_equal(
-            plant_derivative(model, np.zeros(3), 0.0, 2), np.zeros(3)
+            plant_rate(model, np.zeros(3), 0.0, 2), np.zeros(3)
         )
 
     def test_derivative_matches_hand_assembled_oracle_at_x0(self):
         model = chua_preset()
         x0 = model.initial_state
         np.testing.assert_allclose(
-            plant_derivative(model, x0, 0.0, 1), chua_rhs_oracle(x0), atol=1e-12
+            plant_rate(model, x0, 0.0, 1), chua_rhs_oracle(x0), atol=1e-12
         )
 
     def test_factorisation_matches_raw_model_at_random_states(self):
@@ -117,12 +139,12 @@ class TestChuaPreset:
         for _ in range(1000):
             x = rng.uniform(-4.0, 4.0, 3)
             sigma = rule.subsystem_for(x[0], 0.0)
-            got = plant_derivative(model, x, 0.0, sigma)
+            got = plant_rate(model, x, 0.0, sigma)
             np.testing.assert_allclose(got, chua_rhs_oracle(x), atol=1e-12)
 
     def test_zero_input_matrix_makes_input_irrelevant(self):
         model = chua_preset()
-        base = plant_derivative(model, model.initial_state, 0.0, 1)
+        base = plant_rate(model, model.initial_state, 0.0, 1)
         driven = type(model)(
             a=model.a,
             b=model.b,
@@ -135,15 +157,16 @@ class TestChuaPreset:
             name=model.name,
         )
         np.testing.assert_array_equal(
-            plant_derivative(driven, model.initial_state, 0.0, 1), base
+            plant_rate(driven, model.initial_state, 0.0, 1), base
         )
 
     def test_dimension_checks(self):
+        # Checked once when the model is built, not on every evaluation.
         model = chua_preset()
         with pytest.raises(DimensionError):
-            plant_derivative(model, np.zeros(2), 0.0, 1)
+            replace(model, initial_state=np.zeros(2))
         with pytest.raises(ConfigurationError):
-            plant_derivative(model, np.zeros(3), 0.0, 4)
+            replace(model, switching_rule=TimeScheduleRule(((0.0, 4),)))
 
 
 class TestNoise:

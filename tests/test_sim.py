@@ -1,24 +1,25 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dremobs as d
+from dremobs import sim
 from dremobs.errors import ConfigurationError, SimulationAbort
-from dremobs.estimator import DremEstimator, adaptation_rate, excitation_rate, mix
-from dremobs.filters import FilterUnit, stack_regressors
-from dremobs.observer import ObserverState, observer_derivative
+from dremobs.estimator import DremEstimator
+from dremobs.observer import ObserverState
 from dremobs.plant import (
     CHUA_FILTER_GAINS,
     CHUA_OBSERVER_GAIN,
     TimeScheduleRule,
-    chua_preset,
     chua_robust_noise,
-    plant_derivative,
+    make_sinusoid_disturbance,
 )
-from dremobs.sim import HybridState, StateLayout, StepConfig, detect_switch, rk4_step, run_simulation
+from dremobs.sim import StateLayout, StepConfig, run_simulation
 from dremobs.trace import trace_to_string
 
+import reference
 from conftest import make_chua_setup
 
 
@@ -45,50 +46,54 @@ class TestStepConfig:
 
 class TestRk4Step:
     def test_zero_derivative_keeps_state(self):
-        state = HybridState(0.0, np.array([1.0, -2.0]), 1, 0.0)
-        new = rk4_step(lambda t, s: np.zeros(2), state, 0.1)
-        np.testing.assert_array_equal(new.flat, state.flat)
-        assert new.time == pytest.approx(0.1)
-        assert new.active_subsystem == 1
-        assert new.last_switch_time == 0.0
+        flat = np.array([1.0, -2.0])
+        new = reference.rk4(lambda t, s: np.zeros(2), 0.0, flat, 0.1)
+        np.testing.assert_array_equal(new, flat)
 
     def test_scalar_decay_matches_exponential(self):
-        state = HybridState(0.0, np.array([1.0]), 1, 0.0)
-        new = rk4_step(lambda t, s: -s, state, 0.01)
-        assert abs(new.flat[0] - math.exp(-0.01)) <= 1e-10
+        new = reference.rk4(lambda t, s: -s, 0.0, np.array([1.0]), 0.01)
+        assert abs(new[0] - math.exp(-0.01)) <= 1e-10
 
     def test_planar_rotation_preserves_norm(self):
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        state = HybridState(0.0, np.array([1.0, 0.0]), 1, 0.0)
+        flat = np.array([1.0, 0.0])
         for _ in range(1000):
-            state = rk4_step(lambda t, s: a @ s, state, 1e-3)
-        assert abs(np.linalg.norm(state.flat) - 1.0) < 1e-9
+            flat = reference.rk4(lambda t, s: a @ s, 0.0, flat, 1e-3)
+        assert abs(np.linalg.norm(flat) - 1.0) < 1e-9
 
     def test_non_finite_rate_aborts_with_diagnostic(self):
-        state = HybridState(2.0, np.array([1.0, 1.0]), 1, 0.0)
-
-        def bad(t, s):
-            return np.array([0.0, np.inf])
-
+        # Pinned to the middle branch the oscillator spirals out while every
+        # injection loop stays stable.
+        model, est, obs = make_chua_setup()
+        pinned = replace(model, switching_rule=TimeScheduleRule(((0.0, 2),)))
         with pytest.raises(SimulationAbort) as info:
-            rk4_step(bad, state, 0.1)
-        assert info.value.time == 2.0
-        assert "state[1]" in str(info.value)
+            run_simulation(
+                pinned, est, obs, StepConfig(0.01, 400.0), None, filter_gains=CHUA_FILTER_GAINS
+            )
+        layout = StateLayout(3, 2, 3)
+        assert 0.0 < info.value.time <= 400.0
+        assert info.value.component in {layout.component_name(i) for i in range(layout.size)}
+        assert info.value.component in str(info.value)
 
 
 class TestDetectSwitch:
-    def test_reports_new_region(self):
-        rule = chua_preset().switching_rule
-        state = HybridState(0.0, np.zeros(1), 1, 0.0)
-        assert detect_switch(rule, state, output=0.5) == 2
-        assert detect_switch(rule, state, output=2.0) is None
+    """Switch detection at grid points, as run_simulation performs it."""
+
+    def test_reports_new_region(self, short_ideal_run):
+        trace = short_ideal_run.trace
+        rule = short_ideal_run.model.switching_rule
+        expected = [rule.subsystem_for(y, t) for y, t in zip(trace.y, trace.t)]
+        np.testing.assert_array_equal(trace.sigma, expected)
+        assert trace.sigma[0] == 1 and 2 in trace.sigma
 
     def test_schedule_rule_uses_time(self):
-        rule = TimeScheduleRule(((0.0, 1), (1.0, 2)))
-        early = HybridState(0.5, np.zeros(1), 1, 0.0)
-        late = HybridState(1.5, np.zeros(1), 1, 0.0)
-        assert detect_switch(rule, early, output=0.0) is None
-        assert detect_switch(rule, late, output=0.0) == 2
+        model, est, obs = make_chua_setup()
+        pinned = replace(model, switching_rule=TimeScheduleRule(((0.0, 1), (0.995, 2))))
+        cfg = StepConfig(step_size=1e-2, end_time=2.0)
+        res = run_simulation(pinned, est, obs, cfg, None, filter_gains=CHUA_FILTER_GAINS)
+        assert res.trace.switch_times == [0.0, pytest.approx(1.0)]
+        assert [e.subsystem for e in res.events] == [1, 2]
+        np.testing.assert_array_equal(res.trace.sigma, np.where(res.trace.t < 0.995, 1, 2))
 
 
 class TestRunSimulation:
@@ -129,8 +134,6 @@ class TestRunSimulation:
         # A schedule that keeps subsystem 1 active forever: the other
         # estimates must stay exactly at their initial values.
         model, est, obs = make_chua_setup()
-        from dataclasses import replace
-
         pinned = replace(model, switching_rule=TimeScheduleRule(((0.0, 1),)))
         cfg = StepConfig(step_size=1e-3, end_time=3.0)
         res = run_simulation(pinned, est, obs, cfg, None, filter_gains=CHUA_FILTER_GAINS)
@@ -162,8 +165,6 @@ class TestRunSimulation:
 
     def test_divergent_plant_aborts_with_component(self):
         model, est, obs = make_chua_setup()
-        from dataclasses import replace
-
         # Flip the sign of the whole linear part: unstable plant, but the
         # loop gains can stay stable long enough to start.
         unstable = replace(
@@ -175,58 +176,95 @@ class TestRunSimulation:
             run_simulation(unstable, est, obs, cfg, None, filter_gains=CHUA_FILTER_GAINS)
 
 
+def small_switched_setup():
+    """n = 2, m = 1, s = 2 plant with an input, a schedule and noise on."""
+    model = d.PlantModel(
+        a=np.array([[-1.0, 1.0], [-2.0, -0.5]]),
+        b=np.array([0.0, 1.0]),
+        c=np.array([1.0, 0.0]),
+        psi=lambda y, u: np.array([[np.sin(y)], [0.5 + 0.1 * u]]),
+        true_params=np.array([[0.8], [-0.6]]),
+        switching_rule=TimeScheduleRule(((0.0, 2), (0.0025, 1))),
+        initial_state=np.array([0.7, -0.3]),
+        input_signal=lambda t: np.cos(3.0 * t),
+    )
+    gains = np.array([[1.0, 0.5], [2.0, -0.5], [0.5, 1.0]])
+    obs_gain = np.array([1.5, 0.0])
+    noise = d.NoiseSpec(v0=0.05, seed=5, omega=make_sinusoid_disturbance([0.02, 0.01], [4, 9]))
+    est = DremEstimator(theta_hat=np.array([[0.1], [0.2]]), gamma=np.array([3.0, 7.0]))
+    obs = ObserverState(obs_gain, model, x_hat=np.array([0.1, 0.0]))
+    return model, gains, obs_gain, est, obs, noise
+
+
 class TestLoopMatchesPublicOperations:
     def test_single_step_equals_manual_composition(self):
-        """One integrator step must equal the hand-wired composition of the
-        public per-module operations on the same flat layout."""
+        """One integrator step must equal the independent reference
+        composition of the pipeline stages on the same flat layout."""
         model, est, obs = make_chua_setup()
         h = 1e-3
         cfg = StepConfig(step_size=h, end_time=h)
         res = run_simulation(model, est, obs, cfg, None, filter_gains=CHUA_FILTER_GAINS)
-
-        layout = res.layout
-        units = [FilterUnit(g, model) for g in CHUA_FILTER_GAINS]
-        ver_unit = FilterUnit(CHUA_OBSERVER_GAIN, model)
-        all_units = units + [ver_unit]
-        sigma = 1  # initial output is 2.88, first region
-
-        def reference(t, flat):
-            x = flat[layout.x_sl]
-            xhat = flat[layout.xhat_sl]
-            fs = flat[layout.fs_sl].reshape(layout.num_units, model.n, layout.panel)
-            theta = flat[layout.theta_sl].reshape(model.s, model.m)
-            est_now = DremEstimator(
-                theta_hat=theta.copy(), gamma=est.gamma, num_filters=5
-            )
-            obs_now = ObserverState(CHUA_OBSERVER_GAIN, model, x_hat=xhat)
-            y = float(model.c @ x)
-            u = model.input_signal(t)
-            out = np.zeros_like(flat)
-            out[layout.x_sl] = plant_derivative(model, x, t, sigma)
-            out[layout.xhat_sl] = observer_derivative(obs_now, model, est_now, y, u, sigma)
-            ofs = out[layout.fs_sl].reshape(layout.num_units, model.n, layout.panel)
-            for k, unit in enumerate(all_units):
-                unit.xu = fs[k, :, 0].copy()
-                unit.upsilon = fs[k, :, 1 : 1 + model.m].copy()
-                unit.phi = fs[k, :, 1 + model.m :].copy()
-                dxu, dups, dphi = d.filter_derivative(unit, model, y, u)
-                ofs[k, :, 0] = dxu
-                ofs[k, :, 1 : 1 + model.m] = dups
-                ofs[k, :, 1 + model.m :] = dphi
-            mixed = mix(stack_regressors(units, y, model))
-            out[layout.theta_sl] = adaptation_rate(est_now, mixed, sigma).ravel()
-            out[layout.exc_sl] = excitation_rate(mixed, sigma, model.s)
-            return out
-
-        flat0 = np.zeros(layout.size)
-        x_v, xhat_v, fs_v, theta_v, _ = layout.views(flat0)
-        x_v[:] = model.initial_state
-        fs_v[:] = layout.filter_reset_template()
-        state = HybridState(0.0, flat0, sigma, 0.0)
-        manual = rk4_step(reference, state, h)
-        np.testing.assert_allclose(
-            manual.flat, res.final_flat, rtol=1e-10, atol=1e-12
+        rows, _, _ = reference.simulate(
+            model, CHUA_FILTER_GAINS, CHUA_OBSERVER_GAIN, est.gamma,
+            est.theta_hat, obs.x_hat, h, 1,
         )
+        np.testing.assert_allclose(rows[-1], res.final_flat, rtol=1e-10, atol=1e-12)
+
+    def test_small_switched_plant_matches_reference(self):
+        """A plant other than the preset, with input, noise and a reset
+        after three steps: every grid state, the active subsystem, the
+        determinants and the mixed residual agree with the reference."""
+        model, gains, obs_gain, est, obs, noise = small_switched_setup()
+        h, steps = 1e-3, 6
+        res = run_simulation(
+            model, est, obs, StepConfig(h, steps * h), noise,
+            filter_gains=gains, collect_diagnostics=True,
+        )
+        rows, sigmas, pre_reset = reference.simulate(
+            model, gains, obs_gain, est.gamma, est.theta_hat, obs.x_hat, h, steps, noise
+        )
+        np.testing.assert_allclose(rows[-1], res.final_flat, rtol=1e-10, atol=1e-13)
+        np.testing.assert_array_equal(res.trace.sigma, sigmas)
+        assert res.trace.switch_times == [0.0, pytest.approx(3 * h)]
+        np.testing.assert_allclose(res.trace.pre_reset_delta[1:], pre_reset[1:], atol=1e-15)
+        lay = res.layout
+        for q, flat in enumerate(rows):
+            np.testing.assert_allclose(res.trace.x[q], flat[lay.x_sl], rtol=1e-10, atol=1e-13)
+            fs = lay.views(flat)[2]
+            zf, nt = reference.regressor_stack(model, fs[: lay.mn], res.trace.ybar[q])
+            delta, zbar = reference.mix(zf, nt)
+            assert res.trace.delta[q] == pytest.approx(delta, abs=1e-15)
+            dbar = reference.residual(delta, zbar, res.diagnostics.theta_bar[q])
+            np.testing.assert_allclose(res.diagnostics.dbar[q], dbar, atol=1e-12)
+
+    def test_trace_delta_is_the_law_determinant(self, monkeypatch):
+        """The trace's delta and pre_reset_delta are bit-equal to the
+        determinant the kernel's adaptation law uses at those grid states."""
+        seen = []
+        law = sim.adaptation_rates
+
+        def spy(theta, gamma, delta, *rest):
+            seen.append(delta)
+            return law(theta, gamma, delta, *rest)
+
+        monkeypatch.setattr(sim, "adaptation_rates", spy)
+        model, est, obs = make_chua_setup()
+        def run(schedule, steps):
+            seen.clear()
+            pinned = replace(model, switching_rule=TimeScheduleRule(schedule))
+            cfg = StepConfig(step_size=1e-3, end_time=steps * 1e-3)
+            out = run_simulation(pinned, est, obs, cfg, None, filter_gains=CHUA_FILTER_GAINS)
+            return out, np.array(seen[0::4])  # the k1 stage sits on the grid
+
+        switched, law_switched = run(((0.0, 1), (0.0095, 2)), 20)
+        longer, law_longer = run(((0.0, 1), (0.0095, 2)), 21)
+        pinned, law_pinned = run(((0.0, 1),), 11)
+        assert switched.trace.delta[:-1].tobytes() == law_switched.tobytes()
+        assert switched.trace.delta[-1:].tobytes() == law_longer[20:].tobytes()
+        assert switched.trace.delta[10] == 0.0  # restarted filters
+        pre = np.array(switched.trace.pre_reset_delta[1:])
+        assert pre.tobytes() == law_pinned[10:].tobytes()
+        assert pre[0] != 0.0
 
 
 class TestLayout:
