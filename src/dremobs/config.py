@@ -9,6 +9,7 @@ the full schema.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,7 +68,12 @@ def _expect(cond: bool, path: str, message: str) -> None:
 
 def _as_float(value, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    _expect(math.isfinite(number), path, f"expected a finite number, got {number}")
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -274,6 +280,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     t_end = _as_float(raw.get("end_time", DEFAULT_END), "config.end_time")
     t0 = _as_float(raw.get("start_time", 0.0), "config.start_time")
     _expect(t_end >= t0, "config.end_time", "must not precede start_time")
+    rule = model.switching_rule
+    if isinstance(rule, TimeScheduleRule):
+        _expect(
+            rule.entries[0][0] <= t0,
+            "config.plant.switching.entries[0][0]",
+            f"the schedule starts at t={rule.entries[0][0]:.6g}, after start_time {t0:.6g}",
+        )
 
     mn = model.m + model.n
     if "filter_gains" in raw:

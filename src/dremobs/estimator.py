@@ -56,27 +56,21 @@ class DremEstimator:
         return cls(theta_hat=np.zeros((s, m)), gamma=gamma_arr)
 
 
-def adaptation_rates(
-    theta_hat: np.ndarray,
-    gamma: np.ndarray,
-    delta: float,
-    zbar: np.ndarray,
-    active: int,
-    out_theta: np.ndarray,
-    out_exc: np.ndarray,
-) -> None:
-    """Write the gated rates of the estimates and excitation accumulators.
+def adaptation_rates(gamma: np.ndarray, delta, zbar, active, m: int):
+    """The gated law as affine rates of the active estimates, for any stack
+    of stages.
 
-    Component j of the active subsystem moves by
-    gamma * delta * (zbar_j - delta * theta_hat_j); its accumulator grows by
-    delta^2.  Every other subsystem gets exactly zero.  Mixed components
+    While subsystem i = active - 1 is active, its estimates move as
+    d theta_i / dt = gamma_i * delta * (zbar[:m] - delta * theta_i), written
+    as slope * theta_i + offset with slope = -gamma_i * delta^2 and
+    offset = gamma_i * delta * zbar[:m], and its excitation accumulator
+    grows at delta^2.  Every other subsystem stays frozen.  Mixed components
     beyond the first m (the state-at-switch block) are not adapted.
+    ``active`` broadcasts against ``delta``; ``zbar`` has one more, trailing
+    axis.  Returns (slope, offset, excitation rate).
     """
-    i = active - 1
-    out_theta[:] = 0.0
-    out_theta[i] = gamma[i] * delta * (zbar[: out_theta.shape[1]] - delta * theta_hat[i])
-    out_exc[:] = 0.0
-    out_exc[i] = delta * delta
+    gain_delta = np.asarray(gamma)[np.asarray(active) - 1] * delta
+    return -gain_delta * delta, gain_delta[..., None] * zbar[..., :m], delta * delta
 
 
 @dataclass(frozen=True)

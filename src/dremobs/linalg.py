@@ -47,7 +47,8 @@ def _minor_tables(k: int, cells: list[tuple[int, int]]) -> tuple:
     Sub-minors are shared between all requested cofactors, so evaluation is
     a few gathers and products per minor size, with no pivoting and no
     division anywhere.  Values live in one buffer: slot 0 holds the empty
-    minor (1.0), slots 1..k*k the entries, then one block per minor size.
+    minor (1.0), slots 1..k*k the entries, then one block per minor size;
+    each size's gather tables are laid out (terms, minors).
     """
     slot = {((), ()): 0}
     for r in range(k):
@@ -83,13 +84,11 @@ def _minor_tables(k: int, cells: list[tuple[int, int]]) -> tuple:
         for mk in minors:
             slot[mk] = size
             size += 1
-        left = np.array([[slot[lt] for lt, _ in expansions[mk]] for mk in minors])
-        right = np.array([[slot[rt] for _, rt in expansions[mk]] for mk in minors])
+        left = np.array([[slot[lt] for lt, _ in expansions[mk]] for mk in minors]).T
+        right = np.array([[slot[rt] for _, rt in expansions[mk]] for mk in minors]).T
         half = side // 2
-        weights = np.array(
-            [(-1.0) ** (half * (half - 1) // 2 + sum(p)) for p in combinations(range(side), half)]
-        )
-        levels.append((start, size, left, right, weights))
+        signs = [(-1.0) ** (half * (half - 1) // 2 + sum(p)) for p in combinations(range(side), half)]
+        levels.append((start, size, left, right, signs))
     out = np.array([slot[t] for t in targets], dtype=np.intp)
     signs = np.array([(-1.0) ** (i + j) for i, j in cells])
     return size, levels, out, signs
@@ -116,13 +115,24 @@ class Cofactors:
         (..., len(cells))."""
         k = self.k
         batch = matrices.shape[:-2]
-        buf = np.empty(batch + (self._size,))
-        buf[..., 0] = 1.0
-        buf[..., 1 : 1 + k * k] = matrices.reshape(batch + (k * k,))
-        for start, stop, left, right, weights in self._levels:
-            prod = buf.take(left, axis=-1) * buf.take(right, axis=-1)
-            buf[..., start:stop] = np.dot(prod, weights)
-        return buf.take(self._out, axis=-1) * self._signs
+        # Minors along the first axis, so every gather copies whole rows.
+        buf = np.empty((self._size,) + batch)
+        buf[0] = 1.0
+        buf[1 : 1 + k * k] = np.moveaxis(matrices.reshape(batch + (k * k,)), -1, 0)
+        for start, stop, left, right, signs in self._levels:
+            # Term by term, so every member of a stack is summed in the same
+            # order whatever the stack's shape.
+            level = buf[start:stop]
+            np.multiply(buf[left[0]], buf[right[0]], out=level)
+            if signs[0] < 0.0:
+                np.negative(level, out=level)
+            for term in range(1, len(signs)):
+                prod = buf[left[term]] * buf[right[term]]
+                if signs[term] > 0.0:
+                    level += prod
+                else:
+                    level -= prod
+        return np.moveaxis(buf[self._out], 0, -1) * self._signs
 
 
 _ALL_CELLS: dict[int, Cofactors] = {}

@@ -1,7 +1,8 @@
 """Adaptive state observer setup and error metrics.
 
-The observer's right-hand side (a plant copy driven by the active estimate
-plus output injection) is evaluated inside the simulation kernel."""
+The observer (a plant copy driven by the active estimate plus output
+injection) is advanced inside the simulation kernel, as the last block of
+its cascade."""
 
 from __future__ import annotations
 

@@ -132,8 +132,9 @@ SwitchingRule = Union[StateRegionRule, TimeScheduleRule]
 class PlantModel:
     """Immutable plant description.
 
-    ``psi(y, u)`` must return an (n, m) array.  ``b`` and ``c`` are stored as
-    length-n vectors (single input column, single output row).
+    ``psi(y, u)`` must return a new (n, m) array on every call: the
+    simulation keeps the arrays of a whole chunk of steps.  ``b`` and ``c``
+    are stored as length-n vectors (single input column, single output row).
     ``true_params`` stacks the s candidate parameter vectors as rows.
     """
 
@@ -240,24 +241,28 @@ class NoiseSpec:
             raise ConfigurationError("disturbance bound must be nonnegative")
 
 
-def sample_noise(spec: NoiseSpec, step_index: int) -> float:
-    """Measurement-noise sample for one integration step.
+def sample_noise(spec: NoiseSpec, step_index):
+    """Measurement-noise sample for one integration step, or one per entry
+    of an array of step indices.
 
     A pure function of (seed, step index): the step index is decorrelated
     with a fixed odd constant, passed through one xorshift64* round, and the
-    top 53 bits are mapped to the uniform interval [-v0, v0).
+    top 53 bits are mapped to the uniform interval [-v0, v0).  The integer
+    steps wrap modulo 2**64.
     """
+    steps = np.asarray(step_index, dtype=np.uint64)
     if spec.v0 == 0.0:
-        return 0.0
-    x = (spec.seed ^ ((step_index + 1) * STEP_MIX_CONSTANT)) & MASK64
-    if x == 0:
-        x = STEP_MIX_CONSTANT
-    x ^= x >> 12
-    x = (x ^ (x << 25)) & MASK64
-    x ^= x >> 27
-    x = (x * XORSHIFT_MULTIPLIER) & MASK64
-    u = (x >> 11) / float(1 << 53)
-    return spec.v0 * (2.0 * u - 1.0)
+        return np.zeros(steps.shape)[()]
+    x = np.atleast_1d(steps) + np.uint64(1)  # arrays: uint64 products wrap silently
+    x *= np.uint64(STEP_MIX_CONSTANT)
+    x ^= np.uint64(spec.seed & MASK64)
+    x[x == 0] = STEP_MIX_CONSTANT
+    x ^= x >> np.uint64(12)
+    x ^= x << np.uint64(25)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(XORSHIFT_MULTIPLIER)
+    u = (x >> np.uint64(11)).astype(float) / float(1 << 53)
+    return (spec.v0 * (2.0 * u - 1.0)).reshape(steps.shape)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,37 @@
-"""Fixed-step hybrid simulation of the coupled plant / filter / estimator /
-observer system.
+"""Fixed-step hybrid simulation of the plant / filter / estimator / observer
+cascade.
 
-The full system state is flattened into one vector and advanced with the
-classical fourth-order Runge-Kutta scheme.  Switching is detected on the
-integration grid: when the switching rule's output changes at a grid point,
-that grid time is the switching instant, the filter bank restarts (zero
-filters, identity transition factor) before the next step, and the event is
-recorded.  Measurement noise is sampled once per grid step and held constant
-across the four stages of that step, so identical configurations and seeds
-reproduce bit-identical runs.
+Signals flow one way: the plant drives the filter bank through the measured
+output, the filters feed the mixing, the mixing feeds the gated adaptation,
+and the adaptation feeds the observer.  Nothing flows back into the plant or
+the switching signal.  Classical RK4 applied to such a cascade equals RK4
+applied block by block in cascade order, so the integrator is split:
+
+* The plant alone is stepped stage by stage.  Each stage records the
+  measured output, the input and the nonlinearity at the measured output.
+  Switching is detected on the grid: when the rule's output changes at a
+  grid point, that grid time is the switching instant, the filter bank
+  restarts (zero filters, identity transition factor) before the next step,
+  and the event is recorded.
+* Every ``CHUNK`` steps the downstream blocks advance over the whole chunk.
+  Each is affine in its own state, so one RK4 step is an exact affine
+  recurrence whose coefficients are computed from the recorded signals for
+  all steps at once:
+
+  - filter bank: F_{k+1} = P(h Acl_j) F_k + D_k with stage values
+    M_s F_k + G_{k,s}; the transition factor has D = 0, so it advances by
+    the RK4 polynomial alone;
+  - mixing: the signed cofactors of every stage's regressor stack, in one
+    call;
+  - adaptation: theta_{k+1} = theta_k + (g_k theta_k + beta_k) on the active
+    row only, so inactive rows keep their bits;
+  - excitation accumulators: a masked cumulative sum;
+  - observer: xhat_{k+1} = P(h Acl_o) xhat_k + D_k.
+
+Measurement noise is sampled once per grid step and held constant across the
+four stages of that step, so identical configurations and seeds reproduce
+bit-identical runs.  A non-finite grid state aborts the run at the earliest
+such grid row, naming its first non-finite component.
 """
 
 from __future__ import annotations
@@ -25,6 +48,10 @@ from .linalg import Cofactors, det_adjugate_batch
 from .observer import ObserverState
 from .plant import NoiseSpec, PlantModel, sample_noise, stable_closed_loop
 from .trace import SimulationTrace, column_names
+
+# Grid steps per downstream pass, sized to bound the per-chunk buffers.
+# Every grid value is summed in an order that does not depend on it.
+CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -158,15 +185,148 @@ class RunResult:
     diagnostics: Diagnostics | None = None
 
 
-class _PipelineDerivative:
-    """Rates of the flat state, with all filter units batched.
+def _matmul_ew(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for stacks (..., r, n) and (..., n, N), as one elementwise
+    product per inner index.  Every entry is summed in the same order
+    whatever the stack shapes, so a grid step's values do not depend on how
+    many steps its chunk holds."""
+    out = a[..., :, 0, None] * x[..., None, 0, :]
+    for i in range(1, a.shape[-1]):
+        out += a[..., :, i, None] * x[..., None, i, :]
+    return out
 
-    The mixing determinant and the adapted components of the mixed vector
-    are recomputed from the stage's filter states at every stage via signed
-    cofactors; the adjugate route never divides, so a singular regressor
-    stack is handled transparently.  Only the cofactors that feed the
-    adaptation law (columns below m, plus the first row for the
-    determinant) are evaluated.
+
+def _sum_last(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, term by term in index order."""
+    total = terms[..., 0].copy()
+    for j in range(1, terms.shape[-1]):
+        total += terms[..., j]
+    return total
+
+
+def _rk4_offsets(h: float, apply, forcing):
+    """One RK4 step of z' = A_s z + e_s from z = 0, with ``apply(s, z)``
+    computing A_s z and ``forcing[s]`` = e_s for the four stages s.
+
+    Returns the offsets of the stage values of stages 2-4 and of the step's
+    end value.  A step of the affine system from z_k is the step of the
+    homogeneous system (the same routine with forcing A_s) plus these
+    offsets.
+    """
+    w1 = forcing[0]
+    g2 = (0.5 * h) * w1
+    w2 = apply(1, g2) + forcing[1]
+    g3 = (0.5 * h) * w2
+    w3 = apply(2, g3) + forcing[2]
+    g4 = h * w3
+    w4 = apply(3, g4) + forcing[3]
+    return (g2, g3, g4), (h / 6.0) * (w1 + 2.0 * (w2 + w3) + w4)
+
+
+def _no_disturbance(t: float) -> None:
+    return None
+
+
+class _Plant:
+    """The plant, stepped stage by stage with grid-point switch detection.
+
+    Each stage also records the signals the downstream blocks consume: the
+    measured output, the input and the nonlinearity at the measured output.
+    """
+
+    def __init__(self, model: PlantModel, noise: NoiseSpec | None, cfg: StepConfig, active: int):
+        self.model = model
+        self.noise = noise
+        self.h = cfg.step_size
+        self.t0 = cfg.start_time
+        self.active = active
+        self.theta = model.true_params[active - 1]
+        self.a = model.a
+        self.b = model.b
+        self.has_b = bool(np.any(model.b != 0.0))
+        self.crow = model.c
+        self.psi_fn = model.psi
+        self.u_fn = model.input_signal
+        self.omega_fn = _no_disturbance if noise is None or noise.omega is None else noise.omega
+        self.rates = [np.empty(model.n) for _ in range(4)]
+        self.stage = np.empty(model.n)
+
+    def rate(self, x: np.ndarray, u: float, omega, v: float, out: np.ndarray):
+        """Plant rate at the input ``u`` and disturbance ``omega`` (None when
+        there is none) of the stage's time."""
+        y = float(self.crow @ x)
+        ybar = y + v
+        psi_meas = self.psi_fn(ybar, u)
+        psi_true = psi_meas if ybar == y else self.psi_fn(y, u)
+        np.matmul(self.a, x, out=out)
+        out += psi_true @ self.theta
+        if self.has_b:
+            out += self.b * u
+        if omega is not None:
+            out += omega
+        return ybar, u, psi_meas
+
+    def advance(self, xs: np.ndarray, lo: int, hi: int, sigmas: np.ndarray, vs: np.ndarray):
+        """Step grid rows lo..hi-1 of ``xs`` and fill ``sigmas`` and the
+        held noise ``vs`` of the rows after them.
+
+        Stops after a row whose state is non-finite.  Returns the last row
+        reached, the stage signals (measured output, input, nonlinearity),
+        one entry per step and stage, and the switches as
+        (row, new subsystem, state).
+        """
+        h, t0, rule = self.h, self.t0, self.model.switching_rule
+        half, sixth = 0.5 * h, h / 6.0
+        k1, k2, k3, k4 = self.rates
+        stage, rate, crow = self.stage, self.rate, self.crow
+        u_fn, omega_fn = self.u_fn, self.omega_fn
+        if self.noise is not None:
+            vs[lo + 1 : hi + 1] = sample_noise(self.noise, np.arange(lo + 1, hi + 1))
+        signals, switches = [], []
+        x = xs[lo]
+        for q in range(lo, hi):
+            t = t0 + q * h
+            v = float(vs[q])
+            signals.append(rate(x, u_fn(t), omega_fn(t), v, k1))
+            np.multiply(k1, half, out=stage)
+            stage += x
+            # Stages 2 and 3 share their time, so their input and disturbance.
+            u_half, omega_half = u_fn(t + half), omega_fn(t + half)
+            signals.append(rate(stage, u_half, omega_half, v, k2))
+            np.multiply(k2, half, out=stage)
+            stage += x
+            signals.append(rate(stage, u_half, omega_half, v, k3))
+            np.multiply(k3, h, out=stage)
+            stage += x
+            signals.append(rate(stage, u_fn(t + h), omega_fn(t + h), v, k4))
+            k2 += k3
+            k2 *= 2.0
+            k2 += k1
+            k2 += k4
+            k2 *= sixth
+            x_next = xs[q + 1]
+            np.add(x, k2, out=x_next)
+            y_next = float(crow @ x_next)
+            if not math.isfinite(y_next) and not np.isfinite(x_next).all():
+                return q + 1, signals, switches
+            target = rule.subsystem_for(y_next, t0 + (q + 1) * h)
+            if target != self.active:
+                switches.append((q + 1, target, x_next.copy()))
+                self.active = target
+                self.theta = self.model.true_params[target - 1]
+            sigmas[q + 1] = self.active
+            x = x_next
+        return hi, signals, switches
+
+
+class _Cascade:
+    """Filter bank, mixing, gated adaptation, excitation accumulators and
+    observer, advanced over a chunk of grid steps from the plant's recorded
+    stage signals.
+
+    Each block is affine in its own state, so one RK4 step is an affine
+    recurrence; its coefficients are computed for the whole chunk at once,
+    and only the recurrences themselves run step by step.
     """
 
     def __init__(
@@ -176,94 +336,169 @@ class _PipelineDerivative:
         a_closed: np.ndarray,
         gains_all: np.ndarray,
         gamma: np.ndarray,
-        noise: NoiseSpec | None,
+        h: float,
     ):
-        m, mn = model.m, layout.mn
+        n, m, mn = layout.n, layout.m, layout.mn
         self.layout = layout
-        self.mn = mn
-        self.gains_all = gains_all
+        self.h = h
         self.acl = a_closed
-        self.a = model.a
+        self.gains_all = gains_all
         self.b = model.b
         self.has_b = bool(np.any(model.b != 0.0))
-        self.crow = model.c
-        self.obs_gain = gains_all[-1]
-        self.theta_star = model.true_params
         self.gamma = gamma
-        self.psi_fn = model.psi
-        self.u_fn = model.input_signal
-        self.omega_fn = noise.omega if noise is not None else None
+        self.template = layout.filter_reset_template()
+        # Stage polynomials M_s - I and step polynomial P - I of h * Acl_j.
+        stage_off, step_off = _rk4_offsets(h, lambda s, z: a_closed @ z, (a_closed,) * 4)
+        step_poly = np.eye(n) + step_off
+        # One product per step advances a recurrence z <- P z + d: the
+        # augmented matrix [P | I] acts on z stacked over d.  The bank's
+        # units sit on the block diagonal.
+        units = layout.num_units * n
+        self.bank_step = np.zeros((units, 2 * units))
+        for j, poly in enumerate(step_poly):
+            self.bank_step[j * n : (j + 1) * n, j * n : (j + 1) * n] = poly
+        self.bank_step[:, units:] = np.eye(units)
+        self.observer_step = np.hstack([step_poly[-1], np.eye(n)])
+        # Regressor rows c M_s of the four stage values; stage 1 is c itself.
+        self.crow_stages = np.empty((mn, 4, n))
+        self.crow_stages[:, 0] = model.c
+        for s, off in enumerate(stage_off, start=1):
+            self.crow_stages[:, s] = model.c + model.c @ off[:mn]
+        self.crow = model.c[None]
         # All (i, j) with j < m laid out row-major, then (0, j) for j >= m.
         self.cofactors = Cofactors(
             mn, [(i, j) for i in range(mn) for j in range(m)] + [(0, j) for j in range(m, mn)]
         )
-        self.nt = np.empty((mn, mn))
-        self.kbuf = np.empty_like(gains_all)
-        self._views: dict[int, tuple] = {}
 
-    def _views_of(self, flat: np.ndarray) -> tuple:
-        key = id(flat)
-        cached = self._views.get(key)
-        if cached is None:
-            cached = self.layout.views(flat)
-            self._views[key] = cached
-        return cached
+    def stage_rows(self, panels: np.ndarray) -> np.ndarray:
+        """c M_s F of the stacked units of (R, units, n, panel) grid panels,
+        shape (R, m+n, 4, panel)."""
+        return _matmul_ew(self.crow_stages, panels[:, : self.layout.mn])
 
-    def _mix(self, fs: np.ndarray) -> tuple[float, np.ndarray]:
-        """Mixing determinant of the filter panels' regressor stack and the
-        adjugate columns below m."""
-        m, mn = self.layout.m, self.mn
-        nt = self.nt
-        np.matmul(self.crow, fs[:mn, :, 1:], out=nt)
+    def mix(self, rows: np.ndarray, ybar: np.ndarray):
+        """Mixing determinant and the adapted mixed components of every
+        stage's regressor stack; ``rows`` is (R, m+n, 4, panel)."""
+        m, mn = self.layout.m, self.layout.mn
+        nt = rows[..., 1:].transpose(0, 2, 1, 3)
+        zf = ybar[:, :, None] - rows[..., 0].transpose(0, 2, 1)
         cof = self.cofactors(nt)
-        cof_jm = cof[: mn * m].reshape(mn, m)
-        delta = float(nt[0, :m] @ cof_jm[0] + nt[0, m:] @ cof[mn * m :])
-        return delta, cof_jm
+        cof_jm = cof[..., : mn * m].reshape(cof.shape[:2] + (mn, m))
+        first_row = np.concatenate((cof_jm[..., 0, :], cof[..., mn * m :]), axis=-1)
+        delta = _sum_last(nt[..., 0, :] * first_row)
+        zbar = _sum_last(np.swapaxes(zf[..., None] * cof_jm, -1, -2))
+        return delta, zbar
 
-    def __call__(
-        self, t: float, flat: np.ndarray, active: int, v: float, out: np.ndarray
-    ) -> float:
-        """Write the rates at ``flat`` into ``out``; return the mixing
-        determinant the adaptation law used."""
-        m = self.layout.m
-        x, xhat, fs, theta, _ = self._views_of(flat)
-        out_x, out_xhat, out_fs, out_theta, out_exc = self._views_of(out)
-        ai = active - 1
+    def grid_delta(self, panels: np.ndarray) -> np.ndarray:
+        """The determinant the adaptation law uses at (R, units, n, panel)
+        grid panels, computed exactly as in ``advance``."""
+        return self.mix(self.stage_rows(panels), np.zeros((len(panels), 4)))[0][:, 0]
 
-        y = float(self.crow @ x)
-        u = self.u_fn(t)
-        ybar = y + v
-        psi_meas = self.psi_fn(ybar, u)
-        psi_true = psi_meas if ybar == y else self.psi_fn(y, u)
+    def advance(self, snaps, lo, hi, active, ybar, u, psi, resets):
+        """Fill the downstream columns of grid rows lo+1..hi of ``snaps``.
 
-        np.matmul(self.a, x, out=out_x)
-        out_x += psi_true @ self.theta_star[ai]
+        ``active`` (K,) holds each step's subsystem, ``ybar`` and ``u``
+        (K, 4) and ``psi`` (K, 4, n, m) the plant's stage signals, and
+        ``resets`` the rows whose filters restart.  Returns the determinant
+        the law used at grid rows lo..hi-1 and the pre-reset panels of the
+        restarted rows.
+        """
+        lay = self.layout
+        n, m, mn, nu = lay.n, lay.m, lay.mn, lay.num_units
+        h, steps, c1 = self.h, hi - lo, 1 + lay.m
+
+        # Filter bank: stage forcings of the xu and upsilon columns.
+        forcing = np.empty((4, nu, n, steps, c1))
+        forcing[..., 0] = self.gains_all[None, :, :, None] * ybar.T[:, None, None, :]
         if self.has_b:
-            out_x += self.b * u
-        if self.omega_fn is not None:
-            out_x += self.omega_fn(t)
+            forcing[..., 0] += (self.b[:, None] * u.T[:, None, :])[:, None]
+        forcing[..., 1:] = psi.transpose(1, 2, 0, 3)[:, None]
+        offsets, step_off = _rk4_offsets(
+            h, lambda s, z: _matmul_ew(self.acl, z), forcing.reshape(4, nu, n, steps * c1)
+        )
+        units = nu * n
+        bank = np.zeros((steps + 1, 2 * units, lay.panel))
+        bank[:steps, units:, :c1] = step_off.reshape(units, steps, c1).transpose(1, 0, 2)
+        fs = snaps[:, lay.fs_sl].reshape(-1, nu, n, lay.panel)
+        bank[0, :units] = fs[lo].reshape(units, lay.panel)
+        template = self.template.reshape(units, lay.panel)
+        pre_reset = []
+        for k in range(steps):
+            nxt = bank[k + 1, :units]
+            np.dot(self.bank_step, bank[k], out=nxt)
+            if lo + k + 1 in resets:
+                pre_reset.append(nxt.reshape(nu, n, lay.panel).copy())
+                nxt[...] = template
+        fs[lo + 1 : hi + 1] = bank[1:, :units].reshape(steps, nu, n, lay.panel)
 
-        np.matmul(self.a, xhat, out=out_xhat)
-        out_xhat += psi_meas @ theta[ai]
-        out_xhat += self.obs_gain * (ybar - float(self.crow @ xhat))
+        # Mixing over every stage of every step.
+        rows = self.stage_rows(fs[lo:hi])
+        coff = _matmul_ew(self.crow, np.stack(offsets)[:, :mn])
+        rows[:, :, 1:, :c1] += coff.reshape(3, mn, steps, c1).transpose(2, 1, 0, 3)
+        delta, zbar = self.mix(rows, ybar)
+
+        # Gated adaptation: theta_i <- theta_i + (g theta_i + beta) on the
+        # active row only; every other row keeps its bits.
+        slope, offset, exc_rate = adaptation_rates(self.gamma, delta, zbar, active[:, None], m)
+        gain_off, gain_step = _rk4_offsets(h, lambda s, z: slope[:, s] * z, slope.T)
+        drive_off, drive_step = _rk4_offsets(
+            h, lambda s, z: slope[:, s, None] * z, offset.transpose(1, 0, 2)
+        )
+        theta = snaps[lo, lay.theta_sl].tolist()
+        held, rows_out = [], []
+        for i, g, beta in zip(active.tolist(), gain_step.tolist(), drive_step.tolist()):
+            base = (i - 1) * m
+            for j in range(m):
+                value = theta[base + j]
+                held.append(value)
+                theta[base + j] = value + (g * value + beta[j])
+            rows_out.append(theta[:])
+        snaps[lo + 1 : hi + 1, lay.theta_sl] = rows_out
+
+        # Excitation accumulators: a masked cumulative sum of the steps.
+        acc = np.zeros((steps + 1, lay.s))
+        acc[0] = snaps[lo, lay.exc_sl]
+        acc[np.arange(1, steps + 1), active - 1] = (h / 6.0) * (
+            exc_rate[:, 0] + 2.0 * (exc_rate[:, 1] + exc_rate[:, 2]) + exc_rate[:, 3]
+        )
+        snaps[lo + 1 : hi + 1, lay.exc_sl] = np.cumsum(acc, axis=0)[1:]
+
+        # Observer, driven by the active estimate's stage values.
+        theta_k = np.array(held).reshape(steps, 1, m)
+        theta_st = np.concatenate(
+            [theta_k]
+            + [theta_k + (g[:, None, None] * theta_k + d[:, None]) for g, d in zip(gain_off, drive_off)],
+            axis=1,
+        )
+        obs_forcing = _matmul_ew(psi, theta_st[..., None])[..., 0]
+        obs_forcing += self.gains_all[-1] * ybar[..., None]
         if self.has_b:
-            out_xhat += self.b * u
+            obs_forcing += u[..., None] * self.b
+        _, obs_step = _rk4_offsets(
+            h, lambda s, z: _matmul_ew(self.acl[-1], z), obs_forcing.transpose(1, 2, 0)
+        )
+        observer = np.empty((steps + 1, 2 * n))
+        observer[0, :n] = snaps[lo, lay.xhat_sl]
+        observer[:steps, n:] = obs_step.T
+        for k in range(steps):
+            np.dot(self.observer_step, observer[k], out=observer[k + 1, :n])
+        snaps[lo + 1 : hi + 1, lay.xhat_sl] = observer[1:, :n]
+        return delta[:, 0], pre_reset
 
-        np.matmul(self.acl, fs, out=out_fs)
-        np.multiply(self.gains_all, ybar, out=self.kbuf)
-        out_fs[:, :, 0] += self.kbuf
-        if self.has_b:
-            out_fs[:, :, 0] += self.b * u
-        out_fs[:, :, 1 : 1 + m] += psi_meas
 
-        zf = ybar - fs[: self.mn, :, 0] @ self.crow
-        delta, cof_jm = self._mix(fs)
-        adaptation_rates(theta, self.gamma, delta, zf @ cof_jm, active, out_theta, out_exc)
-        return delta
-
-    def grid_delta(self, flat: np.ndarray) -> float:
-        """The determinant the adaptation law uses at a grid state."""
-        return self._mix(self._views_of(flat)[2])[0]
+def _first_non_finite(snaps, lo, hi, pre_reset, layout) -> tuple[int, int] | None:
+    """(row, component) of the earliest non-finite grid row in lo+1..hi,
+    judged before any filter restart, or None."""
+    finite = np.isfinite(snaps[lo + 1 : hi + 1]).all(axis=1)
+    rows = [r for r, panels in pre_reset.items() if not np.isfinite(panels).all()]
+    if not finite.all():
+        rows.append(lo + 1 + int(np.argmin(finite)))
+    if not rows:
+        return None
+    row = min(rows)
+    flat = snaps[row].copy()
+    if row in pre_reset:
+        flat[layout.fs_sl] = pre_reset[row].ravel()
+    return row, int(np.argmin(np.isfinite(flat)))
 
 
 def run_simulation(
@@ -278,7 +513,7 @@ def run_simulation(
     seed: int | None = None,
     mode_label: str | None = None,
 ) -> RunResult:
-    """Run the coupled system from the start time to the (rounded) end time.
+    """Run the cascade from the start time to the (rounded) end time.
 
     The filter bank is restarted at the start time and at every detected
     switch; the trace records one row per grid point, with switch instants
@@ -311,17 +546,18 @@ def run_simulation(
     t0 = cfg.start_time
     steps = cfg.num_steps
 
-    flat = np.zeros(layout.size)
-    x_v, xhat_v, fs_v, theta_v, _ = layout.views(flat)
+    snaps = np.empty((steps + 1, layout.size))
+    x_v, xhat_v, fs_v, theta_v, exc_v = layout.views(snaps[0])
     x_v[:] = model.initial_state
     xhat_v[:] = observer.x_hat
     theta_v[:] = estimator.theta_hat
-    reset_template = layout.filter_reset_template()
-    fs_v[:] = reset_template
+    exc_v[:] = 0.0
+    fs_v[:] = layout.filter_reset_template()
 
-    deriv = _PipelineDerivative(model, layout, a_closed, gains_all, estimator.gamma, noise)
     rule = model.switching_rule
     active = rule.subsystem_for(float(model.c @ model.initial_state), t0)
+    plant = _Plant(model, noise, cfg, active)
+    cascade = _Cascade(model, layout, a_closed, gains_all, estimator.gamma, h)
 
     events = [
         SwitchEvent(
@@ -332,71 +568,47 @@ def run_simulation(
         )
     ]
 
-    snaps = np.empty((steps + 1, layout.size))
     sigmas = np.empty(steps + 1, dtype=np.int64)
     vs = np.zeros(steps + 1)
     deltas = np.empty(steps + 1)
     event_of = np.zeros(steps + 1, dtype=np.int64)
-    snaps[0] = flat
     sigmas[0] = active
     if noise is not None:
         vs[0] = sample_noise(noise, 0)
-
-    k1 = np.empty(layout.size)
-    k2 = np.empty(layout.size)
-    k3 = np.empty(layout.size)
-    k4 = np.empty(layout.size)
-    stage = np.empty(layout.size)
-    half = 0.5 * h
-    sixth = h / 6.0
-    x_sl = layout.x_sl
-    crow = model.c
+    xs = snaps[:, layout.x_sl]
 
     # Overflow before the finiteness check just precedes an abort; keep the
     # warning stream quiet until then.
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for q in range(steps):
-            t = t0 + q * h
-            v = vs[q]
-            deltas[q] = deriv(t, flat, active, v, k1)
-            np.multiply(k1, half, out=stage)
-            stage += flat
-            deriv(t + half, stage, active, v, k2)
-            np.multiply(k2, half, out=stage)
-            stage += flat
-            deriv(t + half, stage, active, v, k3)
-            np.multiply(k3, h, out=stage)
-            stage += flat
-            deriv(t + h, stage, active, v, k4)
-            k2 += k3
-            k2 *= 2.0
-            k2 += k1
-            k2 += k4
-            k2 *= sixth
-            flat += k2
-            t_next = t0 + (q + 1) * h
-            if not np.isfinite(flat).all():
-                bad = int(np.argmin(np.isfinite(flat)))
-                raise SimulationAbort(t_next, layout.component_name(bad))
-            y_next = float(crow @ flat[x_sl])
-            target = rule.subsystem_for(y_next, t_next)
-            if target != active:
-                events.append(
-                    SwitchEvent(
-                        time=t_next,
-                        subsystem=target,
-                        state=flat[x_sl].copy(),
-                        delta_before=deriv.grid_delta(flat),
-                    )
-                )
-                active = target
-                fs_v[:] = reset_template
-            sigmas[q + 1] = active
-            event_of[q + 1] = len(events) - 1
-            if noise is not None:
-                vs[q + 1] = sample_noise(noise, q + 1)
-            snaps[q + 1] = flat
-    deltas[steps] = deriv.grid_delta(flat)
+        lo = 0
+        while lo < steps:
+            hi, signals, switches = plant.advance(xs, lo, min(lo + CHUNK, steps), sigmas, vs)
+            ybar, u, psi = (np.array(column) for column in zip(*signals))
+            rows = [row for row, _, _ in switches]
+            deltas[lo:hi], pre_panels = cascade.advance(
+                snaps,
+                lo,
+                hi,
+                sigmas[lo:hi],
+                ybar.reshape(-1, 4),
+                u.reshape(-1, 4),
+                psi.reshape(-1, 4, n, m),
+                set(rows),
+            )
+            pre_reset = dict(zip(rows, pre_panels))
+            bad = _first_non_finite(snaps, lo, hi, pre_reset, layout)
+            if bad is not None:
+                raise SimulationAbort(t0 + bad[0] * h, layout.component_name(bad[1]))
+            event_of[lo + 1 : hi + 1] = len(events) - 1 + np.searchsorted(
+                rows, np.arange(lo + 1, hi + 1), side="right"
+            )
+            if switches:
+                pre_deltas = cascade.grid_delta(np.stack(pre_panels))
+                for (row, target, state), pre in zip(switches, pre_deltas.tolist()):
+                    events.append(SwitchEvent(t0 + row * h, target, state, pre))
+            lo = hi
+    deltas[steps] = cascade.grid_delta(layout.views(snaps[steps])[2][None])[0]
+    flat = snaps[steps]
 
     meta = {
         "format": 1,

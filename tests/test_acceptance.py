@@ -134,9 +134,8 @@ class TestAcceptance:
         theta = np.array([[0.0]])
         for _ in range(int(round(horizon / h))):
             def rate(th):
-                out_theta, out_exc = np.empty((1, 1)), np.empty(1)
-                adaptation_rates(th, gammas, delta, zbar, 1, out_theta, out_exc)
-                return out_theta
+                slope, offset, _ = adaptation_rates(gammas, delta, zbar, 1, 1)
+                return slope * th + offset
 
             k1 = rate(theta)
             k2 = rate(theta + h / 2 * k1)

@@ -62,6 +62,18 @@ class TestSimulateCommand:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_nan_initial_estimate_exits_2(self, tmp_path, capsys):
+        # JSON NaN used to pass loading and end in a ValueError traceback.
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(
+            '{"plant": "chua", "end_time": 0.1, "theta_init": [[NaN, 0], [0, 0], [0, 0]]}'
+        )
+        code = run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "config.theta_init[0][0]" in err
+        assert "Traceback" not in err
+
     def test_diverging_run_exits_3(self, tmp_path, capsys):
         # The oscillator matrices with the switching pinned to the middle
         # branch: every loop gain stays stable, but the plant itself spirals

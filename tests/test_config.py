@@ -174,6 +174,31 @@ class TestStaticValidation:
             config_from_dict(raw)
 
 
+    @pytest.mark.parametrize(
+        "key, value, path",
+        [
+            ("theta_init", [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0]], r"config\.theta_init\[0\]\[0\]"),
+            ("observer_init", [0.0, float("inf"), 0.0], r"config\.observer_init\[1\]"),
+            ("end_time", float("-inf"), r"config\.end_time"),
+            ("step_size", 10**400, r"config\.step_size"),
+        ],
+        ids=["nan-theta", "inf-observer", "minus-inf-end", "huge-int-step"],
+    )
+    def test_non_finite_numbers_rejected_with_path(self, key, value, path):
+        # NaN used to pass loading and stop the run with a ValueError.
+        with pytest.raises(ConfigurationError, match=path + ": expected a finite number"):
+            config_from_dict({"plant": "chua", key: value})
+
+    def test_schedule_starting_after_start_time_rejected(self):
+        # Used to load, then fail at the first rule query with no config path.
+        spec = dict(custom_plant_spec(), switching={"type": "schedule", "entries": [[1.0, 1]]})
+        raw = {"plant": spec, "filter_gains": [[2.0, 0.0], [1.0, 1.0], [3.0, 0.5]],
+               "observer_gain": [2.0, 0.5]}
+        with pytest.raises(ConfigurationError, match=r"config\.plant\.switching\.entries\[0\]\[0\]"):
+            config_from_dict(raw)
+        assert config_from_dict(dict(raw, start_time=1.0)).step.start_time == 1.0
+
+
 class TestFileLoading:
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "exp.json"

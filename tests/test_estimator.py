@@ -8,16 +8,21 @@ import reference
 from dremobs.errors import ConfigurationError
 from dremobs.estimator import DremEstimator, adaptation_rates, pe_check
 from dremobs.linalg import Cofactors, det_adjugate_batch
-from dremobs.plant import TimeScheduleRule, chua_preset
-from dremobs.sim import StateLayout
+from dremobs.observer import ObserverState
+from dremobs.plant import CHUA_FILTER_GAINS, CHUA_OBSERVER_GAIN, TimeScheduleRule, chua_preset
+from dremobs.sim import StateLayout, StepConfig, run_simulation
 from dremobs.trace import SimulationTrace, column_names
 
 
 def rates(est, delta, zbar, active):
-    """(theta rates, excitation rates) from the kernel's gated law."""
-    out_theta, out_exc = np.empty_like(est.theta_hat), np.empty(est.s)
-    zbar = np.asarray(zbar, dtype=float)
-    adaptation_rates(est.theta_hat, est.gamma, delta, zbar, active, out_theta, out_exc)
+    """(theta rates, excitation rates) of every subsystem from the kernel's
+    gated law, which moves the active row only."""
+    slope, offset, exc_rate = adaptation_rates(
+        est.gamma, delta, np.asarray(zbar, dtype=float), active, est.m
+    )
+    out_theta, out_exc = np.zeros_like(est.theta_hat), np.zeros(est.s)
+    out_theta[active - 1] = slope * est.theta_hat[active - 1] + offset
+    out_exc[active - 1] = exc_rate
     return out_theta, out_exc
 
 
@@ -81,11 +86,25 @@ class TestAdaptationRate:
         return DremEstimator(theta_hat=theta, gamma=np.full(3, gamma))
 
     def test_inactive_subsystems_have_zero_rates(self):
-        est = self.make_estimator()
-        theta_rates, _ = rates(est, 0.8, np.arange(5.0), active=2)
-        np.testing.assert_array_equal(theta_rates[0], 0.0)
-        np.testing.assert_array_equal(theta_rates[2], 0.0)
-        assert np.any(theta_rates[1] != 0.0)
+        # The law returns the active subsystem's rates, built from its own
+        # gain; the kernel moves that row only, so across a reset every
+        # inactive row keeps its bits.
+        gamma = np.array([1.0, 5.0, 9.0])
+        for active in (1, 2, 3):
+            slope, offset, _ = adaptation_rates(gamma, 0.8, np.arange(5.0), active, 2)
+            assert slope == -(gamma[active - 1] * 0.8) * 0.8
+            np.testing.assert_array_equal(offset, gamma[active - 1] * 0.8 * np.arange(2.0))
+        model = chua_preset()
+        est = DremEstimator(theta_hat=np.ones((3, 2)), gamma=gamma)
+        obs = ObserverState(CHUA_OBSERVER_GAIN, model)
+        switched = replace(model, switching_rule=TimeScheduleRule(((0.0, 1), (0.5, 2))))
+        res = run_simulation(
+            switched, est, obs, StepConfig(1e-3, 1.0), None, filter_gains=CHUA_FILTER_GAINS
+        )
+        theta, sigma = res.trace.theta_hat, res.trace.sigma
+        assert (theta[:, 2] == 1.0).all()
+        assert (theta[sigma == 2, 0] == theta[np.argmax(sigma == 2), 0]).all()
+        assert np.any(theta[-1, 1] != 1.0) and np.any(theta[sigma == 2][0, 0] != 1.0)
 
     def test_truth_is_a_fixed_point(self):
         theta_true = np.array([[0.3, -0.2], [1.0, 0.5], [0.0, 0.7]])
