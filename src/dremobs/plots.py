@@ -45,6 +45,16 @@ def _fmt(v: float) -> str:
     return "%.6g" % v
 
 
+def _points(px, py, xs: np.ndarray, ys: np.ndarray) -> str:
+    """SVG polyline points "x,y x,y ..." of the data (xs, ys) mapped to
+    pixels by ``px`` and ``py``, at two decimals.  The maps run on whole
+    arrays and one ``%`` formats the line."""
+    pairs = np.empty(2 * xs.size)
+    pairs[0::2] = px(xs)
+    pairs[1::2] = py(ys)
+    return " ".join(["%.2f,%.2f"] * xs.size) % tuple(pairs.tolist())
+
+
 def render_line_plot(path, title: str, x: np.ndarray, series: list[tuple[str, np.ndarray]]) -> None:
     """Write one SVG panel: the named series against the common abscissa."""
     x = np.asarray(x, dtype=float)
@@ -61,10 +71,10 @@ def render_line_plot(path, title: str, x: np.ndarray, series: list[tuple[str, np
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(v: float) -> float:
+    def px(v):
         return MARGIN_L + (v - xlo) / (xhi - xlo) * plot_w
 
-    def py(v: float) -> float:
+    def py(v):
         return MARGIN_T + (yhi - v) / (yhi - ylo) * plot_h
 
     parts = [
@@ -103,7 +113,7 @@ def render_line_plot(path, title: str, x: np.ndarray, series: list[tuple[str, np
     for k, (label, y) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
         xs, ys = _downsample(x, np.asarray(y, dtype=float))
-        points = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xs, ys))
+        points = _points(px, py, xs, ys)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.3" points="{points}"/>'
         )

@@ -31,7 +31,9 @@ applied block by block in cascade order, so the integrator is split:
 Measurement noise is sampled once per grid step and held constant across the
 four stages of that step, so identical configurations and seeds reproduce
 bit-identical runs.  A non-finite grid state aborts the run at the earliest
-such grid row, naming its first non-finite component.
+such grid row, naming its first non-finite component and the chunk's largest
+adaptation step h * gamma_i * delta^2 against RK4's real-axis stability
+limit.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ from .trace import SimulationTrace, column_names
 # Grid steps per downstream pass, sized to bound the per-chunk buffers.
 # Every grid value is summed in an order that does not depend on it.
 CHUNK = 128
+
+# RK4 is stable for z' = -a z, a > 0, while h * a stays at or below this
+# bound: the real root of 1 + z/2 + z^2/6 + z^3/24 = 0, negated.
+RK4_STABILITY_LIMIT = 2.785293563405289
 
 
 @dataclass(frozen=True)
@@ -399,8 +405,9 @@ class _Cascade:
         ``active`` (K,) holds each step's subsystem, ``ybar`` and ``u``
         (K, 4) and ``psi`` (K, 4, n, m) the plant's stage signals, and
         ``resets`` the rows whose filters restart.  Returns the determinant
-        the law used at grid rows lo..hi-1 and the pre-reset panels of the
-        restarted rows.
+        the law used at grid rows lo..hi-1, the pre-reset panels of the
+        restarted rows and the chunk's largest adaptation step h * gamma_i *
+        delta^2 over all stages (NaN values skipped).
         """
         lay = self.layout
         n, m, mn, nu = lay.n, lay.m, lay.mn, lay.num_units
@@ -439,6 +446,7 @@ class _Cascade:
         # Gated adaptation: theta_i <- theta_i + (g theta_i + beta) on the
         # active row only; every other row keeps its bits.
         slope, offset, exc_rate = adaptation_rates(self.gamma, delta, zbar, active[:, None], m)
+        peak_step = -h * float(np.fmin.reduce(slope, axis=None))
         gain_off, gain_step = _rk4_offsets(h, lambda s, z: slope[:, s] * z, slope.T)
         drive_off, drive_step = _rk4_offsets(
             h, lambda s, z: slope[:, s, None] * z, offset.transpose(1, 0, 2)
@@ -482,7 +490,7 @@ class _Cascade:
         for k in range(steps):
             np.dot(self.observer_step, observer[k], out=observer[k + 1, :n])
         snaps[lo + 1 : hi + 1, lay.xhat_sl] = observer[1:, :n]
-        return delta[:, 0], pre_reset
+        return delta[:, 0], pre_reset, peak_step
 
 
 def _first_non_finite(snaps, lo, hi, pre_reset, layout) -> tuple[int, int] | None:
@@ -585,7 +593,7 @@ def run_simulation(
             hi, signals, switches = plant.advance(xs, lo, min(lo + CHUNK, steps), sigmas, vs)
             ybar, u, psi = (np.array(column) for column in zip(*signals))
             rows = [row for row, _, _ in switches]
-            deltas[lo:hi], pre_panels = cascade.advance(
+            deltas[lo:hi], pre_panels, peak_step = cascade.advance(
                 snaps,
                 lo,
                 hi,
@@ -598,7 +606,12 @@ def run_simulation(
             pre_reset = dict(zip(rows, pre_panels))
             bad = _first_non_finite(snaps, lo, hi, pre_reset, layout)
             if bad is not None:
-                raise SimulationAbort(t0 + bad[0] * h, layout.component_name(bad[1]))
+                raise SimulationAbort(
+                    t0 + bad[0] * h,
+                    layout.component_name(bad[1]),
+                    peak_step,
+                    RK4_STABILITY_LIMIT,
+                )
             event_of[lo + 1 : hi + 1] = len(events) - 1 + np.searchsorted(
                 rows, np.arange(lo + 1, hi + 1), side="right"
             )

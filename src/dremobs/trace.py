@@ -4,10 +4,13 @@ The CSV starts with ``#``-prefixed header lines (format tag, configuration
 echo, seed, switch instants, pre-reset determinants), then one column-name
 row, then one data row per grid point.  Floats are written with 17
 significant digits so a write/read cycle reproduces every value bit-exactly.
+Data rows are formatted and parsed ``BLOCK_ROWS`` at a time: one ``%`` per
+block on the way out, numpy's C text reader per block on the way in.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -166,73 +169,136 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in body.split(",")]
 
 
-def trace_to_string(trace: SimulationTrace) -> str:
-    """Render the canonical CSV text (deterministic byte-for-byte)."""
-    lines = [f"# {FORMAT_TAG}"]
-    lines.append("# meta: " + json.dumps(trace.meta, sort_keys=True, separators=(",", ":")))
+# Rows per formatted or parsed block: bounds the text held at once.
+BLOCK_ROWS = 1024
+
+
+def _header_text(trace: SimulationTrace) -> str:
     seed = trace.meta.get("seed")
-    lines.append(f"# seed: {seed if seed is not None else 'none'}")
-    lines.append("# switch_times: " + _format_float_list(trace.switch_times))
-    lines.append("# pre_reset_delta: " + _format_float_list(trace.pre_reset_delta))
-    lines.append(",".join(trace.columns))
-    sigma_col = 1
-    for row in trace.data:
-        parts = [
-            ("%d" % int(v)) if j == sigma_col else ("%.17g" % v)
-            for j, v in enumerate(row)
-        ]
-        lines.append(",".join(parts))
+    lines = [
+        f"# {FORMAT_TAG}",
+        "# meta: " + json.dumps(trace.meta, sort_keys=True, separators=(",", ":")),
+        f"# seed: {seed if seed is not None else 'none'}",
+        "# switch_times: " + _format_float_list(trace.switch_times),
+        "# pre_reset_delta: " + _format_float_list(trace.pre_reset_delta),
+        ",".join(trace.columns),
+    ]
     return "\n".join(lines) + "\n"
 
 
+def _text_blocks(trace: SimulationTrace):
+    """The canonical text in pieces: the header, then the data rows a block
+    at a time, each block formatted by a single ``%``."""
+    yield _header_text(trace)
+    width = trace.data.shape[1]
+    row = ",".join(["%.17g", "%d"] + ["%.17g"] * (width - 2)) + "\n"
+    for lo in range(0, trace.data.shape[0], BLOCK_ROWS):
+        block = trace.data[lo : lo + BLOCK_ROWS]
+        yield (row * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def trace_to_string(trace: SimulationTrace) -> str:
+    """Render the canonical CSV text (deterministic byte-for-byte)."""
+    return "".join(_text_blocks(trace))
+
+
 def write_trace(trace: SimulationTrace, path) -> None:
-    text = trace_to_string(trace)
+    """Stream the canonical CSV text to ``path``, a block of rows at a time."""
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            for text in _text_blocks(trace):
+                fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 
 
-def read_trace(path) -> SimulationTrace:
-    """Parse a trace CSV back into an equal SimulationTrace."""
+def _row_error(path, rows: list[str], first: int, width: int, reason) -> TraceFormatError:
+    """The error for the first malformed row of a block that did not parse."""
+    for r, line in enumerate(rows, start=first):
+        fields = line.rstrip("\n").split(",")
+        if len(fields) != width:
+            return TraceFormatError(
+                f"{path}: row {r} has {len(fields)} fields, expected {width}"
+            )
+        for field_text in fields:
+            try:
+                float(field_text)
+            except ValueError:
+                return TraceFormatError(f"{path}: row {r} has a non-numeric field {field_text!r}")
+    return TraceFormatError(f"{path}: rows {first}..{first + len(rows) - 1}: {reason}")
+
+
+def _parse_rows(path, lines, width: int) -> np.ndarray:
+    """The data rows left in the line iterator ``lines``, read and parsed a
+    block at a time by numpy's C reader.  Comment handling is off, and blank
+    rows, which the reader would skip, are rejected, so every row must be
+    ``width`` numbers."""
+    blocks = [np.empty((0, width))]
+    first = 0
+    while block := list(itertools.islice(lines, BLOCK_ROWS)):
+        if "\n" in block:
+            raise TraceFormatError(f"{path}: row {first + block.index(chr(10))} is blank")
+        try:
+            values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise _row_error(path, block, first, width, exc) from None
+        if values.shape != (len(block), width):
+            raise _row_error(path, block, first, width, f"parsed as {values.shape}")
+        blocks.append(values)
+        first += len(block)
+    return np.concatenate(blocks)
+
+
+def _header_value(path, content: str, key: str, parse):
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise OSError(f"cannot read trace from {path}: {exc}") from exc
-    if not lines or lines[0] != f"# {FORMAT_TAG}":
+        return parse(content[len(key) :])
+    except ValueError as exc:
+        raise TraceFormatError(f"{path}: malformed '{key}' header line: {exc}") from None
+
+
+def _read_lines(path, lines):
+    """Header values, column names and data of the trace text in the line
+    iterator ``lines``."""
+    if next(lines, "").rstrip("\n") != f"# {FORMAT_TAG}":
         raise TraceFormatError(f"{path}: missing format tag '{FORMAT_TAG}'")
     meta = None
     switch_times: list[float] = []
     pre_reset: list[float] = []
-    body_start = None
-    for k, line in enumerate(lines[1:], start=1):
+    header = None
+    for line in lines:
         if not line.startswith("#"):
-            body_start = k
+            header = line.rstrip("\n").split(",")
             break
         content = line[1:].strip()
         if content.startswith("meta:"):
-            meta = json.loads(content[len("meta:") :])
+            meta = _header_value(path, content, "meta:", json.loads)
+            if not isinstance(meta, dict):
+                raise TraceFormatError(f"{path}: 'meta:' header line is not a JSON object")
         elif content.startswith("switch_times:"):
-            switch_times = _parse_float_list(content[len("switch_times:") :])
+            switch_times = _header_value(path, content, "switch_times:", _parse_float_list)
         elif content.startswith("pre_reset_delta:"):
-            pre_reset = _parse_float_list(content[len("pre_reset_delta:") :])
-    if meta is None or body_start is None:
+            pre_reset = _header_value(path, content, "pre_reset_delta:", _parse_float_list)
+    if meta is None or header is None:
         raise TraceFormatError(f"{path}: incomplete trace header")
-    header = lines[body_start].split(",")
-    rows = lines[body_start + 1 :]
-    data = np.empty((len(rows), len(header)))
-    for r, line in enumerate(rows):
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise TraceFormatError(
-                f"{path}: row {r} has {len(parts)} fields, expected {len(header)}"
-            )
-        data[r] = [float(p) for p in parts]
-    trace = SimulationTrace(
-        meta=meta, data=data, switch_times=switch_times, pre_reset_delta=pre_reset
-    )
+    return meta, switch_times, pre_reset, header, _parse_rows(path, lines, len(header))
+
+
+def read_trace(path) -> SimulationTrace:
+    """Parse a trace CSV back into an equal SimulationTrace.  The file is
+    streamed: only one block of data rows is held as text at a time."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            meta, switch_times, pre_reset, header, data = _read_lines(path, iter(fh))
+    except OSError as exc:
+        raise OSError(f"cannot read trace from {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise TraceFormatError(f"{path}: not an ASCII text file") from None
+    try:
+        trace = SimulationTrace(
+            meta=meta, data=data, switch_times=switch_times, pre_reset_delta=pre_reset
+        )
+    except (TypeError, ValueError) as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
     if header != trace.columns:
         raise TraceFormatError(f"{path}: column header does not match the declared dimensions")
     return trace

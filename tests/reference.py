@@ -4,15 +4,19 @@ Straight-line functions on plain arrays, one per pipeline stage, with no
 validation.  They share nothing with the fused kernel in ``dremobs.sim``
 beyond the model description, the noise stream and the flat state layout
 used to compare results.  Determinants and adjugates come from LAPACK
-minors, not from the library's cofactor route.
+minors, not from the library's cofactor route.  The trace text and the
+SVG polyline points are formatted value by value, as the library's block
+formatters must reproduce byte for byte.
 """
 
+import json
 import math
 
 import numpy as np
 
 from dremobs.plant import sample_noise
 from dremobs.sim import StateLayout
+from dremobs.trace import FORMAT_TAG
 
 
 def plant_rate(model, x, t, active, omega=None):
@@ -118,3 +122,25 @@ def simulate(model, gains, obs_gain, gamma, theta0, xhat0, h, steps, noise=None)
         rows.append(flat.copy())
         sigmas.append(active)
     return np.array(rows), np.array(sigmas), pre_reset
+
+
+def trace_text(trace):
+    """Canonical CSV text of a trace, formatted one value at a time."""
+    lines = [f"# {FORMAT_TAG}"]
+    lines.append("# meta: " + json.dumps(trace.meta, sort_keys=True, separators=(",", ":")))
+    seed = trace.meta.get("seed")
+    lines.append(f"# seed: {seed if seed is not None else 'none'}")
+    for key in ("switch_times", "pre_reset_delta"):
+        values = getattr(trace, key)
+        lines.append(f"# {key}: [" + ",".join("%.17g" % v for v in values) + "]")
+    lines.append(",".join(trace.columns))
+    for row in trace.data:
+        lines.append(
+            ",".join(("%d" % int(v)) if j == 1 else ("%.17g" % v) for j, v in enumerate(row))
+        )
+    return "\n".join(lines) + "\n"
+
+
+def polyline_points(px, py, xs, ys):
+    """SVG polyline points, each point mapped and formatted on its own."""
+    return " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xs, ys))

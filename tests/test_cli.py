@@ -76,8 +76,11 @@ class TestSimulateCommand:
 
     def test_diverging_run_exits_3(self, tmp_path, capsys):
         # The oscillator matrices with the switching pinned to the middle
-        # branch: every loop gain stays stable, but the plant itself spirals
-        # out and the integrator must abort with a diagnostic.
+        # branch: every loop gain stays stable, but the gated adaptation
+        # step h*gamma*delta^2 passes RK4's real-axis stability limit (about
+        # 142 in the aborting chunk), the estimates blow up, and the
+        # integrator must abort with a diagnostic (x_hat[0] at t = 1.313,
+        # while |x| is about 57).
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(
             json.dumps(
@@ -152,6 +155,38 @@ class TestPlotCommand:
             assert (run_out / f"{panel}.svg").read_bytes() == (
                 plot_out / f"{panel}.svg"
             ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "line, edit",
+        [
+            pytest.param(8, lambda text: text.replace(",1,", ",abc,", 1), id="data-field"),
+            pytest.param(1, lambda text: text[:-3], id="meta-json"),
+            pytest.param(3, lambda text: "# switch_times: [0,zero]", id="switch-times"),
+        ],
+    )
+    def test_malformed_trace_exits_2_without_traceback(self, tmp_path, line, edit):
+        import subprocess
+        import sys
+
+        run_out = tmp_path / "run"
+        run_cli(
+            "simulate", "--preset", "chua", "--out", str(run_out), "--T", "0.01", "--no-plots",
+        )
+        path = run_out / "trace.csv"
+        lines = path.read_text().splitlines()
+        lines[line] = edit(lines[line])
+        path.write_text("\n".join(lines) + "\n")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "dremobs.cli", "plot",
+                "--trace", str(path), "--out", str(tmp_path / "p"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        assert str(path) in proc.stderr
 
     def test_missing_trace_exits_2(self, tmp_path):
         code = run_cli("plot", "--trace", str(tmp_path / "nope.csv"), "--out", str(tmp_path))

@@ -66,8 +66,11 @@ class TestRk4Step:
         assert abs(np.linalg.norm(flat) - 1.0) < 1e-9
 
     def test_non_finite_rate_aborts_with_diagnostic(self):
-        # Pinned to the middle branch the oscillator spirals out while every
-        # injection loop stays stable.
+        # Pinned to the middle branch every injection loop stays stable, but
+        # at h = 0.01 the gated adaptation step h*gamma*delta^2 leaves RK4's
+        # real-axis stability interval (about 4.5e5 in the aborting chunk):
+        # the estimates blow up and the observer aborts on x_hat[0] at
+        # t = 1.51 while the plant state is still bounded.
         model, est, obs = make_chua_setup()
         pinned = replace(model, switching_rule=TimeScheduleRule(((0.0, 2),)))
         with pytest.raises(SimulationAbort) as info:
@@ -96,6 +99,41 @@ class TestRk4Step:
         default = abort()
         monkeypatch.setattr(sim, "CHUNK", 3)
         assert abort() == default
+
+    def test_abort_names_the_adaptation_step(self):
+        # The message judges the aborting chunk's largest gated adaptation
+        # step h*gamma*delta^2 against RK4's real-axis stability limit.
+        model, est, obs = make_chua_setup()
+        pinned = replace(model, switching_rule=TimeScheduleRule(((0.0, 2),)))
+        with pytest.raises(SimulationAbort) as info:
+            run_simulation(
+                pinned, est, obs, StepConfig(0.01, 400.0), None, filter_gains=CHUA_FILTER_GAINS
+            )
+        assert info.value.adaptation_step > 1e5 > sim.RK4_STABILITY_LIMIT
+        assert "past RK4's real-axis stability limit 2.785" in str(info.value)
+
+        # A one-state plant that grows as e^{5t} with a constant regressor:
+        # the determinant stays bounded and the run aborts on overflow alone.
+        growing = d.PlantModel(
+            a=np.array([[5.0]]),
+            b=np.zeros(1),
+            c=np.array([1.0]),
+            psi=lambda y, u: np.array([[1.0]]),
+            true_params=np.array([[0.1]]),
+            switching_rule=TimeScheduleRule(((0.0, 1),)),
+            initial_state=np.array([1.0]),
+        )
+        with pytest.raises(SimulationAbort) as info:
+            run_simulation(
+                growing,
+                DremEstimator(theta_hat=np.zeros((1, 1)), gamma=np.ones(1)),
+                ObserverState(np.array([10.0]), growing),
+                StepConfig(0.01, 200.0),
+                None,
+                filter_gains=np.array([[6.0], [8.0]]),
+            )
+        assert 0.0 <= info.value.adaptation_step < 1e-100
+        assert "within RK4's real-axis stability limit" in str(info.value)
 
 
 class TestDetectSwitch:
