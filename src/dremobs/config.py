@@ -76,6 +76,11 @@ def _as_float(value, path: str) -> float:
     return number
 
 
+def _as_bool(value, path: str) -> bool:
+    _expect(isinstance(value, bool), path, "expected true or false")
+    return value
+
+
 def _as_int(value, path: str) -> int:
     _expect(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
     return int(value)
@@ -161,8 +166,8 @@ def _build_switching(spec: dict, path: str):
                 OutputRegion(
                     lower=lower,
                     upper=upper,
-                    lower_closed=bool(r.get("min_inclusive", True)),
-                    upper_closed=bool(r.get("max_inclusive", True)),
+                    lower_closed=_as_bool(r.get("min_inclusive", True), f"{rpath}.min_inclusive"),
+                    upper_closed=_as_bool(r.get("max_inclusive", True), f"{rpath}.max_inclusive"),
                 )
             )
         try:
@@ -195,6 +200,8 @@ def _build_custom_plant(spec: dict, path: str) -> PlantModel:
     psi = _build_affine_psi(spec["psi"], f"{path}.psi", n)
     rule = _build_switching(spec["switching"], f"{path}.switching")
     x0 = _as_float_list(spec["initial_state"], f"{path}.initial_state", length=n)
+    name = spec.get("name", "custom")
+    _expect(isinstance(name, str), f"{path}.name", "expected a string")
     try:
         return PlantModel(
             a=a,
@@ -204,7 +211,7 @@ def _build_custom_plant(spec: dict, path: str) -> PlantModel:
             true_params=params,
             switching_rule=rule,
             initial_state=x0,
-            name=str(spec.get("name", "custom")),
+            name=name,
         )
     except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc

@@ -227,8 +227,12 @@ def routh_verdict(coefficients) -> StabilityVerdict:
 
 
 def hurwitz_verdict(matrix) -> StabilityVerdict:
-    """Full verdict (including the indeterminate flag) for a matrix."""
-    return routh_verdict(characteristic_polynomial(matrix))
+    """Full verdict (including the indeterminate flag) for a matrix.  A
+    characteristic polynomial beyond the float range is indeterminate."""
+    coefficients = characteristic_polynomial(matrix)
+    if not np.isfinite(coefficients).all():
+        return StabilityVerdict(False, True)
+    return routh_verdict(coefficients)
 
 
 def is_hurwitz(matrix) -> bool:

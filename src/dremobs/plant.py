@@ -75,7 +75,10 @@ class StateRegionRule:
 
     def subsystem_for(self, y: float, t: float) -> int:
         # Coverage is checked at construction, so a finite y always matches.
-        return next(k + 1 for k, region in enumerate(self.regions) if region.contains(y))
+        for k, region in enumerate(self.regions, 1):
+            if region.contains(y):
+                return k
+        raise ValueError(f"no region contains y={y}")
 
 
 @dataclass(frozen=True)
@@ -159,8 +162,8 @@ class PlantModel:
         if b.shape != (n,) or c.shape != (n,) or x0.shape != (n,):
             raise DimensionError("B, C and the initial state must all have length n")
         params = np.atleast_2d(np.asarray(self.true_params, dtype=float))
-        if params.ndim != 2 or params.shape[0] < 1:
-            raise DimensionError("true_params must stack at least one parameter vector")
+        if params.ndim != 2 or params.shape[0] < 1 or params.shape[1] < 1:
+            raise DimensionError("true_params must stack at least one non-empty parameter vector")
         if not np.isfinite(params).all():
             raise ValueError("true_params contains non-finite entries")
         probe = np.asarray(self.psi(float(c @ x0), 0.0), dtype=float)
@@ -213,7 +216,9 @@ def stable_closed_loop(model: PlantModel, gain, label: str = "gain") -> np.ndarr
     a_closed = model.a - np.outer(gain, model.c)
     verdict = hurwitz_verdict(a_closed)
     if not verdict.stable:
-        kind = "indeterminate (marginal)" if verdict.indeterminate else "unstable"
+        kind = "unstable"
+        if verdict.indeterminate:
+            kind = "indeterminate (marginal or out of float range)"
         raise GainStabilityError(f"{label} {gain.tolist()} gives an {kind} closed-loop matrix")
     return a_closed
 
@@ -222,7 +227,10 @@ def stable_closed_loop(model: PlantModel, gain, label: str = "gain") -> np.ndarr
 class NoiseSpec:
     """Bounded state disturbance plus bounded measurement noise.
 
-    ``omega`` maps time to a length-n disturbance rate (None means zero).
+    ``omega`` is the disturbance rate (None means zero).  It maps a (K, 1)
+    column of times to the (K, n) array of the rates at those times, as
+    ``make_sinusoid_disturbance`` does; the simulation evaluates it once per
+    chunk of grid steps and checks this contract before integrating.
     Measurement noise is uniform on [-v0, v0], generated deterministically
     from (seed, step index).  ``lipschitz_psi`` is a declared constant used
     only for reporting.
@@ -230,7 +238,7 @@ class NoiseSpec:
 
     v0: float = 0.0
     seed: int = 0
-    omega: Callable[[float], np.ndarray] | None = None
+    omega: Callable[[np.ndarray], np.ndarray] | None = None
     omega_bound: float = 0.0
     lipschitz_psi: float = 0.0
 
@@ -239,6 +247,22 @@ class NoiseSpec:
             raise ConfigurationError("noise bound v0 must be nonnegative")
         if self.omega_bound < 0.0:
             raise ConfigurationError("disturbance bound must be nonnegative")
+
+
+def disturbance_rows(spec: NoiseSpec, n: int, times: np.ndarray) -> np.ndarray:
+    """``spec.omega`` at a (K, 1) column of times, as a (K, n) float array.
+
+    A callable that fails on the column or returns another shape raises
+    ConfigurationError naming ``omega``.
+    """
+    contract = f"noise omega must map a (K, 1) column of times to a (K, {n}) array"
+    try:
+        rows = np.asarray(spec.omega(times), dtype=float)
+    except Exception as exc:  # a user callable: any failure breaks the contract
+        raise ConfigurationError(f"{contract}; at K = {len(times)} it raised {exc!r}") from exc
+    if rows.shape != (len(times), n):
+        raise ConfigurationError(f"{contract}; at K = {len(times)} it returned shape {rows.shape}")
+    return rows
 
 
 def sample_noise(spec: NoiseSpec, step_index):
@@ -273,8 +297,11 @@ CHUA_Q0 = 16.0
 CHUA_R0 = 0.0385
 
 
+_CHUA_PSI_ZERO = np.zeros((3, 2))
+
+
 def _chua_psi(y: float, u: float) -> np.ndarray:
-    out = np.zeros((3, 2))
+    out = _CHUA_PSI_ZERO.copy()
     out[0, 0] = -CHUA_P0 * y
     out[0, 1] = -CHUA_P0
     return out
@@ -336,15 +363,14 @@ CHUA_NOISE_BOUND = 0.1
 CHUA_LIPSCHITZ_PSI = CHUA_P0  # ||psi(y,.) - psi(ybar,.)|| = p0 |y - ybar|
 
 
-def make_sinusoid_disturbance(
-    amplitudes, frequencies
-) -> Callable[[float], np.ndarray]:
+def make_sinusoid_disturbance(amplitudes, frequencies) -> Callable[[np.ndarray], np.ndarray]:
     amps = as_vector(amplitudes, "disturbance amplitudes")
     freqs = as_vector(frequencies, "disturbance frequencies")
     if amps.shape != freqs.shape:
         raise DimensionError("amplitudes and frequencies must have matching length")
 
-    def omega(t: float) -> np.ndarray:
+    def omega(t):
+        """Rates at a time, or (K, n) rates at a (K, 1) column of times."""
         return amps * np.sin(freqs * t)
 
     return omega

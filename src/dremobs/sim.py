@@ -12,7 +12,14 @@ applied block by block in cascade order, so the integrator is split:
   Switching is detected on the grid: when the rule's output changes at a
   grid point, that grid time is the switching instant, the filter bank
   restarts (zero filters, identity transition factor) before the next step,
-  and the event is recorded.
+  and the event is recorded.  The plant's rounding is part of its
+  behaviour, so its loop keeps every floating-point operation and their
+  order: rate ((A x + psi theta) + B u) + omega (the B u term only when B
+  has a nonzero entry, omega only with a disturbance), stages k h/2 + x and
+  k h + x, step x + ((((k2 + k3) 2 + k1) + k4) h/6).  The three products
+  C x, A x and psi theta are BLAS calls; the glue around them runs on
+  Python floats, the same IEEE operations; the disturbance is evaluated
+  once per chunk at the steps' start, middle and end times.
 * Every ``CHUNK`` steps the downstream blocks advance over the whole chunk.
   Each is affine in its own state, so one RK4 step is an exact affine
   recurrence whose coefficients are computed from the recorded signals for
@@ -48,7 +55,7 @@ from .errors import ConfigurationError, SimulationAbort
 from .estimator import DremEstimator, adaptation_rates
 from .linalg import Cofactors, det_adjugate_batch
 from .observer import ObserverState
-from .plant import NoiseSpec, PlantModel, sample_noise, stable_closed_loop
+from .plant import NoiseSpec, PlantModel, disturbance_rows, sample_noise, stable_closed_loop
 from .trace import SimulationTrace, column_names
 
 # Grid steps per downstream pass, sized to bound the per-chunk buffers.
@@ -229,15 +236,12 @@ def _rk4_offsets(h: float, apply, forcing):
     return (g2, g3, g4), (h / 6.0) * (w1 + 2.0 * (w2 + w3) + w4)
 
 
-def _no_disturbance(t: float) -> None:
-    return None
-
-
 class _Plant:
     """The plant, stepped stage by stage with grid-point switch detection.
 
     Each stage also records the signals the downstream blocks consume: the
     measured output, the input and the nonlinearity at the measured output.
+    The module docstring states which operations the loop must keep.
     """
 
     def __init__(self, model: PlantModel, noise: NoiseSpec | None, cfg: StepConfig, active: int):
@@ -247,30 +251,37 @@ class _Plant:
         self.t0 = cfg.start_time
         self.active = active
         self.theta = model.true_params[active - 1]
-        self.a = model.a
-        self.b = model.b
-        self.has_b = bool(np.any(model.b != 0.0))
-        self.crow = model.c
-        self.psi_fn = model.psi
-        self.u_fn = model.input_signal
-        self.omega_fn = _no_disturbance if noise is None or noise.omega is None else noise.omega
-        self.rates = [np.empty(model.n) for _ in range(4)]
-        self.stage = np.empty(model.n)
+        self.b = model.b.tolist() if np.any(model.b != 0.0) else None
+        self.dot_c, self.dot_a, self.psi = model.c.dot, model.a.dot, model.psi
+        self.signals = []
 
-    def rate(self, x: np.ndarray, u: float, omega, v: float, out: np.ndarray):
-        """Plant rate at the input ``u`` and disturbance ``omega`` (None when
-        there is none) of the stage's time."""
-        y = float(self.crow @ x)
+    def rate(self, x: np.ndarray, u: float, omega, v: float) -> list[float]:
+        """Plant rate at the input ``u`` and disturbance row ``omega`` (None
+        when there is none) of the stage's time; the stage's signals are
+        appended to ``signals``."""
+        y = float(self.dot_c(x))
         ybar = y + v
-        psi_meas = self.psi_fn(ybar, u)
-        psi_true = psi_meas if ybar == y else self.psi_fn(y, u)
-        np.matmul(self.a, x, out=out)
-        out += psi_true @ self.theta
-        if self.has_b:
-            out += self.b * u
-        if omega is not None:
-            out += omega
-        return ybar, u, psi_meas
+        psi_meas = self.psi(ybar, u)
+        psi_true = psi_meas if ybar == y else self.psi(y, u)
+        self.signals.append((ybar, u, psi_meas))
+        linear, param = self.dot_a(x).tolist(), psi_true.dot(self.theta).tolist()
+        if self.b is not None:
+            linear = [p + q + b * u for p, q, b in zip(linear, param, self.b)]
+            return linear if omega is None else [r + w for r, w in zip(linear, omega)]
+        if omega is None:
+            return [p + q for p, q in zip(linear, param)]
+        return [p + q + w for p, q, w in zip(linear, param, omega)]
+
+    def disturbance(self, lo: int, hi: int):
+        """Disturbance rows of steps lo..hi-1 at their start, middle and end
+        times, or None per row when there is no disturbance."""
+        if self.noise is None or self.noise.omega is None:
+            return ([None] * (hi - lo),) * 3
+        h, n = self.h, self.model.n
+        t = self.t0 + np.arange(lo, hi)[:, None] * h
+        return tuple(
+            disturbance_rows(self.noise, n, times).tolist() for times in (t, t + 0.5 * h, t + h)
+        )
 
     def advance(self, xs: np.ndarray, lo: int, hi: int, sigmas: np.ndarray, vs: np.ndarray):
         """Step grid rows lo..hi-1 of ``xs`` and fill ``sigmas`` and the
@@ -283,46 +294,42 @@ class _Plant:
         """
         h, t0, rule = self.h, self.t0, self.model.switching_rule
         half, sixth = 0.5 * h, h / 6.0
-        k1, k2, k3, k4 = self.rates
-        stage, rate, crow = self.stage, self.rate, self.crow
-        u_fn, omega_fn = self.u_fn, self.omega_fn
+        rate, u_fn, dot_c = self.rate, self.model.input_signal, self.dot_c
         if self.noise is not None:
             vs[lo + 1 : hi + 1] = sample_noise(self.noise, np.arange(lo + 1, hi + 1))
-        signals, switches = [], []
+        omega_start, omega_half, omega_end = self.disturbance(lo, hi)
+        self.signals, switches, states, actives = [], [], [], []
         x = xs[lo]
-        for q in range(lo, hi):
+        xl = x.tolist()
+        reached = hi
+        for k, v in enumerate(vs[lo:hi].tolist()):
+            q = lo + k
             t = t0 + q * h
-            v = float(vs[q])
-            signals.append(rate(x, u_fn(t), omega_fn(t), v, k1))
-            np.multiply(k1, half, out=stage)
-            stage += x
+            k1 = rate(x, u_fn(t), omega_start[k], v)
             # Stages 2 and 3 share their time, so their input and disturbance.
-            u_half, omega_half = u_fn(t + half), omega_fn(t + half)
-            signals.append(rate(stage, u_half, omega_half, v, k2))
-            np.multiply(k2, half, out=stage)
-            stage += x
-            signals.append(rate(stage, u_half, omega_half, v, k3))
-            np.multiply(k3, h, out=stage)
-            stage += x
-            signals.append(rate(stage, u_fn(t + h), omega_fn(t + h), v, k4))
-            k2 += k3
-            k2 *= 2.0
-            k2 += k1
-            k2 += k4
-            k2 *= sixth
-            x_next = xs[q + 1]
-            np.add(x, k2, out=x_next)
-            y_next = float(crow @ x_next)
-            if not math.isfinite(y_next) and not np.isfinite(x_next).all():
-                return q + 1, signals, switches
+            u_half = u_fn(t + half)
+            k2 = rate(np.array([a + b * half for a, b in zip(xl, k1)]), u_half, omega_half[k], v)
+            k3 = rate(np.array([a + b * half for a, b in zip(xl, k2)]), u_half, omega_half[k], v)
+            k4 = rate(np.array([a + b * h for a, b in zip(xl, k3)]), u_fn(t + h), omega_end[k], v)
+            xl = [
+                a + ((r2 + r3) * 2.0 + r1 + r4) * sixth
+                for a, r1, r2, r3, r4 in zip(xl, k1, k2, k3, k4)
+            ]
+            states.append(xl)
+            x = np.array(xl)
+            y_next = float(dot_c(x))
+            if not math.isfinite(y_next) and not all(map(math.isfinite, xl)):
+                reached = q + 1
+                break
             target = rule.subsystem_for(y_next, t0 + (q + 1) * h)
             if target != self.active:
-                switches.append((q + 1, target, x_next.copy()))
+                switches.append((q + 1, target, x))
                 self.active = target
                 self.theta = self.model.true_params[target - 1]
-            sigmas[q + 1] = self.active
-            x = x_next
-        return hi, signals, switches
+            actives.append(self.active)
+        xs[lo + 1 : lo + 1 + len(states)] = states
+        sigmas[lo + 1 : lo + 1 + len(actives)] = actives
+        return reached, self.signals, switches
 
 
 class _Cascade:
@@ -429,9 +436,10 @@ class _Cascade:
         bank[0, :units] = fs[lo].reshape(units, lay.panel)
         template = self.template.reshape(units, lay.panel)
         pre_reset = []
+        bank_dot = self.bank_step.dot
         for k in range(steps):
             nxt = bank[k + 1, :units]
-            np.dot(self.bank_step, bank[k], out=nxt)
+            bank_dot(bank[k], nxt)
             if lo + k + 1 in resets:
                 pre_reset.append(nxt.reshape(nu, n, lay.panel).copy())
                 nxt[...] = template
@@ -487,8 +495,9 @@ class _Cascade:
         observer = np.empty((steps + 1, 2 * n))
         observer[0, :n] = snaps[lo, lay.xhat_sl]
         observer[:steps, n:] = obs_step.T
+        observer_dot = self.observer_step.dot
         for k in range(steps):
-            np.dot(self.observer_step, observer[k], out=observer[k + 1, :n])
+            observer_dot(observer[k], observer[k + 1, :n])
         snaps[lo + 1 : hi + 1, lay.xhat_sl] = observer[1:, :n]
         return delta[:, 0], pre_reset, peak_step
 
@@ -553,6 +562,8 @@ def run_simulation(
     h = cfg.step_size
     t0 = cfg.start_time
     steps = cfg.num_steps
+    if noise is not None and noise.omega is not None:
+        disturbance_rows(noise, n, np.array([[t0], [t0 + h]]))
 
     snaps = np.empty((steps + 1, layout.size))
     x_v, xhat_v, fs_v, theta_v, exc_v = layout.views(snaps[0])

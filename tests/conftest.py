@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,17 @@ def make_chua_setup(gamma=10.0, theta_init=None, xhat_init=None):
         est = d.DremEstimator(theta_hat=np.asarray(theta_init, dtype=float), gamma=est.gamma)
     obs = d.ObserverState(CHUA_OBSERVER_GAIN, model, x_hat=xhat_init)
     return model, est, obs
+
+
+@pytest.fixture(autouse=True, scope="session")
+def subprocess_import_path():
+    """Subprocesses (``python -m dremobs.cli``) import the package from the
+    source tree the tests import, also when only pytest's ``pythonpath``
+    setting put it on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

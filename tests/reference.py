@@ -124,6 +124,53 @@ def simulate(model, gains, obs_gain, gamma, theta0, xhat0, h, steps, noise=None)
     return np.array(rows), np.array(sigmas), pre_reset
 
 
+def plant_grid(model, noise, h, steps, t0=0.0):
+    """The plant alone on the grid: states, outputs, measured outputs,
+    active subsystems and switch times, as the trace records them.
+
+    Stepped in the integrator's floating-point operation order, with
+    ``@``/``np.matmul`` for the products and one ``omega(t)`` call per
+    stage: rate = ((A x + psi(y, u) theta) + B u) + omega(t), the B term
+    only when B has a nonzero entry; stage k_s h/2 + x (k_3 h for the last
+    stage); step x + ((((k2 + k3) 2 + k1) + k4) h/6).
+    """
+    omega = None if noise is None else noise.omega
+    has_b = bool(np.any(model.b != 0.0))
+    half, sixth = 0.5 * h, h / 6.0
+    rule = model.switching_rule
+    active = rule.subsystem_for(float(model.c @ model.initial_state), t0)
+    vs = [sample_noise(noise, q) if noise is not None else 0.0 for q in range(steps + 1)]
+
+    def rate(x, t):
+        u = model.input_signal(t)
+        y = float(model.c @ x)
+        out = np.matmul(model.a, x)
+        out += model.psi(y, u) @ model.true_params[active - 1]
+        if has_b:
+            out += model.b * u
+        if omega is not None:
+            out += omega(t)
+        return out
+
+    xs, sigmas, switch_times = [model.initial_state.copy()], [active], [t0]
+    for q in range(steps):
+        x, t = xs[-1], t0 + q * h
+        k1 = rate(x, t)
+        k2 = rate(k1 * half + x, t + half)
+        k3 = rate(k2 * half + x, t + half)
+        k4 = rate(k3 * h + x, t + h)
+        x_next = x + ((k2 + k3) * 2.0 + k1 + k4) * sixth
+        target = rule.subsystem_for(float(model.c @ x_next), t0 + (q + 1) * h)
+        if target != active:
+            active = target
+            switch_times.append(t0 + (q + 1) * h)
+        xs.append(x_next)
+        sigmas.append(active)
+    xs = np.array(xs)
+    y = xs @ model.c
+    return xs, y, y + np.array(vs), np.array(sigmas, dtype=float), switch_times
+
+
 def trace_text(trace):
     """Canonical CSV text of a trace, formatted one value at a time."""
     lines = [f"# {FORMAT_TAG}"]

@@ -1,10 +1,15 @@
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dremobs.config import config_from_dict, load_config, preset_config, run_experiment
-from dremobs.errors import ConfigurationError, GainStabilityError
+from dremobs.errors import ConfigurationError, GainStabilityError, SimulationAbort
+from dremobs.sim import StepConfig
 from dremobs.plant import CHUA_FILTER_GAINS, CHUA_OBSERVER_GAIN, StateRegionRule, TimeScheduleRule
 
 
@@ -70,6 +75,14 @@ class TestValidation:
         cfg = config_from_dict(raw)
         with pytest.raises(GainStabilityError, match="-100"):
             run_experiment(cfg)
+
+    def test_overflowing_characteristic_polynomial_rejected_at_startup(self):
+        # The Routh screen used to raise a bare ValueError on the overflow.
+        spec = dict(custom_plant_spec(), a=[[1e300, 1e300], [1e300, 1e300]])
+        raw = {"plant": spec, "filter_gains": [[2.0, 0.0], [1.0, 1.0], [3.0, 0.5]],
+               "observer_gain": [2.0, 0.5]}
+        with pytest.raises(GainStabilityError, match="out of float range"):
+            run_experiment(config_from_dict(raw))
 
     def test_noise_only_in_robust_mode(self):
         with pytest.raises(ConfigurationError, match="config.noise"):
@@ -165,8 +178,14 @@ class TestStaticValidation:
              r"config\.plant\.switching\.regions: .*cover the real line"),
             ({"psi": {"output_gain": [[1.0] * 7, [0.0] * 7]}, "true_params": [[0.1] * 7]},
              r"config\.plant: m \+ n = 9 exceeds the supported maximum 8"),
+            ({"psi": {"output_gain": [[], []]}, "true_params": [[], []]},
+             r"config\.plant: true_params must stack at least one non-empty parameter vector"),
+            ({"name": 3}, r"config\.plant\.name: expected a string"),
+            ({"switching": {"type": "regions",
+                            "regions": [{"min": 0.0, "min_inclusive": "no"}, {}]}},
+             r"config\.plant\.switching\.regions\[0\]\.min_inclusive: expected true or false"),
         ],
-        ids=["index-0", "index-s+1", "region-gap", "m+n-9"],
+        ids=["index-0", "index-s+1", "region-gap", "m+n-9", "m-0", "name-type", "inclusive-type"],
     )
     def test_rejected_at_load(self, changes, match):
         raw = {"plant": dict(custom_plant_spec(), **changes), "filter_gains": [[2.0, 0.0]] * 3}
@@ -215,3 +234,185 @@ class TestFileLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(tmp_path / "absent.json")
+
+
+CHUA_CONFIG = {
+    "plant": "chua",
+    "mode": "robust",
+    "seed": 3,
+    "step_size": 1e-3,
+    "end_time": 1.0,
+    "start_time": 0.0,
+    "gamma": [10.0, 10.0, 10.0],
+    "filter_gains": CHUA_FILTER_GAINS.tolist(),
+    "observer_gain": CHUA_OBSERVER_GAIN.tolist(),
+    "theta_init": [[0.0, 0.0], [0.5, -0.5], [0.0, 1.0]],
+    "observer_init": [0.1, 0.0, -0.1],
+    "noise": {
+        "v0": 0.1,
+        "seed": 5,
+        "omega": {"amplitudes": [0.05, 0.005, 0.1], "frequencies": [7.0, 5.0, 13.0]},
+        "lipschitz_psi": 10.0,
+    },
+}
+
+# The Chua oscillator written out in the custom-plant encoding.
+CHUA_AS_CUSTOM = dict(
+    CHUA_CONFIG,
+    plant={
+        "name": "chua-custom",
+        "a": [[-10.0, 10.0, 0.0], [1.0, -1.0, 1.0], [0.0, -16.0, -0.0385]],
+        "b": [0.0, 0.0, 0.0],
+        "c": [1.0, 0.0, 0.0],
+        "psi": {
+            "constant": [[0.0, -10.0], [0.0, 0.0], [0.0, 0.0]],
+            "output_gain": [[-10.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        },
+        "true_params": [[-0.7143, -0.4286], [-1.1429, 0.0], [-0.7143, 0.4286]],
+        "switching": {
+            "type": "regions",
+            "regions": [
+                {"min": 1.0},
+                {"min": -1.0, "max": 1.0, "min_inclusive": False, "max_inclusive": False},
+                {"max": -1.0},
+            ],
+        },
+        "initial_state": [2.88, -0.066, -2.12],
+    },
+)
+
+
+def _numbers(draw, shape, lo=-1.0, hi=1.0):
+    """Nested lists of floats of the given shape."""
+    if not shape:
+        return draw(st.floats(lo, hi))
+    return [_numbers(draw, shape[1:], lo, hi) for _ in range(shape[0])]
+
+
+@st.composite
+def custom_configs(draw):
+    """A random small custom plant with a stable-looking linear part and
+    small injection gains, under output regions or a time schedule."""
+    n, m, s = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    a = (-2.0 * np.eye(n) + np.array(_numbers(draw, (n, n), -0.3, 0.3))).tolist()
+    if draw(st.booleans()):
+        seam = draw(st.floats(-1.0, 1.0))
+        regions = [{"max": seam, "max_inclusive": draw(st.booleans())}, {"min": seam}]
+        regions += [{"min": 1e9}] * (s - 2)
+        switching = {"type": "regions", "regions": regions if s > 1 else [{}]}
+    else:
+        entries = [[0.1 * k, draw(st.integers(1, s))] for k in range(draw(st.integers(1, 3)))]
+        switching = {"type": "schedule", "entries": entries}
+    raw = {
+        "plant": {
+            "a": a,
+            "b": _numbers(draw, (n,)),
+            "c": [1.0] + [0.0] * (n - 1),
+            "psi": {
+                "constant": _numbers(draw, (n, m)),
+                "output_gain": _numbers(draw, (n, m)),
+                "input_gain": _numbers(draw, (n, m)),
+            },
+            "true_params": _numbers(draw, (s, m)),
+            "switching": switching,
+            "initial_state": _numbers(draw, (n,)),
+        },
+        "mode": draw(st.sampled_from(["ideal", "verify", "robust"])),
+        "step_size": 0.01,
+        "filter_gains": _numbers(draw, (m + n, n), -0.5, 0.5),
+        "observer_gain": _numbers(draw, (n,), -0.5, 0.5),
+    }
+    if raw["mode"] == "robust":
+        raw["noise"] = {
+            "v0": 0.05,
+            "omega": {"amplitudes": _numbers(draw, (n,), 0.0, 0.1), "frequencies": [3.0] * n},
+        }
+    return raw
+
+
+def _paths(node, path=()):
+    """Every (path, value) in a nested JSON value, the root included."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+ODD_VALUES = ["text", True, None, {}, [], 7, 2.5, [1.0], {"x": 1.0}]
+EXTREME_VALUES = [math.nan, math.inf, -math.inf, 1e300, -1e300]
+
+
+@st.composite
+def mutated(draw, base):
+    """``base`` with one to three mutations: a dropped key or entry, a value
+    of another type, NaN, an infinity or a huge number, a resized list, an
+    unknown key."""
+    raw = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "type", "extreme", "resize", "unknown"]))
+        paths = list(_paths(raw))
+        if kind == "resize":
+            _, value = draw(st.sampled_from([(p, v) for p, v in paths if isinstance(v, list)]))
+            if value and draw(st.booleans()):
+                value.pop(draw(st.integers(0, len(value) - 1)))
+            else:
+                value.append(copy.deepcopy(value[-1]) if value else 1.0)
+        elif kind == "unknown":
+            _, value = draw(st.sampled_from([(p, v) for p, v in paths if isinstance(v, dict)]))
+            value["unexpected_key"] = 1.0
+        else:
+            path, value = draw(st.sampled_from(paths[1:]))
+            parent = raw
+            for key in path[:-1]:
+                parent = parent[key]
+            if kind == "drop":
+                del parent[path[-1]]
+            elif kind == "extreme":
+                parent[path[-1]] = draw(st.sampled_from(EXTREME_VALUES))
+            else:
+                odd = draw(st.sampled_from([v for v in ODD_VALUES if type(v) is not type(value)]))
+                parent[path[-1]] = copy.deepcopy(odd)
+    # The same values as they arrive through a JSON file.
+    return json.loads(json.dumps(raw))
+
+
+def _load_and_run_five_steps(raw):
+    """A config either fails to load with ConfigurationError or runs the
+    horizon of five steps from its start time, to the end or to a
+    SimulationAbort; nothing else may escape."""
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigurationError:
+        return "rejected"
+    h, t0 = cfg.step.step_size, cfg.step.start_time
+    cfg.step = StepConfig(step_size=h, end_time=t0 + 5 * h, start_time=t0)
+    try:
+        result = run_experiment(cfg)
+    except ConfigurationError:  # a gain failing the stability screen at start-up
+        return "rejected"
+    except SimulationAbort:
+        return "aborted"
+    assert result.trace.data.shape == (cfg.step.num_steps + 1, len(result.trace.columns))
+    return "ran"
+
+
+class TestConfigFuzz:
+    """JSON configurations mutated at random must load and run, or fail
+    with ConfigurationError (or abort with SimulationAbort mid-run)."""
+
+    @pytest.mark.parametrize("base", [CHUA_CONFIG, CHUA_AS_CUSTOM], ids=["preset", "custom-chua"])
+    def test_unmutated_bases_run(self, base):
+        assert _load_and_run_five_steps(base) == "ran"
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from([CHUA_CONFIG, CHUA_AS_CUSTOM]).flatmap(mutated))
+    def test_mutated_chua(self, raw):
+        _load_and_run_five_steps(raw)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(custom_configs().flatmap(lambda base: st.one_of(st.just(base), mutated(base))))
+    def test_random_custom_plants(self, raw):
+        _load_and_run_five_steps(raw)

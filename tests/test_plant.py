@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dremobs.errors import ConfigurationError, DimensionError
 from dremobs.plant import (
@@ -80,6 +82,45 @@ class TestRegionRule:
         ]
         for spans in covering:
             StateRegionRule(tuple(OutputRegion(*r) for r in spans))
+
+
+ENDPOINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+
+
+@st.composite
+def covering_regions(draw):
+    """Random regions with open and closed ends, in declaration order; a
+    catch-all region is appended when they leave a gap."""
+    regions = [
+        OutputRegion(
+            lower=draw(st.none() | ENDPOINTS),
+            upper=draw(st.none() | ENDPOINTS),
+            lower_closed=draw(st.booleans()),
+            upper_closed=draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    try:
+        StateRegionRule(tuple(regions))
+    except ConfigurationError:
+        regions.append(OutputRegion())
+    return tuple(regions)
+
+
+class TestRegionRuleFirstMatch:
+    @settings(max_examples=200, deadline=None)
+    @given(covering_regions())
+    def test_first_region_containing_the_output(self, regions):
+        rule = StateRegionRule(regions)
+        probes = [0.0, -0.0, 1e308, -1e308]
+        for e in (e for r in regions for e in (r.lower, r.upper) if e is not None):
+            probes += [e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)]
+        for y in probes + [-y for y in probes]:
+            first = next(k for k, r in enumerate(regions, 1) if r.contains(y))
+            assert rule.subsystem_for(y, 0.0) == first, (y, regions)
 
 
 class TestScheduleRule:

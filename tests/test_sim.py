@@ -435,6 +435,19 @@ def small_switched_cases(draw):
     )
 
 
+def switching_at_row(model, y, row):
+    """Output regions under which a run whose outputs stay in subsystem 1
+    as ``y`` switches at grid row ``row``: the line is split between the
+    outputs at rows row-1 and row, and the region holding y0 comes first."""
+    seam = 0.5 * (y[row - 1] + y[row])
+    below = y[0] < seam
+    assume(bool(np.all((y[:row] < seam) == below)) and (y[row] < seam) != below)
+    low, high = OutputRegion(upper=seam, upper_closed=False), OutputRegion(lower=seam)
+    regions = (low, high) if below else (high, low)
+    extra = (OutputRegion(lower=1e9),) * (model.s - 2)
+    return StateRegionRule(regions + extra)
+
+
 class TestKernelMatchesReference:
     H, STEPS = 0.01, 8
 
@@ -447,19 +460,10 @@ class TestKernelMatchesReference:
         model, gains, est, obs, noise = (case[k] for k in ("model", "gains", "est", "obs", "noise"))
         h, steps, row = self.H, self.STEPS, case["switch_row"]
         if case["regions"]:
-            # Split the line between the outputs at rows row-1 and row of the
-            # run that stays in subsystem 1; the region holding y0 comes first.
             plant_only = reference.simulate(
                 model, gains, obs.gain, est.gamma, est.theta_hat, obs.x_hat, h, row, noise
             )[0]
-            y = plant_only[:, : model.n] @ model.c
-            seam = 0.5 * (y[row - 1] + y[row])
-            below = y[0] < seam
-            assume(bool(np.all((y[:row] < seam) == below)) and (y[row] < seam) != below)
-            low, high = OutputRegion(upper=seam, upper_closed=False), OutputRegion(lower=seam)
-            regions = (low, high) if below else (high, low)
-            extra = (OutputRegion(lower=1e9),) * (model.s - 2)
-            rule = StateRegionRule(regions + extra)
+            rule = switching_at_row(model, plant_only[:, : model.n] @ model.c, row)
         else:
             rule = TimeScheduleRule(((0.0, 1), ((row - 0.5) * h, model.s)))
         model = replace(model, switching_rule=rule)
@@ -505,3 +509,99 @@ class TestLayout:
         theta[1, 1] = -3.0
         assert flat[layout.fs_sl].reshape(layout.num_units, 3, layout.panel)[2, 1, 0] == 7.0
         assert flat[layout.theta_sl][3] == -3.0
+
+
+def assert_plant_columns_equal(res, model, noise, h, steps, t0=0.0):
+    """The trace's plant columns and switch times are byte-equal to the
+    plant stepped alone in the integrator's operation order."""
+    xs, y, ybar, sigma, switch_times = reference.plant_grid(model, noise, h, steps, t0)
+    trace = res.trace
+    assert trace.x.tobytes() == xs.tobytes()
+    assert trace.y.tobytes() == y.tobytes()
+    assert trace.ybar.tobytes() == ybar.tobytes()
+    assert trace.data[:, 1].tobytes() == sigma.tobytes()
+    assert np.array(trace.switch_times).tobytes() == np.array(switch_times).tobytes()
+
+
+class TestPlantMatchesReference:
+    """The plant loop's rounding, pinned value by value: its floating-point
+    operations and their order are part of its behaviour."""
+
+    H, STEPS = TestKernelMatchesReference.H, TestKernelMatchesReference.STEPS
+
+    @pytest.mark.parametrize("robust", [False, True], ids=["ideal", "robust"])
+    def test_chua_one_second(self, robust):
+        model, est, obs = make_chua_setup()
+        noise = chua_robust_noise(seed=3) if robust else None
+        h, steps = 1e-3, 1000
+        res = run_simulation(
+            model, est, obs, StepConfig(h, steps * h), noise, filter_gains=CHUA_FILTER_GAINS
+        )
+        assert_plant_columns_equal(res, model, noise, h, steps)
+
+    def test_input_disturbance_and_start_time(self):
+        model, gains, _, est, obs, noise = small_switched_setup()
+        t0, h, steps = 0.37, 1e-3, 300
+        model = replace(
+            model, switching_rule=TimeScheduleRule(((t0, 2), (t0 + 0.1, 1), (t0 + 0.2, 2)))
+        )
+        res = run_simulation(
+            model, est, obs, StepConfig(h, t0 + steps * h, t0), noise, filter_gains=gains
+        )
+        assert len(res.events) == 3
+        assert_plant_columns_equal(res, model, noise, h, steps, t0)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(small_switched_cases())
+    def test_random_small_plants(self, case):
+        model, gains, est, obs, noise = (case[k] for k in ("model", "gains", "est", "obs", "noise"))
+        h, steps, row = self.H, self.STEPS, case["switch_row"]
+        if case["regions"]:
+            rule = switching_at_row(model, reference.plant_grid(model, noise, h, row)[1], row)
+        else:
+            rule = TimeScheduleRule(((0.0, 1), ((row - 0.5) * h, model.s)))
+        model = replace(model, switching_rule=rule)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "CHUNK", case["chunk"])
+            res = run_simulation(
+                model, est, obs, StepConfig(h, steps * h), noise, filter_gains=gains
+            )
+        assert res.trace.sigma[row] != res.trace.sigma[0]
+        assert_plant_columns_equal(res, model, noise, h, steps)
+
+
+class TestDisturbanceContract:
+    """``omega`` maps a (K, 1) column of times to a (K, n) array; a callable
+    that does not is rejected before the integration starts."""
+
+    @pytest.mark.parametrize(
+        "omega",
+        [
+            lambda t: np.array([math.sin(t), 0.0]),  # scalar times only
+            lambda t: np.zeros(2),  # one row whatever K is
+            lambda t: np.zeros((len(t), 3)),  # n = 3 columns for an n = 2 plant
+        ],
+        ids=["scalar-only", "one-row", "wrong-width"],
+    )
+    def test_rejected_before_integration(self, omega, monkeypatch):
+        model, gains, _, est, obs, _ = small_switched_setup()
+
+        def never(*args):
+            raise AssertionError("the plant was stepped")
+
+        monkeypatch.setattr(sim._Plant, "advance", never)
+        with pytest.raises(ConfigurationError, match="omega"):
+            run_simulation(
+                model, est, obs, StepConfig(1e-3, 1.0), d.NoiseSpec(v0=0.01, omega=omega),
+                filter_gains=gains,
+            )
+
+    def test_sinusoid_disturbance_rows_equal_per_time_calls(self):
+        omega = make_sinusoid_disturbance([0.3, 0.02, 0.1], [7.0, 5.0, 13.0])
+        t0, h = 12.345, 1e-3
+        times = t0 + np.arange(17, 60)[:, None] * h
+        for column in (times, times + 0.5 * h, times + h):
+            rows = omega(column)
+            assert rows.shape == (43, 3)
+            for row, t in zip(rows, column[:, 0].tolist()):
+                assert row.tobytes() == omega(t).tobytes()
