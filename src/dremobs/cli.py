@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import (
@@ -21,6 +22,7 @@ from .config import (
 )
 from .errors import ConfigurationError, SimulationAbort, TraceFormatError
 from .plots import render_trace_plots
+from .sim import StepConfig
 from .trace import read_trace, write_trace
 from .verification import oracle_checks, summarize
 
@@ -81,19 +83,18 @@ def _resolve_config(args) -> ExperimentConfig:
         return cfg
     # File-based config with CLI overrides.
     if args.seed is not None or args.h is not None or args.T is not None:
-        from .sim import StepConfig
-
         step = cfg.step
-        cfg.step = StepConfig(
-            step_size=args.h if args.h is not None else step.step_size,
-            end_time=args.T if args.T is not None else step.end_time,
-            start_time=step.start_time,
-        )
+        try:
+            cfg.step = StepConfig(
+                step_size=args.h if args.h is not None else step.step_size,
+                end_time=args.T if args.T is not None else step.end_time,
+                start_time=step.start_time,
+            )
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"--T/--h override: {exc}") from exc
         if args.seed is not None:
             cfg.seed = args.seed
             if cfg.noise is not None:
-                from dataclasses import replace
-
                 cfg.noise = replace(cfg.noise, seed=args.seed)
     return cfg
 

@@ -287,6 +287,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     t_end = _as_float(raw.get("end_time", DEFAULT_END), "config.end_time")
     t0 = _as_float(raw.get("start_time", 0.0), "config.start_time")
     _expect(t_end >= t0, "config.end_time", "must not precede start_time")
+    try:
+        step = StepConfig(step_size=h, end_time=t_end, start_time=t0)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"config.end_time: {exc}") from exc
     rule = model.switching_rule
     if isinstance(rule, TimeScheduleRule):
         _expect(
@@ -358,7 +362,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         filter_gains=gains,
         observer_gain=obs_gain,
         gamma=gamma,
-        step=StepConfig(step_size=h, end_time=t_end, start_time=t0),
+        step=step,
         mode=mode,
         seed=seed,
         theta_init=theta_init,

@@ -90,12 +90,12 @@ class ExcitationReport:
     all_windows_pass: np.ndarray
 
 
-def excitation_segments(trace) -> np.ndarray:
-    """Trapezoid areas of the squared determinant over each grid step.
+def excitation_endpoints(trace) -> tuple[np.ndarray, np.ndarray]:
+    """The squared determinant at the start and at the end of each grid step.
 
     A step ending at a switch instant uses the pre-reset determinant from
-    the trace header for its right endpoint, so the integrand's one-sided
-    limit is used on both sides of each filter restart.
+    the trace header for its end, so the integrand's one-sided limit is
+    used on both sides of each filter restart.
     """
     t = trace.t
     d2_left = trace.delta[:-1] ** 2
@@ -106,7 +106,13 @@ def excitation_segments(trace) -> np.ndarray:
         row = int(np.searchsorted(t, time))
         if 1 <= row < t.shape[0]:
             d2_right[row - 1] = pre * pre
-    return 0.5 * np.diff(t) * (d2_left + d2_right)
+    return d2_left, d2_right
+
+
+def excitation_segments(trace) -> np.ndarray:
+    """Trapezoid areas of the squared determinant over each grid step."""
+    d2_left, d2_right = excitation_endpoints(trace)
+    return 0.5 * np.diff(trace.t) * (d2_left + d2_right)
 
 
 def pe_check(trace, window: float, alpha0: float) -> ExcitationReport:

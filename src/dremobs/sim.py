@@ -35,6 +35,12 @@ applied block by block in cascade order, so the integrator is split:
   - excitation accumulators: a masked cumulative sum;
   - observer: xhat_{k+1} = P(h Acl_o) xhat_k + D_k.
 
+The run state is chunk-resident.  The plant writes its states straight into
+the trace, the cascade keeps its blocks' states between chunks, and the
+trace (with each row's active subsystem and held noise) is the only store
+with a row per grid point; the columns derived from the states, and the
+diagnostics, are filled a chunk at a time from the chunk's filter panels.
+
 Measurement noise is sampled once per grid step and held constant across the
 four stages of that step, so identical configurations and seeds reproduce
 bit-identical runs.  A non-finite grid state aborts the run at the earliest
@@ -47,7 +53,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,6 +72,10 @@ CHUNK = 128
 # bound: the real root of 1 + z/2 + z^2/6 + z^3/24 = 0, negated.
 RK4_STABILITY_LIMIT = 2.785293563405289
 
+# Largest number of grid rows a run may record, start row included; the
+# README gives the reason for the value.
+MAX_TRACE_ROWS = 10_000_000
+
 
 @dataclass(frozen=True)
 class StepConfig:
@@ -81,6 +91,12 @@ class StepConfig:
             raise ConfigurationError("step size must be positive and finite")
         if self.end_time < self.start_time:
             raise ConfigurationError("end time must not precede the start time")
+        span = self.end_time - self.start_time
+        if not span / self.step_size < MAX_TRACE_ROWS or self.num_steps + 1 > MAX_TRACE_ROWS:
+            raise ConfigurationError(
+                f"a horizon of {span:.6g} s at step {self.step_size:.6g} s needs "
+                f"{span / self.step_size + 1:.6g} trace rows, above the limit {MAX_TRACE_ROWS}"
+            )
 
     @property
     def num_steps(self) -> int:
@@ -96,12 +112,14 @@ class StepConfig:
 
 
 class StateLayout:
-    """Fixed offsets of every component inside the flat state vector.
+    """Dimensions of the run state: plant and observer states (n each), the
+    m+n+1 filter units, the s x m estimates and the s excitation
+    accumulators.  ``size`` counts its floats.
 
-    The filter block packs, per unit, the columns [xu | upsilon | phi] into
-    one (n, 1+m+n) panel so the whole bank advances with a single batched
-    product.  Unit j is the j-th stacked filter for j < m+n; the final unit
-    is the verification filter sharing the observer gain.
+    Each unit is one (n, 1+m+n) panel [xu | upsilon | phi], so the whole
+    bank advances with a single batched product.  Unit j is the j-th
+    stacked filter for j < m+n; the final unit is the verification filter
+    sharing the observer gain.
     """
 
     def __init__(self, n: int, m: int, s: int):
@@ -109,58 +127,13 @@ class StateLayout:
         self.mn = m + n
         self.num_units = self.mn + 1
         self.panel = 1 + m + n  # columns per unit: xu, upsilon block, phi block
-        offset = 0
-
-        def take(count: int) -> slice:
-            nonlocal offset
-            sl = slice(offset, offset + count)
-            offset += count
-            return sl
-
-        self.x_sl = take(n)
-        self.xhat_sl = take(n)
-        self.fs_sl = take(self.num_units * n * self.panel)
-        self.theta_sl = take(s * m)
-        self.exc_sl = take(s)
-        self.size = offset
-
-    def views(self, flat: np.ndarray):
-        """(x, xhat, filter panels, theta, exc) views into one flat vector."""
-        return (
-            flat[self.x_sl],
-            flat[self.xhat_sl],
-            flat[self.fs_sl].reshape(self.num_units, self.n, self.panel),
-            flat[self.theta_sl].reshape(self.s, self.m),
-            flat[self.exc_sl],
-        )
+        self.size = 2 * n + self.num_units * n * self.panel + s * m + s
 
     def filter_reset_template(self) -> np.ndarray:
         """Panel content right after a restart: zero filters, identity phi."""
         template = np.zeros((self.num_units, self.n, self.panel))
         template[:, :, 1 + self.m :] = np.eye(self.n)
         return template
-
-    def component_name(self, index: int) -> str:
-        n, m = self.n, self.m
-        if self.x_sl.start <= index < self.x_sl.stop:
-            return f"x[{index - self.x_sl.start}]"
-        if self.xhat_sl.start <= index < self.xhat_sl.stop:
-            return f"x_hat[{index - self.xhat_sl.start}]"
-        if self.fs_sl.start <= index < self.fs_sl.stop:
-            k = index - self.fs_sl.start
-            unit, rest = divmod(k, n * self.panel)
-            row, col = divmod(rest, self.panel)
-            if col == 0:
-                return f"filter[{unit}].xu[{row}]"
-            if col <= m:
-                return f"filter[{unit}].upsilon[{row},{col - 1}]"
-            return f"filter[{unit}].phi[{row},{col - 1 - m}]"
-        if self.theta_sl.start <= index < self.theta_sl.stop:
-            k = index - self.theta_sl.start
-            return f"theta_hat[{k // m},{k % m}]"
-        if self.exc_sl.start <= index < self.exc_sl.stop:
-            return f"excitation[{index - self.exc_sl.start}]"
-        return f"state[{index}]"
 
 
 @dataclass(frozen=True)
@@ -193,7 +166,7 @@ class RunResult:
     events: list[SwitchEvent]
     model: PlantModel
     layout: StateLayout
-    final_flat: np.ndarray
+    final_panels: np.ndarray  # (m+n+1, n, 1+m+n) filter bank at the last row
     elapsed_seconds: float
     diagnostics: Diagnostics | None = None
 
@@ -339,7 +312,8 @@ class _Cascade:
 
     Each block is affine in its own state, so one RK4 step is an affine
     recurrence; its coefficients are computed for the whole chunk at once,
-    and only the recurrences themselves run step by step.
+    and only the recurrences themselves run step by step.  The blocks'
+    states at the last grid row reached are kept between chunks.
     """
 
     def __init__(
@@ -348,7 +322,8 @@ class _Cascade:
         layout: StateLayout,
         a_closed: np.ndarray,
         gains_all: np.ndarray,
-        gamma: np.ndarray,
+        estimator: DremEstimator,
+        observer: ObserverState,
         h: float,
     ):
         n, m, mn = layout.n, layout.m, layout.mn
@@ -358,8 +333,12 @@ class _Cascade:
         self.gains_all = gains_all
         self.b = model.b
         self.has_b = bool(np.any(model.b != 0.0))
-        self.gamma = gamma
+        self.gamma = estimator.gamma
         self.template = layout.filter_reset_template()
+        self.panels = self.template.reshape(layout.num_units * n, layout.panel)
+        self.theta = estimator.theta_hat.ravel().tolist()
+        self.exc = np.zeros(layout.s)
+        self.xhat = np.array(observer.x_hat, dtype=float)
         # Stage polynomials M_s - I and step polynomial P - I of h * Acl_j.
         stage_off, step_off = _rk4_offsets(h, lambda s, z: a_closed @ z, (a_closed,) * 4)
         step_poly = np.eye(n) + step_off
@@ -406,19 +385,22 @@ class _Cascade:
         grid panels, computed exactly as in ``advance``."""
         return self.mix(self.stage_rows(panels), np.zeros((len(panels), 4)))[0][:, 0]
 
-    def advance(self, snaps, lo, hi, active, ybar, u, psi, resets):
-        """Fill the downstream columns of grid rows lo+1..hi of ``snaps``.
+    def advance(self, active, ybar, u, psi, resets):
+        """Advance every block over the K steps from the last row reached,
+        lo, to row hi = lo + K.
 
         ``active`` (K,) holds each step's subsystem, ``ybar`` and ``u``
         (K, 4) and ``psi`` (K, 4, n, m) the plant's stage signals, and
-        ``resets`` the rows whose filters restart.  Returns the determinant
-        the law used at grid rows lo..hi-1, the pre-reset panels of the
-        restarted rows and the chunk's largest adaptation step h * gamma_i *
-        delta^2 over all stages (NaN values skipped).
+        ``resets`` the rows, counted from lo, whose filters restart.
+        Returns the filter bank (K+1, units, n, panel) at rows lo..hi; x_hat
+        (K, n), theta_hat (K, s, m) and the accumulators (K, s) at rows
+        lo+1..hi; the determinant the law used at rows lo..hi-1; the
+        restarted rows' pre-reset banks by row; and the chunk's largest
+        adaptation step h * gamma_i * delta^2 (NaN values skipped).
         """
         lay = self.layout
         n, m, mn, nu = lay.n, lay.m, lay.mn, lay.num_units
-        h, steps, c1 = self.h, hi - lo, 1 + lay.m
+        h, steps, c1 = self.h, len(active), 1 + lay.m
 
         # Filter bank: stage forcings of the xu and upsilon columns.
         forcing = np.empty((4, nu, n, steps, c1))
@@ -432,21 +414,21 @@ class _Cascade:
         units = nu * n
         bank = np.zeros((steps + 1, 2 * units, lay.panel))
         bank[:steps, units:, :c1] = step_off.reshape(units, steps, c1).transpose(1, 0, 2)
-        fs = snaps[:, lay.fs_sl].reshape(-1, nu, n, lay.panel)
-        bank[0, :units] = fs[lo].reshape(units, lay.panel)
+        bank[0, :units] = self.panels
         template = self.template.reshape(units, lay.panel)
-        pre_reset = []
+        pre_reset = {}
         bank_dot = self.bank_step.dot
         for k in range(steps):
             nxt = bank[k + 1, :units]
             bank_dot(bank[k], nxt)
-            if lo + k + 1 in resets:
-                pre_reset.append(nxt.reshape(nu, n, lay.panel).copy())
+            if k + 1 in resets:
+                pre_reset[k + 1] = nxt.reshape(nu, n, lay.panel).copy()
                 nxt[...] = template
-        fs[lo + 1 : hi + 1] = bank[1:, :units].reshape(steps, nu, n, lay.panel)
+        self.panels = bank[steps, :units]
+        fs = bank[:, :units].reshape(steps + 1, nu, n, lay.panel)
 
         # Mixing over every stage of every step.
-        rows = self.stage_rows(fs[lo:hi])
+        rows = self.stage_rows(fs[:steps])
         coff = _matmul_ew(self.crow, np.stack(offsets)[:, :mn])
         rows[:, :, 1:, :c1] += coff.reshape(3, mn, steps, c1).transpose(2, 1, 0, 3)
         delta, zbar = self.mix(rows, ybar)
@@ -459,24 +441,24 @@ class _Cascade:
         drive_off, drive_step = _rk4_offsets(
             h, lambda s, z: slope[:, s, None] * z, offset.transpose(1, 0, 2)
         )
-        theta = snaps[lo, lay.theta_sl].tolist()
-        held, rows_out = [], []
+        theta = self.theta
+        held, theta_rows = [], []
         for i, g, beta in zip(active.tolist(), gain_step.tolist(), drive_step.tolist()):
             base = (i - 1) * m
             for j in range(m):
                 value = theta[base + j]
                 held.append(value)
                 theta[base + j] = value + (g * value + beta[j])
-            rows_out.append(theta[:])
-        snaps[lo + 1 : hi + 1, lay.theta_sl] = rows_out
+            theta_rows.append(theta[:])
 
         # Excitation accumulators: a masked cumulative sum of the steps.
         acc = np.zeros((steps + 1, lay.s))
-        acc[0] = snaps[lo, lay.exc_sl]
+        acc[0] = self.exc
         acc[np.arange(1, steps + 1), active - 1] = (h / 6.0) * (
             exc_rate[:, 0] + 2.0 * (exc_rate[:, 1] + exc_rate[:, 2]) + exc_rate[:, 3]
         )
-        snaps[lo + 1 : hi + 1, lay.exc_sl] = np.cumsum(acc, axis=0)[1:]
+        exc = np.cumsum(acc, axis=0)[1:]
+        self.exc = exc[-1]
 
         # Observer, driven by the active estimate's stage values.
         theta_k = np.array(held).reshape(steps, 1, m)
@@ -493,29 +475,116 @@ class _Cascade:
             h, lambda s, z: _matmul_ew(self.acl[-1], z), obs_forcing.transpose(1, 2, 0)
         )
         observer = np.empty((steps + 1, 2 * n))
-        observer[0, :n] = snaps[lo, lay.xhat_sl]
+        observer[0, :n] = self.xhat
         observer[:steps, n:] = obs_step.T
         observer_dot = self.observer_step.dot
         for k in range(steps):
             observer_dot(observer[k], observer[k + 1, :n])
-        snaps[lo + 1 : hi + 1, lay.xhat_sl] = observer[1:, :n]
-        return delta[:, 0], pre_reset, peak_step
+        self.xhat = observer[steps, :n]
+        theta_rows = np.reshape(theta_rows, (steps, lay.s, m))
+        return fs, observer[1:, :n], theta_rows, exc, delta[:, 0], pre_reset, peak_step
 
 
-def _first_non_finite(snaps, lo, hi, pre_reset, layout) -> tuple[int, int] | None:
-    """(row, component) of the earliest non-finite grid row in lo+1..hi,
-    judged before any filter restart, or None."""
-    finite = np.isfinite(snaps[lo + 1 : hi + 1]).all(axis=1)
-    rows = [r for r, panels in pre_reset.items() if not np.isfinite(panels).all()]
+def _component(block: str, index: tuple, m: int) -> str:
+    """Name of the component at ``index`` within one row of ``block``."""
+    if block == "filter":
+        unit, row, col = index
+        if col == 0:
+            return f"filter[{unit}].xu[{row}]"
+        if col <= m:
+            return f"filter[{unit}].upsilon[{row},{col - 1}]"
+        return f"filter[{unit}].phi[{row},{col - 1 - m}]"
+    return f"{block}[{','.join(str(i) for i in index)}]"
+
+
+def _first_non_finite(blocks, pre_reset, m) -> tuple[int, str] | None:
+    """(row, component) of the earliest non-finite row of a chunk, judged
+    before any filter restart, or None.
+
+    Rows count from the chunk's start row lo: ``blocks``, the x, x_hat,
+    filter panels, theta_hat and excitation of rows lo+1..hi, hold row k at
+    index k-1, and ``pre_reset`` maps restarted rows to their pre-reset
+    panels.  A row's components are searched block by block, in C order.
+    """
+    finite = np.logical_and.reduce(
+        [np.isfinite(b.reshape(len(b), -1)).all(axis=1) for b in blocks]
+    )
+    rows = [k for k, panels in pre_reset.items() if not np.isfinite(panels).all()]
     if not finite.all():
-        rows.append(lo + 1 + int(np.argmin(finite)))
+        rows.append(1 + int(np.argmin(finite)))
     if not rows:
         return None
     row = min(rows)
-    flat = snaps[row].copy()
+    state = [rows_of[row - 1] for rows_of in blocks]
     if row in pre_reset:
-        flat[layout.fs_sl] = pre_reset[row].ravel()
-    return row, int(np.argmin(np.isfinite(flat)))
+        state[2] = pre_reset[row]
+    named = zip(("x", "x_hat", "filter", "theta_hat", "excitation"), state)
+    name, values = next((name, v) for name, v in named if not np.isfinite(v).all())
+    index = np.unravel_index(int(np.argmin(np.isfinite(values))), values.shape)
+    return row, _component(name, index, m)
+
+
+class _Store:
+    """The run's per-row store: the trace, filled through its column views,
+    the active subsystem and held noise of every grid row, and the
+    diagnostics when they are collected."""
+
+    def __init__(self, model: PlantModel, trace: SimulationTrace, collect_diagnostics: bool):
+        rows, mn = len(trace.data), model.m + model.n
+        self.model = model
+        self.x, self.xhat, self.y, self.ybar = trace.x, trace.xhat, trace.y, trace.ybar
+        self.z, self.delta, self.theta = trace.z, trace.delta, trace.theta_hat
+        self.theta_err, self.x_err, self.exc = trace.theta_error, trace.x_error, trace.excitation
+        self.sigma = np.empty(rows, dtype=np.int64)
+        self.v = np.zeros(rows)
+        self.diagnostics = None
+        if collect_diagnostics:
+            arrays = {f.name: np.empty(rows) for f in fields(Diagnostics)}
+            arrays.update(theta_bar=np.empty((rows, mn)), dbar=np.empty((rows, mn)))
+            arrays["time"] = trace.t.copy()
+            self.diagnostics = Diagnostics(**arrays)
+
+    def derive(self, lo: int, hi: int, panels: np.ndarray, events: list, event_rows: list):
+        """Fill the derived columns, and the diagnostics, of rows lo..hi from
+        their stored states and their (hi-lo+1, units, n, panel) filter bank.
+
+        Every value is computed row by row, so its bits do not depend on the
+        rows filled with it; the output's product spans at least two rows
+        whenever the run has them (a one-row product takes another route).
+        """
+        model = self.model
+        m, mn = model.m, model.m + model.n
+        rows = slice(lo, hi + 1)
+        x, xhat = self.x[rows], self.xhat[rows]
+        y = x @ model.c
+        ybar = y + self.v[rows]
+        xu = panels[..., 0]
+        z = ybar[:, None] - xu[:, :mn] @ model.c
+        theta = self.theta[rows]
+        self.y[rows], self.ybar[rows], self.z[rows] = y, ybar, z
+        self.theta_err[rows] = np.linalg.norm(theta - model.true_params[None], axis=2)
+        self.x_err[rows] = np.linalg.norm(xhat - x, axis=1)
+        dg = self.diagnostics
+        if dg is None:
+            return
+        event_of = np.searchsorted(event_rows, np.arange(lo, hi + 1), side="right") - 1
+        x_tk = np.stack([e.state for e in events])[event_of]
+        theta_sigma = model.true_params[self.sigma[rows] - 1]
+        theta_bar = np.concatenate([theta_sigma, x_tk], axis=1)
+        recon = (
+            np.einsum("tij,tj->ti", panels[:, mn, :, 1 + m :], x_tk)
+            + xu[:, mn]
+            + np.einsum("tij,tj->ti", panels[:, mn, :, 1 : 1 + m], theta_sigma)
+        )
+        nt = np.einsum("k,tukj->tuj", model.c, panels[:, :mn, :, 1:])
+        dets, adjs = det_adjugate_batch(nt)
+        dbar = np.einsum("tij,tj->ti", adjs, z) - dets[:, None] * theta_bar
+        dg.theta_bar[rows] = theta_bar
+        dg.decomposition_residual[rows] = np.linalg.norm(x - recon, axis=1)
+        dg.lre_residual_max[rows] = np.abs(z - np.einsum("tuj,tj->tu", nt, theta_bar)).max(axis=1)
+        dg.dbar[rows] = dbar
+        dg.mixing_residual[rows] = np.abs(dbar).max(axis=1)
+        dg.delta[rows] = dets
 
 
 def run_simulation(
@@ -565,75 +634,6 @@ def run_simulation(
     if noise is not None and noise.omega is not None:
         disturbance_rows(noise, n, np.array([[t0], [t0 + h]]))
 
-    snaps = np.empty((steps + 1, layout.size))
-    x_v, xhat_v, fs_v, theta_v, exc_v = layout.views(snaps[0])
-    x_v[:] = model.initial_state
-    xhat_v[:] = observer.x_hat
-    theta_v[:] = estimator.theta_hat
-    exc_v[:] = 0.0
-    fs_v[:] = layout.filter_reset_template()
-
-    rule = model.switching_rule
-    active = rule.subsystem_for(float(model.c @ model.initial_state), t0)
-    plant = _Plant(model, noise, cfg, active)
-    cascade = _Cascade(model, layout, a_closed, gains_all, estimator.gamma, h)
-
-    events = [
-        SwitchEvent(
-            time=t0,
-            subsystem=active,
-            state=model.initial_state.copy(),
-            delta_before=math.nan,
-        )
-    ]
-
-    sigmas = np.empty(steps + 1, dtype=np.int64)
-    vs = np.zeros(steps + 1)
-    deltas = np.empty(steps + 1)
-    event_of = np.zeros(steps + 1, dtype=np.int64)
-    sigmas[0] = active
-    if noise is not None:
-        vs[0] = sample_noise(noise, 0)
-    xs = snaps[:, layout.x_sl]
-
-    # Overflow before the finiteness check just precedes an abort; keep the
-    # warning stream quiet until then.
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        lo = 0
-        while lo < steps:
-            hi, signals, switches = plant.advance(xs, lo, min(lo + CHUNK, steps), sigmas, vs)
-            ybar, u, psi = (np.array(column) for column in zip(*signals))
-            rows = [row for row, _, _ in switches]
-            deltas[lo:hi], pre_panels, peak_step = cascade.advance(
-                snaps,
-                lo,
-                hi,
-                sigmas[lo:hi],
-                ybar.reshape(-1, 4),
-                u.reshape(-1, 4),
-                psi.reshape(-1, 4, n, m),
-                set(rows),
-            )
-            pre_reset = dict(zip(rows, pre_panels))
-            bad = _first_non_finite(snaps, lo, hi, pre_reset, layout)
-            if bad is not None:
-                raise SimulationAbort(
-                    t0 + bad[0] * h,
-                    layout.component_name(bad[1]),
-                    peak_step,
-                    RK4_STABILITY_LIMIT,
-                )
-            event_of[lo + 1 : hi + 1] = len(events) - 1 + np.searchsorted(
-                rows, np.arange(lo + 1, hi + 1), side="right"
-            )
-            if switches:
-                pre_deltas = cascade.grid_delta(np.stack(pre_panels))
-                for (row, target, state), pre in zip(switches, pre_deltas.tolist()):
-                    events.append(SwitchEvent(t0 + row * h, target, state, pre))
-            lo = hi
-    deltas[steps] = cascade.grid_delta(layout.views(snaps[steps])[2][None])[0]
-    flat = snaps[steps]
-
     meta = {
         "format": 1,
         "model": model.name,
@@ -660,112 +660,66 @@ def run_simulation(
             "lipschitz_psi": noise.lipschitz_psi,
         },
     }
-    trace, diagnostics = _assemble(
-        model, layout, cfg, snaps, sigmas, vs, deltas, event_of, events, meta, collect_diagnostics
-    )
-    elapsed = _time.perf_counter() - started
+    data = np.empty((steps + 1, len(column_names(n, m, s))))
+    data[:, 0] = t0 + h * np.arange(steps + 1)
+    trace = SimulationTrace(meta=meta, data=data)
+    store = _Store(model, trace, collect_diagnostics)
+
+    rule = model.switching_rule
+    active = rule.subsystem_for(float(model.c @ model.initial_state), t0)
+    plant = _Plant(model, noise, cfg, active)
+    cascade = _Cascade(model, layout, a_closed, gains_all, estimator, observer, h)
+    store.x[0], store.xhat[0] = model.initial_state, observer.x_hat
+    store.theta[0], store.exc[0], store.sigma[0] = estimator.theta_hat, 0.0, active
+    if noise is not None:
+        store.v[0] = sample_noise(noise, 0)
+
+    events = [SwitchEvent(t0, active, model.initial_state.copy(), math.nan)]
+    event_rows = [0]
+
+    # Overflow before the finiteness check just precedes an abort; keep the
+    # warning stream quiet until then.
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        lo = 0
+        while lo < steps:
+            hi, signals, switches = plant.advance(
+                store.x, lo, min(lo + CHUNK, steps), store.sigma, store.v
+            )
+            ybar, u, psi = (np.array(column) for column in zip(*signals))
+            panels, xhat, theta, exc, delta, pre_reset, peak_step = cascade.advance(
+                store.sigma[lo:hi],
+                ybar.reshape(-1, 4),
+                u.reshape(-1, 4),
+                psi.reshape(-1, 4, n, m),
+                {row - lo for row, _, _ in switches},
+            )
+            new = slice(lo + 1, hi + 1)
+            store.xhat[new], store.theta[new], store.exc[new] = xhat, theta, exc
+            store.delta[lo:hi] = delta
+            bad = _first_non_finite((store.x[new], xhat, panels[1:], theta, exc), pre_reset, m)
+            if bad is not None:
+                at = t0 + (lo + bad[0]) * h
+                raise SimulationAbort(at, bad[1], peak_step, RK4_STABILITY_LIMIT)
+            if switches:
+                pre_deltas = cascade.grid_delta(np.stack(list(pre_reset.values())))
+                for (row, target, state), pre in zip(switches, pre_deltas.tolist()):
+                    events.append(SwitchEvent(t0 + row * h, target, state, pre))
+                    event_rows.append(row)
+            store.derive(lo, hi, panels, events, event_rows)
+            lo = hi
+    final_panels = cascade.panels.reshape(layout.num_units, n, layout.panel).copy()
+    store.delta[steps] = cascade.grid_delta(final_panels[None])[0]
+    if steps == 0:
+        store.derive(0, 0, final_panels[None], events, event_rows)
+    data[:, 1] = store.sigma
+    trace.switch_times = [e.time for e in events]
+    trace.pre_reset_delta = [e.delta_before for e in events]
     return RunResult(
         trace=trace,
         events=events,
         model=model,
         layout=layout,
-        final_flat=flat.copy(),
-        elapsed_seconds=elapsed,
-        diagnostics=diagnostics,
+        final_panels=final_panels,
+        elapsed_seconds=_time.perf_counter() - started,
+        diagnostics=store.diagnostics,
     )
-
-
-def _assemble(
-    model: PlantModel,
-    layout: StateLayout,
-    cfg: StepConfig,
-    snaps: np.ndarray,
-    sigmas: np.ndarray,
-    vs: np.ndarray,
-    delta: np.ndarray,
-    event_of: np.ndarray,
-    events: list[SwitchEvent],
-    meta: dict,
-    collect_diagnostics: bool,
-) -> tuple[SimulationTrace, Diagnostics | None]:
-    n, m, s = layout.n, layout.m, layout.s
-    mn, nu = layout.mn, layout.num_units
-    rows = snaps.shape[0]
-    t = cfg.start_time + cfg.step_size * np.arange(rows)
-
-    x = snaps[:, layout.x_sl]
-    xhat = snaps[:, layout.xhat_sl]
-    fs = snaps[:, layout.fs_sl].reshape(rows, nu, n, layout.panel)
-    xu = fs[:, :, :, 0]
-    ups = fs[:, :, :, 1 : 1 + m]
-    phi = fs[:, :, :, 1 + m :]
-    theta = snaps[:, layout.theta_sl].reshape(rows, s, m)
-    exc = snaps[:, layout.exc_sl]
-
-    y = x @ model.c
-    ybar = y + vs
-    z = ybar[:, None] - xu[:, :mn] @ model.c
-    theta_err = np.linalg.norm(theta - model.true_params[None], axis=2)
-    x_err = np.linalg.norm(xhat - x, axis=1)
-
-    data = np.empty((rows, len(column_names(n, m, s))))
-    col = 0
-
-    def put(block: np.ndarray, width: int):
-        nonlocal col
-        data[:, col : col + width] = block.reshape(rows, width)
-        col += width
-
-    put(t, 1)
-    put(sigmas.astype(float), 1)
-    put(x, n)
-    put(xhat, n)
-    put(y, 1)
-    put(ybar, 1)
-    put(z, mn)
-    put(delta, 1)
-    put(theta.reshape(rows, s * m), s * m)
-    put(theta_err, s)
-    put(x_err, 1)
-    put(exc, s)
-
-    trace = SimulationTrace(
-        meta=meta,
-        data=data,
-        switch_times=[e.time for e in events],
-        pre_reset_delta=[e.delta_before for e in events],
-    )
-
-    diagnostics = None
-    if collect_diagnostics:
-        event_states = np.stack([e.state for e in events])
-        x_tk = event_states[event_of]
-        theta_sigma = model.true_params[sigmas - 1]
-        theta_bar = np.concatenate([theta_sigma, x_tk], axis=1)
-        recon = (
-            np.einsum("tij,tj->ti", phi[:, mn], x_tk)
-            + xu[:, mn]
-            + np.einsum("tij,tj->ti", ups[:, mn], theta_sigma)
-        )
-        decomp = np.linalg.norm(x - recon, axis=1)
-        nt = np.einsum("k,tukj->tuj", model.c, fs[:, :mn, :, 1:])
-        lre = np.abs(z - np.einsum("tuj,tj->tu", nt, theta_bar)).max(axis=1)
-        dbar = np.empty((rows, mn))
-        delta_cof = np.empty(rows)
-        chunk = 4096  # bounds the cofactor route's temporaries
-        for lo in range(0, rows, chunk):
-            hi = min(lo + chunk, rows)
-            dets, adjs = det_adjugate_batch(nt[lo:hi])
-            zbar = np.einsum("tij,tj->ti", adjs, z[lo:hi])
-            dbar[lo:hi] = zbar - dets[:, None] * theta_bar[lo:hi]
-            delta_cof[lo:hi] = dets
-        diagnostics = Diagnostics(
-            time=t,
-            theta_bar=theta_bar,
-            decomposition_residual=decomp,
-            lre_residual_max=lre,
-            dbar=dbar,
-            mixing_residual=np.abs(dbar).max(axis=1),
-            delta=delta_cof,
-        )
-    return trace, diagnostics

@@ -1,12 +1,17 @@
 """Independent reference composition of the observer pipeline, for tests.
 
 Straight-line functions on plain arrays, one per pipeline stage, with no
-validation.  They share nothing with the fused kernel in ``dremobs.sim``
-beyond the model description, the noise stream and the flat state layout
-used to compare results.  Determinants and adjugates come from LAPACK
-minors, not from the library's cofactor route.  The trace text and the
-SVG polyline points are formatted value by value, as the library's block
-formatters must reproduce byte for byte.
+validation.  They share nothing with the chunked kernel in ``dremobs.sim``
+beyond the model description and the noise stream.  The reference steps one
+flat state per grid row, laid out here: x, x_hat, the m+n+1 filter panels
+[xu | upsilon | phi], theta_hat and the excitation accumulators; a run is
+compared through ``final_state`` (its trace's last row plus its final
+filter bank) and through the trace's per-row columns.  ``component_names``
+lists the flat state's components in order, the order in which an aborted
+run names its first non-finite component.  Determinants and adjugates come
+from LAPACK minors, not from the library's cofactor route.  The trace text
+and the SVG polyline points are formatted value by value, as the library's
+block formatters must reproduce byte for byte.
 """
 
 import json
@@ -15,8 +20,51 @@ import math
 import numpy as np
 
 from dremobs.plant import sample_noise
-from dremobs.sim import StateLayout
 from dremobs.trace import FORMAT_TAG
+
+
+def _block_sizes(n, m, s):
+    """Float counts of x, x_hat, the filter panels, theta_hat and excitation."""
+    return n, n, (m + n + 1) * n * (1 + m + n), s * m, s
+
+
+def views(model, flat):
+    """(x, x_hat, filter panels, theta_hat, excitation) views into a flat
+    state; writing through a view writes the flat state."""
+    n, m, s = model.n, model.m, model.s
+    x, xhat, fs, theta, exc = np.split(flat, np.cumsum(_block_sizes(n, m, s))[:-1])
+    return x, xhat, fs.reshape(m + n + 1, n, 1 + m + n), theta.reshape(s, m), exc
+
+
+def state_size(model):
+    return sum(_block_sizes(model.n, model.m, model.s))
+
+
+def component_names(n, m, s):
+    """Name of every flat-state component, in flat order."""
+    names = [f"x[{i}]" for i in range(n)] + [f"x_hat[{i}]" for i in range(n)]
+    for unit in range(m + n + 1):
+        for row in range(n):
+            names.append(f"filter[{unit}].xu[{row}]")
+            names += [f"filter[{unit}].upsilon[{row},{j}]" for j in range(m)]
+            names += [f"filter[{unit}].phi[{row},{j}]" for j in range(n)]
+    names += [f"theta_hat[{i},{j}]" for i in range(s) for j in range(m)]
+    return names + [f"excitation[{i}]" for i in range(s)]
+
+
+def final_state(result):
+    """A run's last grid state as a flat state: the trace's last row plus
+    the final filter bank."""
+    trace = result.trace
+    return np.concatenate(
+        [
+            trace.x[-1],
+            trace.xhat[-1],
+            result.final_panels.ravel(),
+            trace.theta_hat[-1].ravel(),
+            trace.excitation[-1],
+        ]
+    )
 
 
 def plant_rate(model, x, t, active, omega=None):
@@ -74,11 +122,10 @@ def rk4(f, t, y, h):
 
 def derivative(model, gains, obs_gain, gamma, t, flat, active, v, omega=None):
     """Rates of the flat state, composed unit by unit."""
-    layout = StateLayout(model.n, model.m, model.s)
-    m, i = model.m, active - 1
-    x, xhat, fs, theta, _ = layout.views(flat)
+    m, mn, i = model.m, model.m + model.n, active - 1
+    x, xhat, fs, theta, _ = views(model, flat)
     out = np.zeros_like(flat)
-    ox, oxhat, ofs, otheta, oexc = layout.views(out)
+    ox, oxhat, ofs, otheta, oexc = views(model, out)
     u, ybar = model.input_signal(t), float(model.c @ x) + v
     ox[:] = plant_rate(model, x, t, active, omega)
     oxhat[:] = observer_rate(model, obs_gain, xhat, theta[i], ybar, u)
@@ -86,7 +133,7 @@ def derivative(model, gains, obs_gain, gamma, t, flat, active, v, omega=None):
         p = fs[k]
         rates = filter_rates(model, gain, p[:, 0], p[:, 1 : 1 + m], p[:, 1 + m :], ybar, u)
         ofs[k, :, 0], ofs[k, :, 1 : 1 + m], ofs[k, :, 1 + m :] = rates
-    delta, zbar = mix(*regressor_stack(model, fs[: layout.mn], ybar))
+    delta, zbar = mix(*regressor_stack(model, fs[:mn], ybar))
     otheta[i] = gamma[i] * delta * (zbar[:m] - delta * theta[i])
     oexc[i] = delta * delta
     return out
@@ -96,10 +143,10 @@ def simulate(model, gains, obs_gain, gamma, theta0, xhat0, h, steps, noise=None)
     """Grid states, active subsystems and pre-reset determinants of a run
     from t = 0; switches are detected and all filters restarted (zero
     filters, identity transition factor) at grid points."""
-    layout = StateLayout(model.n, model.m, model.s)
+    mn = model.m + model.n
     omega = noise.omega if noise is not None else None
-    flat = np.zeros(layout.size)
-    x, xhat, fs, theta, _ = layout.views(flat)
+    flat = np.zeros(state_size(model))
+    x, xhat, fs, theta, _ = views(model, flat)
     x[:], xhat[:], theta[:] = model.initial_state, xhat0, theta0
     fs[:, :, 1 + model.m :] = np.eye(model.n)
     rule = model.switching_rule
@@ -112,10 +159,10 @@ def simulate(model, gains, obs_gain, gamma, theta0, xhat0, h, steps, noise=None)
             return derivative(model, gains, obs_gain, gamma, t, y, active, v, omega)
 
         flat = rk4(f, q * h, flat, h)
-        x, _, fs, _, _ = layout.views(flat)
+        x, _, fs, _, _ = views(model, flat)
         target = rule.subsystem_for(float(model.c @ x), (q + 1) * h)
         if target != active:
-            pre_reset.append(mix(*regressor_stack(model, fs[: layout.mn], 0.0))[0])
+            pre_reset.append(mix(*regressor_stack(model, fs[:mn], 0.0))[0])
             fs[:] = 0.0
             fs[:, :, 1 + model.m :] = np.eye(model.n)
             active = target

@@ -129,6 +129,33 @@ class TestSimulateCommand:
         assert "-100" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "end_time, override, names",
+        [
+            pytest.param(1e300, None, "config.end_time", id="config-1e300"),
+            pytest.param(1e9, None, "config.end_time", id="config-1e9"),
+            pytest.param(1.0, "1e300", "--T/--h override", id="override-1e300"),
+        ],
+    )
+    def test_horizon_beyond_trace_row_limit_exits_2(self, tmp_path, end_time, override, names):
+        # Caught at load time: no trace array is allocated, no traceback.
+        import subprocess
+        import sys
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"plant": "chua", "end_time": end_time}))
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "o")]
+        if override is not None:
+            argv += ["--T", override]
+        proc = subprocess.run(
+            [sys.executable, "-m", "dremobs.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        assert names in proc.stderr and "trace rows" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+
 class TestVerifyCommand:
     def test_short_verify_passes(self, tmp_path, capsys):
         out = tmp_path / "v"

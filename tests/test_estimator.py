@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -224,6 +225,45 @@ class TestRunLevelBehaviour:
         online = trace.excitation[-1]
         rel = np.abs(online - quad) / np.maximum(np.abs(online), 1e-30)
         assert rel.max() <= 1e-3
+
+    def test_excitation_check_right_after_an_activation(self):
+        # At 9 s subsystem 3 has been active for 0.43 s and its integral is
+        # about 5e-20: the squared determinant grows so steeply after the
+        # restart that the trapezoid rule alone is off by 2.4e-3.  The check
+        # allows for the rule's own error estimate and passes.
+        from dremobs.config import preset_config, run_experiment
+        from dremobs.verification import check_excitation_consistency, trapezoid_excitation
+
+        trace = run_experiment(preset_config("chua", "verify", end_time=9.0)).trace
+        online = trace.excitation[-1]
+        rel = np.abs(online - trapezoid_excitation(trace)) / online
+        assert online[2] < 1e-19 and rel[2] > 2e-3
+        check = check_excitation_consistency(SimpleNamespace(trace=trace))
+        assert check.passed, check.line()
+
+    def test_trapezoid_error_estimate_on_a_polynomial(self):
+        # delta = t^2 on [0, 1], then delta = 1 - t on [1, 2] after a switch
+        # (pre-reset delta 1): the trapezoid errors of t^4 and (1 - t)^2 are
+        # h^2/12 (f'(b) - f'(a)) to leading order, 4 h^2/12 and 2 h^2/12.
+        h = 0.01
+        t = np.arange(201) * h
+        sigma = np.where(t < 1.0 - h / 2, 1, 2)
+        delta = np.where(sigma == 1, t**2, 1.0 - t)
+        delta[100] = 0.0  # the restart zeroes the determinant
+        data = np.zeros((201, len(column_names(1, 1, 2))))
+        data[:, 0], data[:, 1] = t, sigma
+        data[:, column_names(1, 1, 2).index("delta")] = delta
+        trace = SimulationTrace(
+            meta={"n": 1, "m": 1, "s": 2},
+            data=data,
+            switch_times=[0.0, 1.0],
+            pre_reset_delta=[math.nan, 1.0],
+        )
+        from dremobs.verification import trapezoid_error_estimate, trapezoid_excitation
+
+        actual = trapezoid_excitation(trace) - np.array([1 / 5, 1 / 3])
+        np.testing.assert_allclose(actual, [4 * h**2 / 12, 2 * h**2 / 12], rtol=1e-3)
+        np.testing.assert_allclose(trapezoid_error_estimate(trace), actual, rtol=1e-3)
 
     def test_strict_increase_while_active_with_excitation(self, short_ideal_run):
         trace = short_ideal_run.trace

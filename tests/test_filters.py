@@ -24,7 +24,7 @@ def final_panels(model, end_time, h=1e-3, schedule=None):
     res = run_simulation(
         model, est, obs, StepConfig(h, end_time), None, filter_gains=CHUA_FILTER_GAINS
     )
-    return res.layout.views(res.final_flat.copy())[2]
+    return res.final_panels
 
 
 RESET_PANELS = StateLayout(3, 2, 3).filter_reset_template()
@@ -103,7 +103,6 @@ class TestRunLevelInvariants:
         assert short_ideal_run.diagnostics.lre_residual_max.max() <= 1e-4
 
     def test_filter_states_bounded(self, short_ideal_run):
-        layout = short_ideal_run.layout
         trace = short_ideal_run.trace
         assert np.isfinite(trace.data).all()
         assert np.abs(trace.z).max() < 1e3

@@ -1,5 +1,7 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from dremobs.plant import (
     chua_robust_noise,
     make_sinusoid_disturbance,
 )
-from dremobs.sim import StateLayout, StepConfig, run_simulation
+from dremobs.sim import StepConfig, run_simulation
 from dremobs.trace import trace_to_string
 
 import reference
@@ -46,6 +48,15 @@ class TestStepConfig:
             StepConfig(step_size=0.0, end_time=1.0)
         with pytest.raises(ConfigurationError):
             StepConfig(step_size=0.1, end_time=-1.0)
+
+    def test_trace_row_limit(self):
+        # Rows count the start row: 10^7 - 1 steps are the most allowed.
+        assert StepConfig(1e-3, 9999.999).num_steps + 1 == sim.MAX_TRACE_ROWS
+        for step_size, end_time in ((1e-3, 10000.0), (1e-3, 1e300), (1e-300, 1.0)):
+            with pytest.raises(ConfigurationError, match="trace rows"):
+                StepConfig(step_size, end_time)
+        with pytest.raises(ConfigurationError, match="trace rows"):
+            StepConfig(1.0, 1e308, start_time=-1e308)  # the span overflows
 
 
 class TestRk4Step:
@@ -77,9 +88,8 @@ class TestRk4Step:
             run_simulation(
                 pinned, est, obs, StepConfig(0.01, 400.0), None, filter_gains=CHUA_FILTER_GAINS
             )
-        layout = StateLayout(3, 2, 3)
         assert 0.0 < info.value.time <= 400.0
-        assert info.value.component in {layout.component_name(i) for i in range(layout.size)}
+        assert info.value.component in reference.component_names(3, 2, 3)
         assert info.value.component in str(info.value)
 
     def test_abort_is_independent_of_chunk_length(self, monkeypatch):
@@ -214,16 +224,47 @@ class TestRunSimulation:
 
     def test_trace_is_independent_of_chunk_length(self, monkeypatch):
         # The downstream blocks advance a chunk at a time; where the chunks
-        # start must not change a single bit of the trace, restarts included.
+        # start must not change a single bit of the trace, the diagnostics
+        # or the final filter bank, restarts included.
         model, est, obs = make_chua_setup()
         model = replace(model, switching_rule=TimeScheduleRule(((0.0, 1), (0.4995, 3))))
         cfg = StepConfig(step_size=1e-3, end_time=1.0)
         noise = chua_robust_noise(seed=11)
-        whole = run_simulation(model, est, obs, cfg, noise, filter_gains=CHUA_FILTER_GAINS)
+
+        def run():
+            return run_simulation(
+                model, est, obs, cfg, noise, filter_gains=CHUA_FILTER_GAINS,
+                collect_diagnostics=True,
+            )
+
+        whole = run()
         monkeypatch.setattr(sim, "CHUNK", 3)
-        chunked = run_simulation(model, est, obs, cfg, noise, filter_gains=CHUA_FILTER_GAINS)
+        chunked = run()
         assert trace_to_string(chunked.trace) == trace_to_string(whole.trace)
-        assert chunked.final_flat.tobytes() == whole.final_flat.tobytes()
+        assert chunked.final_panels.tobytes() == whole.final_panels.tobytes()
+        for field in fields(sim.Diagnostics):
+            ours, theirs = (getattr(r.diagnostics, field.name) for r in (chunked, whole))
+            assert ours.tobytes() == theirs.tobytes(), field.name
+
+    def test_run_state_is_chunk_resident(self):
+        # Only the trace (29 columns for Chua) and the per-row active
+        # subsystem, held noise and time grow with the horizon; a store of
+        # the whole run state per row (123 floats) would not fit the budget.
+        model, est, obs = make_chua_setup()
+
+        def peak(end_time):
+            tracemalloc.start()
+            try:
+                run_simulation(
+                    model, est, obs, StepConfig(1e-3, end_time), chua_robust_noise(seed=2),
+                    filter_gains=CHUA_FILTER_GAINS,
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = peak(4.0) - peak(1.0)
+        assert growth / 3000 < 64 * 8
 
     def test_different_seeds_differ(self):
         model, est, obs = make_chua_setup()
@@ -266,8 +307,7 @@ class TestRunSimulation:
                 filter_gains=np.array([[6.0, 1.0], [10.0, 0.0], [8.0, 2.0]]),
             )
         assert 600.0 < info.value.time < 800.0  # e^t passes the float range
-        layout = StateLayout(2, 1, 2)
-        assert info.value.component in {layout.component_name(i) for i in range(layout.size)}
+        assert info.value.component in reference.component_names(2, 1, 2)
 
     def test_divergent_plant_aborts_with_component(self):
         model, est, obs = make_chua_setup()
@@ -305,7 +345,7 @@ def small_switched_setup():
 class TestLoopMatchesPublicOperations:
     def test_single_step_equals_manual_composition(self):
         """One integrator step must equal the independent reference
-        composition of the pipeline stages on the same flat layout."""
+        composition of the pipeline stages, compared as flat states."""
         model, est, obs = make_chua_setup()
         h = 1e-3
         cfg = StepConfig(step_size=h, end_time=h)
@@ -314,7 +354,7 @@ class TestLoopMatchesPublicOperations:
             model, CHUA_FILTER_GAINS, CHUA_OBSERVER_GAIN, est.gamma,
             est.theta_hat, obs.x_hat, h, 1,
         )
-        np.testing.assert_allclose(rows[-1], res.final_flat, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(rows[-1], reference.final_state(res), rtol=1e-10, atol=1e-12)
 
     def test_small_switched_plant_matches_reference(self):
         """A plant other than the preset, with input, noise and a reset
@@ -329,15 +369,15 @@ class TestLoopMatchesPublicOperations:
         rows, sigmas, pre_reset = reference.simulate(
             model, gains, obs_gain, est.gamma, est.theta_hat, obs.x_hat, h, steps, noise
         )
-        np.testing.assert_allclose(rows[-1], res.final_flat, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(rows[-1], reference.final_state(res), rtol=1e-10, atol=1e-13)
         np.testing.assert_array_equal(res.trace.sigma, sigmas)
         assert res.trace.switch_times == [0.0, pytest.approx(3 * h)]
         np.testing.assert_allclose(res.trace.pre_reset_delta[1:], pre_reset[1:], atol=1e-15)
-        lay = res.layout
+        mn = model.m + model.n
         for q, flat in enumerate(rows):
-            np.testing.assert_allclose(res.trace.x[q], flat[lay.x_sl], rtol=1e-10, atol=1e-13)
-            fs = lay.views(flat)[2]
-            zf, nt = reference.regressor_stack(model, fs[: lay.mn], res.trace.ybar[q])
+            x, _, fs, _, _ = reference.views(model, flat)
+            np.testing.assert_allclose(res.trace.x[q], x, rtol=1e-10, atol=1e-13)
+            zf, nt = reference.regressor_stack(model, fs[:mn], res.trace.ybar[q])
             delta, zbar = reference.mix(zf, nt)
             assert res.trace.delta[q] == pytest.approx(delta, abs=1e-15)
             dbar = reference.residual(delta, zbar, res.diagnostics.theta_bar[q])
@@ -479,36 +519,64 @@ class TestKernelMatchesReference:
         assert res.trace.sigma[row] != res.trace.sigma[0]
         assert len(res.events) == len(pre_reset)
         np.testing.assert_allclose(res.trace.pre_reset_delta[1:], pre_reset[1:], rtol=1e-9, atol=1e-13)
-        np.testing.assert_allclose(rows[-1], res.final_flat, rtol=1e-10, atol=1e-13)
-        lay = res.layout
+        np.testing.assert_allclose(rows[-1], reference.final_state(res), rtol=1e-10, atol=1e-13)
+        mn = model.m + model.n
         for q, flat in enumerate(rows):
-            np.testing.assert_allclose(res.trace.x[q], flat[lay.x_sl], rtol=1e-10, atol=1e-13)
-            np.testing.assert_allclose(res.trace.xhat[q], flat[lay.xhat_sl], rtol=1e-10, atol=1e-13)
-            np.testing.assert_allclose(
-                res.trace.theta_hat[q].ravel(), flat[lay.theta_sl], rtol=1e-10, atol=1e-13
-            )
-            fs = lay.views(flat)[2]
-            delta, _ = reference.mix(*reference.regressor_stack(model, fs[: lay.mn], 0.0))
+            x, xhat, fs, theta, _ = reference.views(model, flat)
+            np.testing.assert_allclose(res.trace.x[q], x, rtol=1e-10, atol=1e-13)
+            np.testing.assert_allclose(res.trace.xhat[q], xhat, rtol=1e-10, atol=1e-13)
+            np.testing.assert_allclose(res.trace.theta_hat[q], theta, rtol=1e-10, atol=1e-13)
+            delta, _ = reference.mix(*reference.regressor_stack(model, fs[:mn], 0.0))
             assert res.trace.delta[q] == pytest.approx(delta, rel=1e-9, abs=1e-13)
 
 
 class TestLayout:
+    """The reference's flat state, and the abort's component names in its
+    order."""
+
     def test_component_names_cover_every_index(self):
-        layout = StateLayout(3, 2, 3)
-        names = [layout.component_name(i) for i in range(layout.size)]
-        assert len(set(names)) == layout.size
+        model = make_chua_setup()[0]
+        names = reference.component_names(3, 2, 3)
+        assert len(set(names)) == len(names) == reference.state_size(model) == 123
         assert names[0] == "x[0]"
         assert "theta_hat[0,0]" in names
         assert "excitation[2]" in names
 
     def test_views_are_aliases(self):
-        layout = StateLayout(3, 2, 3)
-        flat = np.zeros(layout.size)
-        x, xhat, fs, theta, exc = layout.views(flat)
+        model = make_chua_setup()[0]
+        flat = np.zeros(reference.state_size(model))
+        x, xhat, fs, theta, exc = reference.views(model, flat)
         fs[2, 1, 0] = 7.0
         theta[1, 1] = -3.0
-        assert flat[layout.fs_sl].reshape(layout.num_units, 3, layout.panel)[2, 1, 0] == 7.0
-        assert flat[layout.theta_sl][3] == -3.0
+        assert flat[6 + 2 * 18 + 1 * 6] == 7.0
+        assert flat[6 + 108 + 3] == -3.0
+
+    @pytest.mark.parametrize("dims", [(3, 2, 3), (2, 1, 2), (1, 2, 3)])
+    def test_abort_names_the_first_component_in_layout_order(self, dims):
+        # Chunk rows 1..3 with NaN at row 2 in one or two flat positions and
+        # an inf at row 3: the abort names row 2's first position, also when
+        # row 2 restarted and its non-finite panels are the pre-reset ones.
+        n, m, s = dims
+        dims_only = SimpleNamespace(n=n, m=m, s=s)
+        names = reference.component_names(n, m, s)
+
+        def chunk_blocks(flats):
+            return [np.stack(v) for v in zip(*(reference.views(dims_only, f) for f in flats))]
+
+        rng = np.random.default_rng(len(names))
+        for first in range(len(names)):
+            flats = np.zeros((3, len(names)))
+            flats[1, [first, rng.integers(first, len(names))]] = np.nan
+            flats[2, rng.integers(0, len(names))] = np.inf
+            blocks = chunk_blocks(flats)
+            assert sim._first_non_finite(blocks, {}, m) == (2, names[first])
+            pre_reset = {2: blocks[2][1].copy()}
+            blocks[2][1] = 0.0
+            assert sim._first_non_finite(blocks, pre_reset, m) == (2, names[first])
+        blocks = chunk_blocks(np.ones((3, len(names))))
+        assert sim._first_non_finite(blocks, {}, m) is None
+        nan_panels = np.full(blocks[2][0].shape, np.nan)
+        assert sim._first_non_finite(blocks, {3: nan_panels}, m) == (3, names[2 * n])
 
 
 def assert_plant_columns_equal(res, model, noise, h, steps, t0=0.0):
