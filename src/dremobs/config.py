@@ -132,8 +132,14 @@ def _build_affine_psi(spec: dict, path: str, n: int):
     ygain = parts.get("output_gain")
     ugain = parts.get("input_gain")
 
-    def psi(y: float, u: float) -> np.ndarray:
-        out = const.copy()
+    def psi(y, u):
+        """(n, m) at float (y, u); (K, n, m) at (K,) arrays, row by row the
+        same operations."""
+        if isinstance(y, np.ndarray):
+            out = np.repeat(const[None], len(y), axis=0)
+            y, u = y[:, None, None], u[:, None, None]
+        else:
+            out = const.copy()
         if ygain is not None:
             out += y * ygain
         if ugain is not None:
@@ -290,7 +296,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     try:
         step = StepConfig(step_size=h, end_time=t_end, start_time=t0)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"config.end_time: {exc}") from exc
+        raise ConfigurationError(f"config.{exc}") from exc
     rule = model.switching_rule
     if isinstance(rule, TimeScheduleRule):
         _expect(

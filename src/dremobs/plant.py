@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Any, Callable, Union
 
 import numpy as np
 
@@ -135,16 +135,22 @@ SwitchingRule = Union[StateRegionRule, TimeScheduleRule]
 class PlantModel:
     """Immutable plant description.
 
-    ``psi(y, u)`` must return a new (n, m) array on every call: the
-    simulation keeps the arrays of a whole chunk of steps.  ``b`` and ``c``
-    are stored as length-n vectors (single input column, single output row).
-    ``true_params`` stacks the s candidate parameter vectors as rows.
+    ``psi`` maps a float output and input ``(y, u)`` to an (n, m) array, and
+    two (K,) arrays of outputs and inputs to the (K, n, m) array whose rows
+    equal the K scalar calls value for value, as ``_chua_psi`` does.  The
+    plant loop calls it on floats once per stage; the filter bank and the
+    observer take it at the measured outputs of a whole chunk of stages in
+    one array call; no array it returns is kept past that stage or chunk,
+    so it may return the same buffer each time.  The contract is checked
+    when the model is built.  ``b`` and ``c`` are stored as length-n vectors
+    (single input column, single output row).  ``true_params`` stacks the s
+    candidate parameter vectors as rows.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    psi: Callable[[float, float], np.ndarray]
+    psi: Callable[[Any, Any], np.ndarray]
     true_params: np.ndarray
     switching_rule: SwitchingRule
     initial_state: np.ndarray
@@ -166,11 +172,7 @@ class PlantModel:
             raise DimensionError("true_params must stack at least one non-empty parameter vector")
         if not np.isfinite(params).all():
             raise ValueError("true_params contains non-finite entries")
-        probe = np.asarray(self.psi(float(c @ x0), 0.0), dtype=float)
-        if probe.shape != (n, params.shape[1]):
-            raise DimensionError(
-                f"psi must return an (n, m)=({n}, {params.shape[1]}) array, got {probe.shape}"
-            )
+        _check_psi(self.psi, n, params.shape[1], float(c @ x0))
         s = params.shape[0]
         if n + params.shape[1] > MAX_SIDE:
             raise ConfigurationError(
@@ -205,6 +207,29 @@ class PlantModel:
     @property
     def s(self) -> int:
         return self.true_params.shape[0]
+
+
+def _check_psi(psi, n: int, m: int, y0: float) -> None:
+    """Raise ConfigurationError naming ``psi`` unless it maps a float pair
+    to an (n, m) array and (K,) arrays to the (K, n, m) array of the K
+    scalar calls, probed at the initial output and at a second point."""
+    contract = (
+        f"psi must map floats (y, u) to an ({n}, {m}) array and (K,) arrays to a "
+        f"(K, {n}, {m}) array equal to the K scalar calls"
+    )
+    ys, us = [y0, y0 + 1.0], [0.0, 0.5]
+    try:
+        single = [np.array(psi(y, u), dtype=float) for y, u in zip(ys, us)]
+        rows = np.array(psi(np.array(ys), np.array(us)), dtype=float)
+    except Exception as exc:  # a user callable: any failure breaks the contract
+        raise ConfigurationError(f"{contract}; it raised {exc!r}") from exc
+    for probe in single:
+        if probe.shape != (n, m):
+            raise ConfigurationError(f"{contract}; a scalar call returned shape {probe.shape}")
+    if rows.shape != (2, n, m):
+        raise ConfigurationError(f"{contract}; at K = 2 it returned shape {rows.shape}")
+    if not np.array_equal(rows, single, equal_nan=True):
+        raise ConfigurationError(f"{contract}; at K = 2 its rows differ from the scalar calls")
 
 
 def stable_closed_loop(model: PlantModel, gain, label: str = "gain") -> np.ndarray:
@@ -297,11 +322,15 @@ CHUA_Q0 = 16.0
 CHUA_R0 = 0.0385
 
 
-_CHUA_PSI_ZERO = np.zeros((3, 2))
-
-
-def _chua_psi(y: float, u: float) -> np.ndarray:
-    out = _CHUA_PSI_ZERO.copy()
+def _chua_psi(y, u):
+    """(n, m) = (3, 2) regressor of a float output, or the (K, 3, 2) stack of
+    a (K,) array of outputs; only the first row is nonzero."""
+    if isinstance(y, np.ndarray):
+        out = np.zeros((len(y), 3, 2))
+        out[:, 0, 0] = -CHUA_P0 * y
+        out[:, 0, 1] = -CHUA_P0
+        return out
+    out = np.zeros((3, 2))
     out[0, 0] = -CHUA_P0 * y
     out[0, 1] = -CHUA_P0
     return out

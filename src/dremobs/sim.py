@@ -7,19 +7,23 @@ and the adaptation feeds the observer.  Nothing flows back into the plant or
 the switching signal.  Classical RK4 applied to such a cascade equals RK4
 applied block by block in cascade order, so the integrator is split:
 
-* The plant alone is stepped stage by stage.  Each stage records the
-  measured output, the input and the nonlinearity at the measured output.
+* The plant alone is stepped stage by stage.  Each stage evaluates the
+  nonlinearity at the true output and records that output and the input;
+  per chunk, the measured outputs are formed from them and the held noise,
+  and the nonlinearity at the measured outputs is one array call.
   Switching is detected on the grid: when the rule's output changes at a
   grid point, that grid time is the switching instant, the filter bank
   restarts (zero filters, identity transition factor) before the next step,
   and the event is recorded.  The plant's rounding is part of its
   behaviour, so its loop keeps every floating-point operation and their
-  order: rate ((A x + psi theta) + B u) + omega (the B u term only when B
-  has a nonzero entry, omega only with a disturbance), stages k h/2 + x and
-  k h + x, step x + ((((k2 + k3) 2 + k1) + k4) h/6).  The three products
-  C x, A x and psi theta are BLAS calls; the glue around them runs on
-  Python floats, the same IEEE operations; the disturbance is evaluated
-  once per chunk at the steps' start, middle and end times.
+  order: rate ((A x + psi(y, u) theta) + B u) + omega (the B u term only
+  when B has a nonzero entry, omega only with a disturbance), stages
+  k h/2 + x and k h + x, step x + ((((k2 + k3) 2 + k1) + k4) h/6).  The
+  three products C x, A x and psi theta are BLAS calls; the glue around
+  them runs on Python floats, the same IEEE operations; a step's stage-1
+  output is the C x its predecessor computed for the switch check; the
+  disturbance is evaluated once per chunk at the steps' start, middle and
+  end times.
 * Every ``CHUNK`` steps the downstream blocks advance over the whole chunk.
   Each is affine in its own state, so one RK4 step is an exact affine
   recurrence whose coefficients are computed from the recorded signals for
@@ -87,15 +91,28 @@ class StepConfig:
     start_time: float = 0.0
 
     def __post_init__(self):
+        """Errors name the field at fault first, as ``<field>: <reason>``."""
         if not (self.step_size > 0.0 and math.isfinite(self.step_size)):
-            raise ConfigurationError("step size must be positive and finite")
+            raise ConfigurationError("step_size: must be positive and finite")
         if self.end_time < self.start_time:
-            raise ConfigurationError("end time must not precede the start time")
+            raise ConfigurationError("end_time: must not precede start_time")
         span = self.end_time - self.start_time
         if not span / self.step_size < MAX_TRACE_ROWS or self.num_steps + 1 > MAX_TRACE_ROWS:
             raise ConfigurationError(
-                f"a horizon of {span:.6g} s at step {self.step_size:.6g} s needs "
+                f"end_time: a horizon of {span:.6g} s at step {self.step_size:.6g} s needs "
                 f"{span / self.step_size + 1:.6g} trace rows, above the limit {MAX_TRACE_ROWS}"
+            )
+        # A grid time t0 + q h is rounded twice, q h and then the sum.  Both
+        # are at most twice the largest exact time T, so each rounding is off
+        # by at most ulp(T), and exact neighbours, h apart, stay strictly
+        # ordered when h > 4 ulp(T).  ulp(2 L) of the computed largest time L
+        # bounds ulp(T) even where T rounded down into a lower binade.
+        largest = max(abs(self.start_time), abs(self.effective_end))
+        if self.num_steps and not self.step_size > 4.0 * math.ulp(2.0 * largest):
+            raise ConfigurationError(
+                f"start_time: grid times near {largest:.17g} lie {math.ulp(largest):.6g} apart, "
+                f"so a step of {self.step_size:.6g} s cannot keep t0 + q h strictly "
+                f"increasing; the step must exceed {4.0 * math.ulp(2.0 * largest):.6g} s"
             )
 
     @property
@@ -212,9 +229,10 @@ def _rk4_offsets(h: float, apply, forcing):
 class _Plant:
     """The plant, stepped stage by stage with grid-point switch detection.
 
-    Each stage also records the signals the downstream blocks consume: the
-    measured output, the input and the nonlinearity at the measured output.
-    The module docstring states which operations the loop must keep.
+    Each stage also records the true output and the input, from which the
+    downstream blocks' measured outputs and nonlinearity are formed per
+    chunk.  ``y`` is the output at the last grid row reached.  The module
+    docstring states which operations the loop must keep.
     """
 
     def __init__(self, model: PlantModel, noise: NoiseSpec | None, cfg: StepConfig, active: int):
@@ -226,18 +244,13 @@ class _Plant:
         self.theta = model.true_params[active - 1]
         self.b = model.b.tolist() if np.any(model.b != 0.0) else None
         self.dot_c, self.dot_a, self.psi = model.c.dot, model.a.dot, model.psi
-        self.signals = []
+        self.y = float(self.dot_c(model.initial_state))
 
-    def rate(self, x: np.ndarray, u: float, omega, v: float) -> list[float]:
-        """Plant rate at the input ``u`` and disturbance row ``omega`` (None
-        when there is none) of the stage's time; the stage's signals are
-        appended to ``signals``."""
-        y = float(self.dot_c(x))
-        ybar = y + v
-        psi_meas = self.psi(ybar, u)
-        psi_true = psi_meas if ybar == y else self.psi(y, u)
-        self.signals.append((ybar, u, psi_meas))
-        linear, param = self.dot_a(x).tolist(), psi_true.dot(self.theta).tolist()
+    def rate(self, x: np.ndarray, y: float, u: float, omega) -> list[float]:
+        """Plant rate at the state ``x`` with output ``y``, at the input
+        ``u`` and disturbance row ``omega`` (None when there is none) of the
+        stage's time."""
+        linear, param = self.dot_a(x).tolist(), self.psi(y, u).dot(self.theta).tolist()
         if self.b is not None:
             linear = [p + q + b * u for p, q, b in zip(linear, param, self.b)]
             return linear if omega is None else [r + w for r, w in zip(linear, omega)]
@@ -261,9 +274,9 @@ class _Plant:
         held noise ``vs`` of the rows after them.
 
         Stops after a row whose state is non-finite.  Returns the last row
-        reached, the stage signals (measured output, input, nonlinearity),
-        one entry per step and stage, and the switches as
-        (row, new subsystem, state).
+        reached, the true outputs and the inputs of every stage of the steps
+        taken, each (steps, 4), and the switches as (row, new subsystem,
+        state).
         """
         h, t0, rule = self.h, self.t0, self.model.switching_rule
         half, sixth = 0.5 * h, h / 6.0
@@ -271,44 +284,56 @@ class _Plant:
         if self.noise is not None:
             vs[lo + 1 : hi + 1] = sample_noise(self.noise, np.arange(lo + 1, hi + 1))
         omega_start, omega_half, omega_end = self.disturbance(lo, hi)
-        self.signals, switches, states, actives = [], [], [], []
-        x = xs[lo]
+        outputs, inputs, switches, states, actives = [], [], [], [], []
+        x, y = xs[lo], self.y
         xl = x.tolist()
         reached = hi
-        for k, v in enumerate(vs[lo:hi].tolist()):
+        for k in range(hi - lo):
             q = lo + k
             t = t0 + q * h
-            k1 = rate(x, u_fn(t), omega_start[k], v)
+            u = u_fn(t)
+            k1 = rate(x, y, u, omega_start[k])
             # Stages 2 and 3 share their time, so their input and disturbance.
             u_half = u_fn(t + half)
-            k2 = rate(np.array([a + b * half for a, b in zip(xl, k1)]), u_half, omega_half[k], v)
-            k3 = rate(np.array([a + b * half for a, b in zip(xl, k2)]), u_half, omega_half[k], v)
-            k4 = rate(np.array([a + b * h for a, b in zip(xl, k3)]), u_fn(t + h), omega_end[k], v)
+            x2 = np.array([a + b * half for a, b in zip(xl, k1)])
+            y2 = float(dot_c(x2))
+            k2 = rate(x2, y2, u_half, omega_half[k])
+            x3 = np.array([a + b * half for a, b in zip(xl, k2)])
+            y3 = float(dot_c(x3))
+            k3 = rate(x3, y3, u_half, omega_half[k])
+            x4 = np.array([a + b * h for a, b in zip(xl, k3)])
+            y4, u_end = float(dot_c(x4)), u_fn(t + h)
+            k4 = rate(x4, y4, u_end, omega_end[k])
+            outputs += (y, y2, y3, y4)
+            inputs += (u, u_half, u_half, u_end)
             xl = [
                 a + ((r2 + r3) * 2.0 + r1 + r4) * sixth
                 for a, r1, r2, r3, r4 in zip(xl, k1, k2, k3, k4)
             ]
             states.append(xl)
             x = np.array(xl)
-            y_next = float(dot_c(x))
-            if not math.isfinite(y_next) and not all(map(math.isfinite, xl)):
+            y = float(dot_c(x))
+            if not math.isfinite(y) and not all(map(math.isfinite, xl)):
                 reached = q + 1
                 break
-            target = rule.subsystem_for(y_next, t0 + (q + 1) * h)
+            target = rule.subsystem_for(y, t0 + (q + 1) * h)
             if target != self.active:
                 switches.append((q + 1, target, x))
                 self.active = target
                 self.theta = self.model.true_params[target - 1]
             actives.append(self.active)
+        self.y = y
         xs[lo + 1 : lo + 1 + len(states)] = states
         sigmas[lo + 1 : lo + 1 + len(actives)] = actives
-        return reached, self.signals, switches
+        shape = (reached - lo, 4)
+        outputs, inputs = np.array(outputs), np.array(inputs, dtype=float)
+        return reached, outputs.reshape(shape), inputs.reshape(shape), switches
 
 
 class _Cascade:
     """Filter bank, mixing, gated adaptation, excitation accumulators and
-    observer, advanced over a chunk of grid steps from the plant's recorded
-    stage signals.
+    observer, advanced over a chunk of grid steps from the stage signals
+    the plant recorded.
 
     Each block is affine in its own state, so one RK4 step is an affine
     recurrence; its coefficients are computed for the whole chunk at once,
@@ -390,8 +415,9 @@ class _Cascade:
         lo, to row hi = lo + K.
 
         ``active`` (K,) holds each step's subsystem, ``ybar`` and ``u``
-        (K, 4) and ``psi`` (K, 4, n, m) the plant's stage signals, and
-        ``resets`` the rows, counted from lo, whose filters restart.
+        (K, 4) the measured output and the input of every stage, ``psi``
+        (K, 4, n, m) the nonlinearity at them, and ``resets`` the rows,
+        counted from lo, whose filters restart.
         Returns the filter bank (K+1, units, n, panel) at rows lo..hi; x_hat
         (K, n), theta_hat (K, s, m) and the accumulators (K, s) at rows
         lo+1..hi; the determinant the law used at rows lo..hi-1; the
@@ -682,16 +708,14 @@ def run_simulation(
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         lo = 0
         while lo < steps:
-            hi, signals, switches = plant.advance(
+            hi, y, u, switches = plant.advance(
                 store.x, lo, min(lo + CHUNK, steps), store.sigma, store.v
             )
-            ybar, u, psi = (np.array(column) for column in zip(*signals))
+            # Measured outputs of the steps reached, noise held per step.
+            ybar = y + store.v[lo:hi, None]
+            psi = model.psi(ybar.ravel(), u.ravel()).reshape(hi - lo, 4, n, m)
             panels, xhat, theta, exc, delta, pre_reset, peak_step = cascade.advance(
-                store.sigma[lo:hi],
-                ybar.reshape(-1, 4),
-                u.reshape(-1, 4),
-                psi.reshape(-1, 4, n, m),
-                {row - lo for row, _, _ in switches},
+                store.sigma[lo:hi], ybar, u, psi, {row - lo for row, _, _ in switches}
             )
             new = slice(lo + 1, hi + 1)
             store.xhat[new], store.theta[new], store.exc[new] = xhat, theta, exc

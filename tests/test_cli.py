@@ -156,6 +156,38 @@ class TestSimulateCommand:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize(
+        "config, override, names",
+        [
+            pytest.param(
+                {"start_time": 1e16, "end_time": 10000000000000010}, None, "config.start_time",
+                id="config-1e16",
+            ),
+            pytest.param(
+                {"start_time": 1e12, "end_time": 1000000000001}, "1e-4", "--T/--h override",
+                id="override-1e12",
+            ),
+        ],
+    )
+    def test_grid_times_that_cannot_increase_exit_2(self, tmp_path, config, override, names):
+        # Rejected at load time, before the time column is built.
+        import subprocess
+        import sys
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"plant": "chua", **config}))
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "o")]
+        if override is not None:
+            argv += ["--h", override]
+        proc = subprocess.run(
+            [sys.executable, "-m", "dremobs.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        assert names in proc.stderr and "start_time: grid times" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+
 class TestVerifyCommand:
     def test_short_verify_passes(self, tmp_path, capsys):
         out = tmp_path / "v"

@@ -95,7 +95,7 @@ class TestErrorMetrics:
             a=np.array([[-1.0]]),
             b=np.zeros(1),
             c=np.ones(1),
-            psi=lambda y, u: np.zeros((1, 1)),
+            psi=lambda y, u: np.zeros(np.shape(y) + (1, 1)),
             true_params=np.zeros((1, 1)),
             switching_rule=d.StateRegionRule((d.OutputRegion(),)),
             initial_state=np.zeros(1),

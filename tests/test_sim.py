@@ -58,6 +58,29 @@ class TestStepConfig:
         with pytest.raises(ConfigurationError, match="trace rows"):
             StepConfig(1.0, 1e308, start_time=-1e308)  # the span overflows
 
+    def test_grid_times_must_increase(self):
+        # At 1e16 floats lie 2 apart, and the bound is 4 ulp(2e16) = 16 s.
+        with pytest.raises(ConfigurationError, match="start_time: grid times"):
+            StepConfig(1e-3, 1e16 + 10.0, start_time=1e16)
+        with pytest.raises(ConfigurationError, match="start_time: grid times"):
+            StepConfig(16.0, 1e16 + 160.0, start_time=1e16)
+        step = math.nextafter(16.0, math.inf)
+        cfg = StepConfig(step, 1e16 + 160.0, start_time=1e16)
+        times = cfg.start_time + step * np.arange(cfg.num_steps + 1)
+        assert cfg.num_steps == 10 and (np.diff(times) > 0.0).all()
+        # One row cannot go backwards, whatever the step.
+        assert StepConfig(1e-3, -1e16, start_time=-1e16).num_steps == 0
+
+    def test_accepted_grids_increase(self):
+        # Steps just above the bound, over many magnitudes and both signs.
+        rng = np.random.default_rng(11)
+        for t0 in rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-3.0, 300.0, 300):
+            t0 = float(t0)
+            h = math.nextafter(4.0 * math.ulp(2.0 * abs(t0)), math.inf)
+            cfg = StepConfig(h, t0 + 50 * h, start_time=t0)
+            times = t0 + h * np.arange(cfg.num_steps + 1)
+            assert (np.diff(times) > 0.0).all(), (t0, h)
+
 
 class TestRk4Step:
     def test_zero_derivative_keeps_state(self):
@@ -128,7 +151,7 @@ class TestRk4Step:
             a=np.array([[5.0]]),
             b=np.zeros(1),
             c=np.array([1.0]),
-            psi=lambda y, u: np.array([[1.0]]),
+            psi=lambda y, u: np.ones(np.shape(y) + (1, 1)),
             true_params=np.array([[0.1]]),
             switching_rule=TimeScheduleRule(((0.0, 1),)),
             initial_state=np.array([1.0]),
@@ -292,7 +315,7 @@ class TestRunSimulation:
             a=np.array([[1.0, 5.0], [-5.0, 1.0]]),
             b=np.zeros(2),
             c=np.array([1.0, 0.0]),
-            psi=lambda y, u: np.array([[1.0], [0.0]]),
+            psi=lambda y, u: np.zeros(np.shape(y) + (2, 1)) + [[1.0], [0.0]],
             true_params=np.array([[0.1], [0.1]]),
             switching_rule=FiniteOnlyRule(
                 (OutputRegion(lower=0.0), OutputRegion(upper=0.0, upper_closed=False))
@@ -308,6 +331,49 @@ class TestRunSimulation:
             )
         assert 600.0 < info.value.time < 800.0  # e^t passes the float range
         assert info.value.component in reference.component_names(2, 1, 2)
+
+    def test_noisy_abort_mid_chunk_independent_of_chunk_length(self, monkeypatch):
+        # The spiralling plant above with measurement noise and a disturbance
+        # on.  At the default chunk length the plant stops mid-chunk, and the
+        # chunk's measured outputs cover only the rows it reached; the abort
+        # is the same as at a chunk length of 3.
+        model = d.PlantModel(
+            a=np.array([[1.0, 5.0], [-5.0, 1.0]]),
+            b=np.zeros(2),
+            c=np.array([1.0, 0.0]),
+            psi=lambda y, u: np.zeros(np.shape(y) + (2, 1)) + [[1.0], [0.0]],
+            true_params=np.array([[0.1], [0.1]]),
+            switching_rule=StateRegionRule(
+                (OutputRegion(lower=0.0), OutputRegion(upper=0.0, upper_closed=False))
+            ),
+            initial_state=np.array([2.0, 0.0]),
+        )
+        est = DremEstimator(theta_hat=np.zeros((2, 1)), gamma=np.ones(2))
+        obs = ObserverState(np.array([10.0, 0.0]), model)
+        noise = d.NoiseSpec(v0=0.05, seed=9, omega=make_sinusoid_disturbance([0.02, 0.01], [4, 9]))
+        advance, stops = sim._Plant.advance, []
+
+        def recording(plant, xs, lo, hi, *args):
+            reached, *rest = advance(plant, xs, lo, hi, *args)
+            if reached < hi:
+                stops.append((lo, reached, hi))
+            return (reached, *rest)
+
+        monkeypatch.setattr(sim._Plant, "advance", recording)
+        aborts = []
+        for chunk in (3, sim.CHUNK):
+            monkeypatch.setattr(sim, "CHUNK", chunk)
+            with pytest.raises(SimulationAbort) as info:
+                run_simulation(
+                    model, est, obs, StepConfig(0.05, 1000.0), noise,
+                    filter_gains=np.array([[6.0, 1.0], [10.0, 0.0], [8.0, 2.0]]),
+                )
+            aborts.append((info.value.time, info.value.component))
+        assert aborts[0] == aborts[1]
+        row = round(aborts[0][0] / 0.05)
+        assert row % 3 and row % sim.CHUNK  # both runs abort mid-chunk
+        ((lo, reached, hi),) = stops
+        assert lo < row < reached < hi
 
     def test_divergent_plant_aborts_with_component(self):
         model, est, obs = make_chua_setup()
@@ -328,7 +394,7 @@ def small_switched_setup():
         a=np.array([[-1.0, 1.0], [-2.0, -0.5]]),
         b=np.array([0.0, 1.0]),
         c=np.array([1.0, 0.0]),
-        psi=lambda y, u: np.array([[np.sin(y)], [0.5 + 0.1 * u]]),
+        psi=lambda y, u: np.stack([np.sin(y), 0.5 + 0.1 * u], axis=-1)[..., None],
         true_params=np.array([[0.8], [-0.6]]),
         switching_rule=TimeScheduleRule(((0.0, 2), (0.0025, 1))),
         initial_state=np.array([0.7, -0.3]),
@@ -446,7 +512,7 @@ def small_switched_cases(draw):
         a=sim_t @ canonical @ sim_inv,
         b=_uniform(draw, -1.0, 1.0, (n,)),
         c=np.eye(n)[0] @ sim_inv,
-        psi=lambda y, u: const + y * out_gain + u * in_gain,
+        psi=lambda y, u: const + np.multiply.outer(y, out_gain) + np.multiply.outer(u, in_gain),
         true_params=_uniform(draw, -1.0, 1.0, (s, m)),
         switching_rule=TimeScheduleRule(((0.0, 1),)),
         initial_state=_uniform(draw, -1.0, 1.0, (n,)),
@@ -673,3 +739,74 @@ class TestDisturbanceContract:
             assert rows.shape == (43, 3)
             for row, t in zip(rows, column[:, 0].tolist()):
                 assert row.tobytes() == omega(t).tobytes()
+
+
+class TestPsiContract:
+    """``psi`` maps floats (y, u) to an (n, m) array and (K,) arrays to the
+    (K, n, m) array of the K scalar calls; a callable that does not is
+    rejected when the model is built, before the plant is stepped."""
+
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            lambda y, u: np.array([[math.sin(y)], [0.5 + 0.1 * u]]),  # floats only
+            lambda y, u: np.array([[np.sin(y)], [0.5 + 0.1 * u]]),  # (n, m, K) at arrays
+            lambda y, u: np.ones((2, 1)),  # (n, m) whatever K is
+            lambda y, u: np.ones(np.shape(y) + (2, 2)),  # m = 2 columns for an m = 1 plant
+            lambda y, u: np.ones(np.shape(y) + (2, 1)) * (np.ndim(y) + 1.0),  # rows differ
+        ],
+        ids=["scalar-only", "trailing-axis", "one-array", "wrong-width", "unequal-rows"],
+    )
+    def test_rejected_before_integration(self, psi, monkeypatch):
+        model, gains, _, est, obs, noise = small_switched_setup()
+
+        def never(*args):
+            raise AssertionError("the plant was stepped")
+
+        monkeypatch.setattr(sim._Plant, "advance", never)
+        with pytest.raises(ConfigurationError, match="psi"):
+            run_simulation(
+                replace(model, psi=psi), est, obs, StepConfig(1e-3, 1.0), noise,
+                filter_gains=gains,
+            )
+
+    # Signed zeros, subnormals, values near the float limit and ordinary ones.
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e308, 1e308, 1.7976931348623157e308,
+             0.3, -2.75, 1.0, -1.0]
+
+    def _assert_rows_equal_scalar_calls(self, psi):
+        ys = np.array(self.EDGES * 2)
+        us = np.array([0.0] * len(self.EDGES) + [-0.0, 1.5, -1e308, 3e-320] * 3)
+        rows = psi(ys, us)
+        assert rows.shape[0] == len(ys)
+        for row, y, u in zip(rows, ys.tolist(), us.tolist()):
+            assert row.tobytes() == psi(y, u).tobytes(), (y, u)
+
+    def test_chua_rows_equal_scalar_calls(self):
+        with np.errstate(over="ignore"):
+            self._assert_rows_equal_scalar_calls(d.chua_preset().psi)
+
+    def test_affine_config_rows_equal_scalar_calls(self):
+        from dremobs.config import config_from_dict
+
+        cfg = config_from_dict(
+            {
+                "plant": {
+                    "a": [[-1.0, 1.0], [-2.0, -0.5]],
+                    "b": [0.0, 1.0],
+                    "c": [1.0, 0.0],
+                    "psi": {
+                        "constant": [[0.25, -0.0], [1e-310, 3.0]],
+                        "output_gain": [[1.5, -0.0], [2.0, 1e-300]],
+                        "input_gain": [[0.0, -7.0], [0.125, 1e308]],
+                    },
+                    "true_params": [[0.5, -0.5]],
+                    "switching": {"type": "schedule", "entries": [[0.0, 1]]},
+                    "initial_state": [0.1, 0.2],
+                },
+                "filter_gains": [[1.0, 0.5], [2.0, -0.5], [0.5, 1.0], [3.0, 1.0]],
+                "observer_gain": [1.5, 0.0],
+            }
+        )
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            self._assert_rows_equal_scalar_calls(cfg.model.psi)
