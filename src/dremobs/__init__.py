@@ -9,7 +9,7 @@ from .errors import (
     SimulationAbort,
     TraceFormatError,
 )
-from .estimator import DremEstimator, ExcitationReport, adaptation_rates, pe_check
+from .estimator import ExcitationReport, adaptation_rates, pe_check
 from .linalg import (
     StabilityVerdict,
     characteristic_polynomial,
@@ -18,7 +18,6 @@ from .linalg import (
     is_hurwitz,
     routh_verdict,
 )
-from .observer import ErrorMetrics, ObserverState, error_metrics
 from .plant import (
     NoiseSpec,
     OutputRegion,
@@ -32,11 +31,12 @@ from .plant import (
 )
 from .sim import (
     Diagnostics,
+    ExperimentConfig,
     RunResult,
     StateLayout,
     StepConfig,
     SwitchEvent,
-    run_simulation,
+    run_experiment,
 )
 from .trace import SimulationTrace, read_trace, traces_equal, write_trace
 
@@ -48,7 +48,6 @@ __all__ = [
     "GainStabilityError",
     "SimulationAbort",
     "TraceFormatError",
-    "DremEstimator",
     "ExcitationReport",
     "adaptation_rates",
     "pe_check",
@@ -58,9 +57,6 @@ __all__ = [
     "hurwitz_verdict",
     "is_hurwitz",
     "routh_verdict",
-    "ErrorMetrics",
-    "ObserverState",
-    "error_metrics",
     "NoiseSpec",
     "OutputRegion",
     "PlantModel",
@@ -71,11 +67,12 @@ __all__ = [
     "sample_noise",
     "stable_closed_loop",
     "Diagnostics",
+    "ExperimentConfig",
     "RunResult",
     "StateLayout",
     "StepConfig",
     "SwitchEvent",
-    "run_simulation",
+    "run_experiment",
     "SimulationTrace",
     "read_trace",
     "traces_equal",

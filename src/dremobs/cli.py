@@ -46,7 +46,10 @@ def _build_parser() -> argparse.ArgumentParser:
     src = sim.add_mutually_exclusive_group(required=True)
     src.add_argument("--config", help="path to a JSON experiment configuration")
     src.add_argument("--preset", help="built-in plant preset (chua)")
-    sim.add_argument("--mode", choices=("ideal", "robust"), default="ideal")
+    sim.add_argument(
+        "--mode", choices=("ideal", "robust"), default=None,
+        help="preset mode (default ideal); with --config it must equal the file's mode",
+    )
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--seed", type=int, default=None, help="noise seed override")
     sim.add_argument("--h", type=float, default=None, help="integration step override")
@@ -66,37 +69,52 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = load_config(args.config)
-        if args.mode != "ideal" and cfg.mode != args.mode:
-            raise ConfigurationError(
-                "config.mode: conflicts with --mode; set the mode in the file"
-            )
-    else:
-        cfg = preset_config(
+    if not args.config:
+        return preset_config(
             args.preset,
-            args.mode,
+            args.mode or "ideal",
             seed=args.seed if args.seed is not None else 0,
             step_size=args.h if args.h is not None else DEFAULT_STEP,
             end_time=args.T if args.T is not None else DEFAULT_END,
         )
+    cfg = load_config(args.config)
+    if args.mode is not None and args.mode != cfg.mode:
+        raise ConfigurationError(
+            f"config.mode: the file sets '{cfg.mode}' but --mode asks for "
+            f"'{args.mode}'; set the mode in the file"
+        )
+    if args.seed is None and args.h is None and args.T is None:
         return cfg
-    # File-based config with CLI overrides.
-    if args.seed is not None or args.h is not None or args.T is not None:
-        step = cfg.step
-        try:
-            cfg.step = StepConfig(
+    # The overrides build a new config, checked as the file's was.
+    step, seed, noise = cfg.step, cfg.seed, cfg.noise
+    if args.seed is not None:
+        seed = args.seed
+        noise = noise if noise is None else replace(noise, seed=seed)
+    try:
+        return replace(
+            cfg,
+            step=StepConfig(
                 step_size=args.h if args.h is not None else step.step_size,
                 end_time=args.T if args.T is not None else step.end_time,
                 start_time=step.start_time,
-            )
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"--T/--h override: {exc}") from exc
-        if args.seed is not None:
-            cfg.seed = args.seed
-            if cfg.noise is not None:
-                cfg.noise = replace(cfg.noise, seed=args.seed)
-    return cfg
+            ),
+            seed=seed,
+            noise=noise,
+        )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"--seed/--T/--h override: {exc}") from exc
+
+
+def _output_dir(path) -> Path | None:
+    """Create the output directory, or print why it cannot be and return
+    None."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: cannot create directory {out}: {exc}", file=sys.stderr)
+        return None
+    return out
 
 
 def _cmd_simulate(args) -> int:
@@ -105,16 +123,14 @@ def _cmd_simulate(args) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
+    if out is None:
+        return EXIT_CONFIG
     try:
         result = run_experiment(cfg)
     except SimulationAbort as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     trace_path = out / "trace.csv"
     write_trace(result.trace, trace_path)
     summary = summarize(result)
@@ -143,6 +159,9 @@ def _cmd_verify(args) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out = _output_dir(args.out) if args.out else None
+    if args.out and out is None:
+        return EXIT_CONFIG
     try:
         result = run_experiment(cfg, collect_diagnostics=True)
     except SimulationAbort as exc:
@@ -152,9 +171,7 @@ def _cmd_verify(args) -> int:
     for check in checks:
         print(check.line())
     all_passed = all(c.passed for c in checks)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         report = {
             "all_passed": all_passed,
             "checks": [
@@ -182,7 +199,10 @@ def _cmd_plot(args) -> int:
     except (OSError, TraceFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    written = render_trace_plots(trace, args.out)
+    out = _output_dir(args.out)
+    if out is None:
+        return EXIT_CONFIG
+    written = render_trace_plots(trace, out)
     for path in written:
         print(path)
     return EXIT_OK

@@ -1,23 +1,23 @@
-"""Experiment configuration: JSON schema, validation, and presets.
+"""JSON experiment files: schema, presets, and the parse into an
+``ExperimentConfig``.
 
 A configuration is a single JSON object.  The only required key is
 ``plant`` (a preset name or a full plant description); everything else
 defaults to the built-in values of the named preset.  See the README for
-the full schema.
+the full schema.  This module parses JSON types and fills in defaults; the
+checks on the run inputs themselves are ``ExperimentConfig``'s, reported
+here under ``config.``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimator import DEFAULT_GAIN, DremEstimator
-from .observer import ObserverState
 from .plant import (
     CHUA_FILTER_GAINS,
     CHUA_OBSERVER_GAIN,
@@ -30,35 +30,12 @@ from .plant import (
     chua_robust_noise,
     make_sinusoid_disturbance,
 )
-from .sim import RunResult, StepConfig, run_simulation
 
-MODES = ("ideal", "robust", "verify")
+# ``run_experiment`` is importable from here too: load a file, then run it.
+from .sim import ExperimentConfig, StepConfig, run_experiment  # noqa: F401
 
 DEFAULT_STEP = 1e-3
 DEFAULT_END = 100.0
-
-
-@dataclass
-class ExperimentConfig:
-    """Fully resolved experiment: model, gains, grid, noise, initial values."""
-
-    model: PlantModel
-    filter_gains: np.ndarray
-    observer_gain: np.ndarray
-    gamma: np.ndarray
-    step: StepConfig
-    mode: str
-    seed: int
-    theta_init: np.ndarray
-    observer_init: np.ndarray
-    noise: NoiseSpec | None
-    output_dir: str | None = None
-
-    def build_estimator(self) -> DremEstimator:
-        return DremEstimator(theta_hat=self.theta_init.copy(), gamma=self.gamma.copy())
-
-    def build_observer(self) -> ObserverState:
-        return ObserverState(self.observer_gain, self.model, x_hat=self.observer_init)
 
 
 def _expect(cond: bool, path: str, message: str) -> None:
@@ -94,12 +71,9 @@ def _as_float_list(value, path: str, length: int | None = None) -> np.ndarray:
     return arr
 
 
-def _as_matrix(value, path: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+def _as_matrix(value, path: str, rows: int | None = None) -> np.ndarray:
     _expect(isinstance(value, list) and value, path, "expected a non-empty list of rows")
-    mat = [
-        _as_float_list(row, f"{path}[{k}]", cols if cols is not None else None)
-        for k, row in enumerate(value)
-    ]
+    mat = [_as_float_list(row, f"{path}[{k}]") for k, row in enumerate(value)]
     widths = {r.size for r in mat}
     _expect(len(widths) == 1, path, "rows have inconsistent lengths")
     arr = np.vstack(mat)
@@ -254,7 +228,8 @@ def _build_noise(spec, path: str, n: int, seed: int) -> NoiseSpec:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Validate a parsed JSON object and resolve all defaults."""
+    """Parse a JSON object into a checked ExperimentConfig, with the preset's
+    defaults for the keys it does not set."""
     _expect(isinstance(raw, dict), "config", "expected a JSON object")
     known = {
         "plant",
@@ -269,113 +244,51 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         "theta_init",
         "observer_init",
         "noise",
-        "output_dir",
     }
     for key in raw:
         _expect(key in known, f"config.{key}", "unknown key")
     _expect("plant" in raw, "config.plant", "required")
 
     plant_spec = raw["plant"]
-    preset = None
-    if isinstance(plant_spec, str):
+    preset = isinstance(plant_spec, str)
+    if preset:
         _expect(plant_spec == "chua", "config.plant", f"unknown preset '{plant_spec}'")
-        preset = plant_spec
         model = chua_preset()
     else:
         _expect(isinstance(plant_spec, dict), "config.plant", "expected a preset name or an object")
         model = _build_custom_plant(plant_spec, "config.plant")
 
     mode = raw.get("mode", "ideal")
-    _expect(mode in MODES, "config.mode", f"expected one of {MODES}")
     seed = _as_int(raw.get("seed", 0), "config.seed")
     h = _as_float(raw.get("step_size", DEFAULT_STEP), "config.step_size")
-    _expect(h > 0.0, "config.step_size", "must be positive")
     t_end = _as_float(raw.get("end_time", DEFAULT_END), "config.end_time")
     t0 = _as_float(raw.get("start_time", 0.0), "config.start_time")
-    _expect(t_end >= t0, "config.end_time", "must not precede start_time")
-    try:
-        step = StepConfig(step_size=h, end_time=t_end, start_time=t0)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"config.{exc}") from exc
-    rule = model.switching_rule
-    if isinstance(rule, TimeScheduleRule):
-        _expect(
-            rule.entries[0][0] <= t0,
-            "config.plant.switching.entries[0][0]",
-            f"the schedule starts at t={rule.entries[0][0]:.6g}, after start_time {t0:.6g}",
-        )
 
-    mn = model.m + model.n
-    if "filter_gains" in raw:
-        gains = _as_matrix(raw["filter_gains"], "config.filter_gains")
-        _expect(
-            gains.shape == (mn, model.n),
-            "config.filter_gains",
-            f"the bank needs exactly m + n = {mn} gains of length {model.n}, "
-            f"got shape {tuple(gains.shape)}",
-        )
-    elif preset == "chua":
-        gains = CHUA_FILTER_GAINS.copy()
-    else:
-        raise ConfigurationError("config.filter_gains: required for a custom plant")
-
-    if "observer_gain" in raw:
-        obs_gain = _as_float_list(raw["observer_gain"], "config.observer_gain", length=model.n)
-    elif preset == "chua":
-        obs_gain = CHUA_OBSERVER_GAIN.copy()
-    else:
-        raise ConfigurationError("config.observer_gain: required for a custom plant")
-
-    if "gamma" in raw:
-        gamma = _as_float_list(raw["gamma"], "config.gamma", length=model.s)
-        _expect(bool(np.all(gamma > 0.0)), "config.gamma", "entries must be positive")
-    else:
-        gamma = np.full(model.s, DEFAULT_GAIN)
-
-    if "theta_init" in raw:
-        theta_init = _as_matrix(raw["theta_init"], "config.theta_init", rows=model.s, cols=model.m)
-    else:
-        theta_init = np.zeros((model.s, model.m))
-
-    if "observer_init" in raw:
-        observer_init = _as_float_list(raw["observer_init"], "config.observer_init", length=model.n)
-    else:
-        observer_init = np.zeros(model.n)
+    fields = {}
+    for key, parse in (
+        ("filter_gains", _as_matrix),
+        ("observer_gain", _as_float_list),
+        ("gamma", _as_float_list),
+        ("theta_init", _as_matrix),
+        ("observer_init", _as_float_list),
+    ):
+        if key in raw:
+            fields[key] = parse(raw[key], f"config.{key}")
+    for key, default in (("filter_gains", CHUA_FILTER_GAINS), ("observer_gain", CHUA_OBSERVER_GAIN)):
+        _expect(key in fields or preset, f"config.{key}", "required for a custom plant")
+        fields.setdefault(key, default)
 
     noise = None
-    if mode == "robust":
-        if "noise" in raw and raw["noise"] is not None:
-            noise = _build_noise(raw["noise"], "config.noise", model.n, seed)
-        elif preset == "chua":
-            noise = chua_robust_noise(seed=seed)
-        else:
-            raise ConfigurationError(
-                "config.noise: required in robust mode for a custom plant"
-            )
-    else:
-        _expect(
-            raw.get("noise") is None,
-            "config.noise",
-            f"only allowed in robust mode (mode is '{mode}')",
-        )
+    if raw.get("noise") is not None:
+        noise = _build_noise(raw["noise"], "config.noise", model.n, seed)
+    elif preset and mode == "robust":
+        noise = chua_robust_noise(seed=seed)
 
-    output_dir = raw.get("output_dir")
-    if output_dir is not None:
-        _expect(isinstance(output_dir, str), "config.output_dir", "expected a string")
-
-    return ExperimentConfig(
-        model=model,
-        filter_gains=gains,
-        observer_gain=obs_gain,
-        gamma=gamma,
-        step=step,
-        mode=mode,
-        seed=seed,
-        theta_init=theta_init,
-        observer_init=observer_init,
-        noise=noise,
-        output_dir=output_dir,
-    )
+    try:
+        step = StepConfig(step_size=h, end_time=t_end, start_time=t0)
+        return ExperimentConfig(model=model, step=step, mode=mode, seed=seed, noise=noise, **fields)
+    except ConfigurationError as exc:
+        raise type(exc)(f"config.{exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -409,19 +322,4 @@ def preset_config(
             "step_size": step_size,
             "end_time": end_time,
         }
-    )
-
-
-def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> RunResult:
-    """Build the estimator/observer from the config and run the simulation."""
-    return run_simulation(
-        cfg.model,
-        cfg.build_estimator(),
-        cfg.build_observer(),
-        cfg.step,
-        cfg.noise,
-        filter_gains=cfg.filter_gains,
-        collect_diagnostics=collect_diagnostics,
-        seed=cfg.seed,
-        mode_label=cfg.mode,
     )

@@ -14,46 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
-
-DEFAULT_GAIN = 10.0
-
-
-@dataclass
-class DremEstimator:
-    """Initial per-subsystem parameter estimates, shape (s, m), with one
-    scalar adaptation gain per subsystem."""
-
-    theta_hat: np.ndarray
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        theta = np.atleast_2d(np.asarray(self.theta_hat, dtype=float))
-        if not np.isfinite(theta).all():
-            raise ValueError("theta_hat contains non-finite entries")
-        gamma = np.asarray(self.gamma, dtype=float)
-        if gamma.shape != (theta.shape[0],):
-            raise DimensionError(
-                f"gamma must have one entry per subsystem ({theta.shape[0]}), got {gamma.shape}"
-            )
-        if np.any(gamma <= 0.0):
-            raise ConfigurationError("adaptation gains must be positive")
-        self.theta_hat = theta
-        self.gamma = gamma
-
-    @property
-    def s(self) -> int:
-        return self.theta_hat.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.theta_hat.shape[1]
-
-    @classmethod
-    def create(cls, s: int, m: int, gamma=DEFAULT_GAIN) -> "DremEstimator":
-        """Zero-initialised estimator for s subsystems of m parameters."""
-        gamma_arr = np.broadcast_to(np.asarray(gamma, dtype=float), (s,)).copy()
-        return cls(theta_hat=np.zeros((s, m)), gamma=gamma_arr)
+from .errors import ConfigurationError
 
 
 def adaptation_rates(gamma: np.ndarray, delta, zbar, active, m: int):

@@ -10,6 +10,7 @@ determinant routinely passes through zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -191,7 +192,11 @@ class StabilityVerdict:
 
 
 def routh_verdict(coefficients) -> StabilityVerdict:
-    """Routh array test: stable iff every root is in the open left half plane."""
+    """Routh array test: stable iff every root is in the open left half plane.
+
+    An array whose entries leave the float range is indeterminate, an
+    expected outcome, so its overflow raises no warning.
+    """
     c = np.asarray(coefficients, dtype=float)
     if c.ndim != 1 or c.size < 1:
         raise DimensionError("coefficient list must be 1-D and non-empty")
@@ -218,18 +223,21 @@ def routh_verdict(coefficients) -> StabilityVerdict:
         if pivot == 0.0:
             return StabilityVerdict(False, True)
         new = np.zeros(width)
-        new[: width - 1] = (pivot * prev2[1:] - prev2[0] * prev[1:]) / pivot
+        with np.errstate(over="ignore", invalid="ignore"):
+            new[: width - 1] = (pivot * prev2[1:] - prev2[0] * prev[1:]) / pivot
         prev2, prev = prev, new
         first_col.append(new[0])
-    if any(v == 0.0 for v in first_col):
+    if any(v == 0.0 or not math.isfinite(v) for v in first_col):
         return StabilityVerdict(False, True)
     return StabilityVerdict(all(v > 0.0 for v in first_col), False)
 
 
 def hurwitz_verdict(matrix) -> StabilityVerdict:
     """Full verdict (including the indeterminate flag) for a matrix.  A
-    characteristic polynomial beyond the float range is indeterminate."""
-    coefficients = characteristic_polynomial(matrix)
+    characteristic polynomial beyond the float range is indeterminate, an
+    expected outcome, so its overflow raises no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = characteristic_polynomial(matrix)
     if not np.isfinite(coefficients).all():
         return StabilityVerdict(False, True)
     return routh_verdict(coefficients)

@@ -244,7 +244,7 @@ def stable_closed_loop(model: PlantModel, gain, label: str = "gain") -> np.ndarr
         kind = "unstable"
         if verdict.indeterminate:
             kind = "indeterminate (marginal or out of float range)"
-        raise GainStabilityError(f"{label} {gain.tolist()} gives an {kind} closed-loop matrix")
+        raise GainStabilityError(f"{label}: {gain.tolist()} gives an {kind} closed-loop matrix")
     return a_closed
 
 
@@ -255,7 +255,7 @@ class NoiseSpec:
     ``omega`` is the disturbance rate (None means zero).  It maps a (K, 1)
     column of times to the (K, n) array of the rates at those times, as
     ``make_sinusoid_disturbance`` does; the simulation evaluates it once per
-    chunk of grid steps and checks this contract before integrating.
+    chunk of grid steps, and ``ExperimentConfig`` checks this contract.
     Measurement noise is uniform on [-v0, v0], generated deterministically
     from (seed, step index).  ``lipschitz_psi`` is a declared constant used
     only for reporting.
@@ -280,7 +280,7 @@ def disturbance_rows(spec: NoiseSpec, n: int, times: np.ndarray) -> np.ndarray:
     A callable that fails on the column or returns another shape raises
     ConfigurationError naming ``omega``.
     """
-    contract = f"noise omega must map a (K, 1) column of times to a (K, {n}) array"
+    contract = f"omega must map a (K, 1) column of times to a (K, {n}) array"
     try:
         rows = np.asarray(spec.omega(times), dtype=float)
     except Exception as exc:  # a user callable: any failure breaks the contract

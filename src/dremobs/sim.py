@@ -1,6 +1,9 @@
 """Fixed-step hybrid simulation of the plant / filter / estimator / observer
 cascade.
 
+A run is described by one ``ExperimentConfig``, which checks all of its
+inputs when it is built, and ``run_experiment`` runs it.
+
 Signals flow one way: the plant drives the filter bank through the measured
 output, the filters feed the mixing, the mixing feeds the gated adaptation,
 and the adaptation feeds the observer.  Nothing flows back into the plant or
@@ -62,10 +65,16 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, SimulationAbort
-from .estimator import DremEstimator, adaptation_rates
+from .estimator import adaptation_rates
 from .linalg import Cofactors, det_adjugate_batch
-from .observer import ObserverState
-from .plant import NoiseSpec, PlantModel, disturbance_rows, sample_noise, stable_closed_loop
+from .plant import (
+    NoiseSpec,
+    PlantModel,
+    TimeScheduleRule,
+    disturbance_rows,
+    sample_noise,
+    stable_closed_loop,
+)
 from .trace import SimulationTrace, column_names
 
 # Grid steps per downstream pass, sized to bound the per-chunk buffers.
@@ -79,6 +88,11 @@ RK4_STABILITY_LIMIT = 2.785293563405289
 # Largest number of grid rows a run may record, start row included; the
 # README gives the reason for the value.
 MAX_TRACE_ROWS = 10_000_000
+
+MODES = ("ideal", "robust", "verify")
+
+# Adaptation gain of every subsystem whose gain is not given.
+DEFAULT_GAIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -126,6 +140,82 @@ class StepConfig:
     @property
     def effective_end(self) -> float:
         return self.start_time + self.num_steps * self.step_size
+
+
+def _frozen(value) -> np.ndarray:
+    """A read-only float copy, so a checked input cannot change afterwards."""
+    array = np.array(value, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One run, fully described: the plant, the m+n filter gains and the
+    observer gain, the grid, one adaptation gain per subsystem, the initial
+    estimates, the mode with its noise, and the seed the trace records.
+
+    Unset gains are ``DEFAULT_GAIN`` and unset initial estimates zero.
+    Every check on these inputs is made here, once, when the config is
+    built; the run takes them as checked.  Errors name the field at fault
+    first, as ``<field>: <reason>``, by its key in the JSON schema (the
+    model's key is ``plant``).
+    """
+
+    model: PlantModel
+    filter_gains: np.ndarray
+    observer_gain: np.ndarray
+    step: StepConfig
+    gamma: np.ndarray | None = None
+    theta_init: np.ndarray | None = None
+    observer_init: np.ndarray | None = None
+    mode: str = "ideal"
+    seed: int = 0
+    noise: NoiseSpec | None = None
+
+    def __post_init__(self):
+        model, step = self.model, self.step
+        n, m, s = model.n, model.m, model.s
+        arrays = {
+            "filter_gains": ((m + n, n), None),
+            "observer_gain": ((n,), None),
+            "gamma": ((s,), np.full(s, DEFAULT_GAIN)),
+            "theta_init": ((s, m), np.zeros((s, m))),
+            "observer_init": ((n,), np.zeros(n)),
+        }
+        for name, (shape, default) in arrays.items():
+            value = getattr(self, name)
+            array = _frozen(default if value is None else value)
+            if array.shape != shape:
+                rule = f"expected shape {shape}"
+                if name == "filter_gains":
+                    rule = f"the bank needs exactly m + n = {m + n} gains of length {n}"
+                raise ConfigurationError(f"{name}: {rule}, got shape {array.shape}")
+            if not np.isfinite(array).all():
+                raise ConfigurationError(f"{name}: entries must be finite")
+            object.__setattr__(self, name, array)
+        if not (self.gamma > 0.0).all():
+            raise ConfigurationError("gamma: entries must be positive")
+        for j, gain in enumerate(self.filter_gains):
+            stable_closed_loop(model, gain, f"filter_gains[{j}]")
+        stable_closed_loop(model, self.observer_gain, "observer_gain")
+        if self.mode not in MODES:
+            raise ConfigurationError(f"mode: expected one of {MODES}")
+        if (self.noise is not None) != (self.mode == "robust"):
+            rule = "required" if self.noise is None else "only allowed"
+            raise ConfigurationError(f"noise: {rule} in robust mode (mode is '{self.mode}')")
+        if self.noise is not None and self.noise.omega is not None:
+            times = np.array([[step.start_time], [step.start_time + step.step_size]])
+            try:
+                disturbance_rows(self.noise, n, times)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"noise: {exc}") from exc
+        rule = model.switching_rule
+        if isinstance(rule, TimeScheduleRule) and rule.entries[0][0] > step.start_time:
+            raise ConfigurationError(
+                f"plant.switching.entries[0][0]: the schedule starts at "
+                f"t={rule.entries[0][0]:.6g}, after start_time {step.start_time:.6g}"
+            )
 
 
 class StateLayout:
@@ -235,11 +325,11 @@ class _Plant:
     docstring states which operations the loop must keep.
     """
 
-    def __init__(self, model: PlantModel, noise: NoiseSpec | None, cfg: StepConfig, active: int):
+    def __init__(self, model: PlantModel, noise: NoiseSpec | None, step: StepConfig, active: int):
         self.model = model
         self.noise = noise
-        self.h = cfg.step_size
-        self.t0 = cfg.start_time
+        self.h = step.step_size
+        self.t0 = step.start_time
         self.active = active
         self.theta = model.true_params[active - 1]
         self.b = model.b.tolist() if np.any(model.b != 0.0) else None
@@ -341,29 +431,25 @@ class _Cascade:
     states at the last grid row reached are kept between chunks.
     """
 
-    def __init__(
-        self,
-        model: PlantModel,
-        layout: StateLayout,
-        a_closed: np.ndarray,
-        gains_all: np.ndarray,
-        estimator: DremEstimator,
-        observer: ObserverState,
-        h: float,
-    ):
+    def __init__(self, cfg: ExperimentConfig, layout: StateLayout):
+        model, h = cfg.model, cfg.step.step_size
         n, m, mn = layout.n, layout.m, layout.mn
+        # Unit j's injection gain g_j and closed loop A - g_j c, as the
+        # config screened them; the last unit shares the observer's.
+        gains_all = np.vstack([cfg.filter_gains, cfg.observer_gain[None, :]])
+        a_closed = model.a - gains_all[:, :, None] * model.c
         self.layout = layout
         self.h = h
         self.acl = a_closed
         self.gains_all = gains_all
         self.b = model.b
         self.has_b = bool(np.any(model.b != 0.0))
-        self.gamma = estimator.gamma
+        self.gamma = cfg.gamma
         self.template = layout.filter_reset_template()
         self.panels = self.template.reshape(layout.num_units * n, layout.panel)
-        self.theta = estimator.theta_hat.ravel().tolist()
+        self.theta = cfg.theta_init.ravel().tolist()
         self.exc = np.zeros(layout.s)
-        self.xhat = np.array(observer.x_hat, dtype=float)
+        self.xhat = np.array(cfg.observer_init)
         # Stage polynomials M_s - I and step polynomial P - I of h * Acl_j.
         stage_off, step_off = _rk4_offsets(h, lambda s, z: a_closed @ z, (a_closed,) * 4)
         step_poly = np.eye(n) + step_off
@@ -613,69 +699,34 @@ class _Store:
         dg.delta[rows] = dets
 
 
-def run_simulation(
-    model: PlantModel,
-    estimator: DremEstimator,
-    observer: ObserverState,
-    cfg: StepConfig,
-    noise: NoiseSpec | None = None,
-    *,
-    filter_gains,
-    collect_diagnostics: bool = False,
-    seed: int | None = None,
-    mode_label: str | None = None,
-) -> RunResult:
+def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> RunResult:
     """Run the cascade from the start time to the (rounded) end time.
 
     The filter bank is restarted at the start time and at every detected
     switch; the trace records one row per grid point, with switch instants
-    and pre-reset determinants kept in the header.  ``estimator`` and
-    ``observer`` provide initial values and are not mutated.
+    and pre-reset determinants kept in the header.
     """
     started = _time.perf_counter()
+    model, noise, step = cfg.model, cfg.noise, cfg.step
     n, m, s = model.n, model.m, model.s
-    gains = np.atleast_2d(np.asarray(filter_gains, dtype=float))
-    if gains.shape != (m + n, n):
-        raise ConfigurationError(
-            f"exactly m + n = {m + n} filter gains of length {n} are required, "
-            f"got shape {gains.shape}"
-        )
-    if estimator.s != s or estimator.m != m:
-        raise ConfigurationError(
-            f"estimator is sized for (s, m) = ({estimator.s}, {estimator.m}), "
-            f"model needs ({s}, {m})"
-        )
-    if observer.gain.shape != (n,):
-        raise ConfigurationError(f"observer gain must have length {n}")
-    gains_all = np.vstack([gains, observer.gain[None, :]])
-    a_closed = np.stack(
-        [stable_closed_loop(model, g, "filter gain") for g in gains]
-        + [stable_closed_loop(model, observer.gain, "observer gain")]
-    )
-
     layout = StateLayout(n, m, s)
-    h = cfg.step_size
-    t0 = cfg.start_time
-    steps = cfg.num_steps
-    if noise is not None and noise.omega is not None:
-        disturbance_rows(noise, n, np.array([[t0], [t0 + h]]))
-
+    h, t0, steps = step.step_size, step.start_time, step.num_steps
     meta = {
         "format": 1,
         "model": model.name,
         "n": n,
         "m": m,
         "s": s,
-        "h": cfg.step_size,
-        "t0": cfg.start_time,
-        "t_end": cfg.effective_end,
-        "mode": mode_label or ("robust" if noise is not None else "ideal"),
-        "seed": seed if seed is not None else (noise.seed if noise is not None else None),
-        "gamma": estimator.gamma.tolist(),
-        "filter_gains": gains.tolist(),
-        "observer_gain": observer.gain.tolist(),
-        "theta_init": estimator.theta_hat.tolist(),
-        "xhat_init": observer.x_hat.tolist(),
+        "h": h,
+        "t0": t0,
+        "t_end": step.effective_end,
+        "mode": cfg.mode,
+        "seed": cfg.seed,
+        "gamma": cfg.gamma.tolist(),
+        "filter_gains": cfg.filter_gains.tolist(),
+        "observer_gain": cfg.observer_gain.tolist(),
+        "theta_init": cfg.theta_init.tolist(),
+        "xhat_init": cfg.observer_init.tolist(),
         "x0": model.initial_state.tolist(),
         "noise": None
         if noise is None
@@ -693,10 +744,10 @@ def run_simulation(
 
     rule = model.switching_rule
     active = rule.subsystem_for(float(model.c @ model.initial_state), t0)
-    plant = _Plant(model, noise, cfg, active)
-    cascade = _Cascade(model, layout, a_closed, gains_all, estimator, observer, h)
-    store.x[0], store.xhat[0] = model.initial_state, observer.x_hat
-    store.theta[0], store.exc[0], store.sigma[0] = estimator.theta_hat, 0.0, active
+    plant = _Plant(model, noise, step, active)
+    cascade = _Cascade(cfg, layout)
+    store.x[0], store.xhat[0] = model.initial_state, cfg.observer_init
+    store.theta[0], store.exc[0], store.sigma[0] = cfg.theta_init, 0.0, active
     if noise is not None:
         store.v[0] = sample_noise(noise, 0)
 

@@ -1,7 +1,6 @@
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import dremobs as d
@@ -12,13 +11,25 @@ SHORT_HORIZON = 5.0
 STEP = 1e-3
 
 
-def make_chua_setup(gamma=10.0, theta_init=None, xhat_init=None):
-    model = d.chua_preset()
-    est = d.DremEstimator.create(model.s, model.m, gamma=gamma)
-    if theta_init is not None:
-        est = d.DremEstimator(theta_hat=np.asarray(theta_init, dtype=float), gamma=est.gamma)
-    obs = d.ObserverState(CHUA_OBSERVER_GAIN, model, x_hat=xhat_init)
-    return model, est, obs
+def experiment(model, step, noise=None, **fields):
+    """A test's run description: the Chua filter and observer gains unless
+    ``fields`` set others, and ideal mode without ``noise``, robust mode
+    with the noise's seed under it."""
+    fields.setdefault("filter_gains", CHUA_FILTER_GAINS)
+    fields.setdefault("observer_gain", CHUA_OBSERVER_GAIN)
+    return d.ExperimentConfig(
+        model=model,
+        step=step,
+        noise=noise,
+        mode="ideal" if noise is None else "robust",
+        seed=0 if noise is None else noise.seed,
+        **fields,
+    )
+
+
+def chua_experiment(end_time, noise=None, step_size=STEP, **fields):
+    """The Chua preset from t = 0 to ``end_time``."""
+    return experiment(d.chua_preset(), d.StepConfig(step_size, end_time), noise, **fields)
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -40,32 +51,17 @@ def chua_model():
 @pytest.fixture(scope="session")
 def short_ideal_run():
     """5 s ideal run with diagnostics, shared by module-level invariants."""
-    model, est, obs = make_chua_setup()
-    cfg = d.StepConfig(step_size=STEP, end_time=SHORT_HORIZON)
-    return d.run_simulation(
-        model, est, obs, cfg, None,
-        filter_gains=CHUA_FILTER_GAINS, collect_diagnostics=True,
-    )
+    return d.run_experiment(chua_experiment(SHORT_HORIZON), collect_diagnostics=True)
 
 
 @pytest.fixture(scope="session")
 def full_ideal_run():
     """The 100 s ideal experiment at the default step, with diagnostics."""
-    model, est, obs = make_chua_setup()
-    cfg = d.StepConfig(step_size=STEP, end_time=FULL_HORIZON)
-    return d.run_simulation(
-        model, est, obs, cfg, None,
-        filter_gains=CHUA_FILTER_GAINS, collect_diagnostics=True,
-    )
+    return d.run_experiment(chua_experiment(FULL_HORIZON), collect_diagnostics=True)
 
 
 def run_robust(seed, end_time=FULL_HORIZON):
-    model, est, obs = make_chua_setup()
-    cfg = d.StepConfig(step_size=STEP, end_time=end_time)
-    return d.run_simulation(
-        model, est, obs, cfg, d.chua_robust_noise(seed=seed),
-        filter_gains=CHUA_FILTER_GAINS,
-    )
+    return d.run_experiment(chua_experiment(end_time, d.chua_robust_noise(seed=seed)))
 
 
 @pytest.fixture(scope="session")

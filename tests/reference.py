@@ -16,6 +16,7 @@ block formatters must reproduce byte for byte.
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,3 +239,23 @@ def trace_text(trace):
 def polyline_points(px, py, xs, ys):
     """SVG polyline points, each point mapped and formatted on its own."""
     return " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xs, ys))
+
+
+@dataclass(frozen=True)
+class ErrorMetrics:
+    """Per-grid-point estimation error norms with activity annotation."""
+
+    time: np.ndarray
+    x_error: np.ndarray
+    theta_error: np.ndarray  # (s, T)
+    active: np.ndarray  # (s, T) bool
+
+
+def error_metrics(trace, model):
+    """The trace's error norms recomputed from its states, estimates and
+    active subsystems and the model's true parameters."""
+    x_err = np.linalg.norm(trace.xhat - trace.x, axis=1)
+    diff = trace.theta_hat - model.true_params[None, :, :]  # (T, s, m)
+    theta_err = np.linalg.norm(diff, axis=2).T  # (s, T)
+    active = np.stack([trace.sigma == i + 1 for i in range(model.s)])
+    return ErrorMetrics(time=trace.t, x_error=x_err, theta_error=theta_err, active=active)

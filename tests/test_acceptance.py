@@ -14,10 +14,10 @@ import dremobs as d
 from dremobs.cli import main as cli_main
 from dremobs.estimator import adaptation_rates
 from dremobs.linalg import det_adjugate_batch
-from dremobs.plant import CHUA_FILTER_GAINS, NoiseSpec
+from dremobs.plant import NoiseSpec
 from dremobs.verification import trapezoid_excitation
 
-from conftest import FULL_HORIZON, STEP, make_chua_setup, run_robust
+from conftest import FULL_HORIZON, STEP, chua_experiment, run_robust
 
 
 def report(num, name, passed, detail):
@@ -185,12 +185,8 @@ class TestAcceptance:
         th_ratio = (fin_th.max(axis=0) / mid_th.max(axis=0)).max()
 
         # Degenerate noise must reproduce the ideal-convergence criterion.
-        model, est, obs = make_chua_setup()
-        degen = d.run_simulation(
-            model, est, obs,
-            d.StepConfig(step_size=STEP, end_time=FULL_HORIZON),
-            NoiseSpec(v0=0.0, seed=0, omega=None),
-            filter_gains=CHUA_FILTER_GAINS,
+        degen = d.run_experiment(
+            chua_experiment(FULL_HORIZON, NoiseSpec(v0=0.0, seed=0, omega=None))
         )
         dt = degen.trace
         degen_ratios = dt.theta_error[-1] / dt.theta_error[0]

@@ -268,3 +268,108 @@ class TestEntryPoint:
         )
         assert proc.returncode == EXIT_OK
         assert "trace:" in proc.stdout
+
+
+def run_module(*argv):
+    """``python -m dremobs.cli`` in a subprocess, output captured as text."""
+    import subprocess
+    import sys
+
+    return subprocess.run(
+        [sys.executable, "-m", "dremobs.cli", *argv], capture_output=True, text=True
+    )
+
+
+class TestRunDescription:
+    """A run is described once, by its config, and checked when it is
+    loaded: nothing on the command line silently overrides it, and an
+    unrunnable config stops before the output directory exists."""
+
+    def test_mode_differing_from_the_file_exits_2(self, tmp_path, capsys):
+        # --mode ideal used to be indistinguishable from no --mode at all,
+        # and the file's robust run went ahead with exit 0.
+        path = tmp_path / "robust.json"
+        path.write_text(json.dumps({"plant": "chua", "mode": "robust", "end_time": 0.01}))
+        out = tmp_path / "o"
+        code = run_cli("simulate", "--config", str(path), "--mode", "ideal", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert "config.mode" in capsys.readouterr().err
+        assert not out.exists()
+        code = run_cli("simulate", "--config", str(path), "--mode", "robust", "--out", str(out))
+        assert code == EXIT_OK
+
+    def test_output_dir_key_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"plant": "chua", "end_time": 0.01, "output_dir": "elsewhere"}))
+        out = tmp_path / "o"
+        code = run_cli("simulate", "--config", str(path), "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert "config.output_dir: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "changes, names",
+        [
+            pytest.param(
+                {"filter_gains": [[0, -1, -15], [-2, 2.5, 20], [-2, 0.1, 1],
+                                  [-0.4, -0.4, -8], [-100, 0, 0]]},
+                "config.filter_gains[4]: [-100.0, 0.0, 0.0] gives an unstable",
+                id="filter-gain",
+            ),
+            pytest.param(
+                {"observer_gain": [-50, 0, 0]},
+                "config.observer_gain: [-50.0, 0.0, 0.0] gives an unstable",
+                id="observer-gain",
+            ),
+            pytest.param(
+                {"observer_gain": [-1e300, 0, 0]},
+                "config.observer_gain: [-1e+300, 0.0, 0.0] gives an indeterminate",
+                id="out-of-float-range",
+            ),
+        ],
+    )
+    def test_unstable_gain_exits_2_at_load(self, tmp_path, changes, names):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"plant": "chua", "end_time": 0.01, **changes}))
+        proc = run_module("simulate", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert names in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+
+class TestOutputDirectory:
+    """An --out that cannot be a directory exits 2 before any work, with
+    the path named and no traceback."""
+
+    def test_simulate(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        proc = run_module(
+            "simulate", "--preset", "chua", "--T", "0.01", "--out", str(taken)
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr and str(taken) in proc.stderr
+        assert "trace:" not in proc.stdout
+
+    def test_verify(self, tmp_path):
+        # Exit 1 would mean a failed check; the report's directory is made
+        # before the run, so no check is printed.
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        proc = run_module("verify", "--preset", "chua", "--T", "0.5", "--out", str(taken))
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr and str(taken) in proc.stderr
+        assert proc.stdout == ""
+
+    def test_plot(self, tmp_path):
+        run_out = tmp_path / "run"
+        assert run_cli(
+            "simulate", "--preset", "chua", "--out", str(run_out), "--T", "0.01", "--no-plots"
+        ) == EXIT_OK
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        proc = run_module("plot", "--trace", str(run_out / "trace.csv"), "--out", str(taken))
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr and str(taken) in proc.stderr
+        assert proc.stdout == ""

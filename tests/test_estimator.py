@@ -6,23 +6,25 @@ import numpy as np
 import pytest
 
 import reference
+from conftest import experiment
 from dremobs.errors import ConfigurationError
-from dremobs.estimator import DremEstimator, adaptation_rates, pe_check
+from dremobs.estimator import adaptation_rates, pe_check
 from dremobs.linalg import Cofactors, det_adjugate_batch
-from dremobs.observer import ObserverState
-from dremobs.plant import CHUA_FILTER_GAINS, CHUA_OBSERVER_GAIN, TimeScheduleRule, chua_preset
-from dremobs.sim import StateLayout, StepConfig, run_simulation
+from dremobs.plant import TimeScheduleRule, chua_preset
+from dremobs.sim import StateLayout, StepConfig, run_experiment
 from dremobs.trace import SimulationTrace, column_names
 
 
-def rates(est, delta, zbar, active):
-    """(theta rates, excitation rates) of every subsystem from the kernel's
-    gated law, which moves the active row only."""
+def rates(gamma, theta, delta, zbar, active):
+    """(theta rates, excitation rates) of every subsystem at the (s, m)
+    estimates ``theta`` from the kernel's gated law, which moves the active
+    row only."""
+    s, m = theta.shape
     slope, offset, exc_rate = adaptation_rates(
-        est.gamma, delta, np.asarray(zbar, dtype=float), active, est.m
+        gamma, delta, np.asarray(zbar, dtype=float), active, m
     )
-    out_theta, out_exc = np.zeros_like(est.theta_hat), np.zeros(est.s)
-    out_theta[active - 1] = slope * est.theta_hat[active - 1] + offset
+    out_theta, out_exc = np.zeros_like(theta), np.zeros(s)
+    out_theta[active - 1] = slope * theta[active - 1] + offset
     out_exc[active - 1] = exc_rate
     return out_theta, out_exc
 
@@ -81,11 +83,10 @@ class TestMix:
         assert (dg.mixing_residual / scale).max() <= 1e-3
 
 
-class TestAdaptationRate:
-    def make_estimator(self, theta=None, gamma=10.0):
-        theta = np.zeros((3, 2)) if theta is None else np.asarray(theta, float)
-        return DremEstimator(theta_hat=theta, gamma=np.full(3, gamma))
+GAMMA = np.full(3, 10.0)
 
+
+class TestAdaptationRate:
     def test_inactive_subsystems_have_zero_rates(self):
         # The law returns the active subsystem's rates, built from its own
         # gain; the kernel moves that row only, so across a reset every
@@ -96,11 +97,9 @@ class TestAdaptationRate:
             assert slope == -(gamma[active - 1] * 0.8) * 0.8
             np.testing.assert_array_equal(offset, gamma[active - 1] * 0.8 * np.arange(2.0))
         model = chua_preset()
-        est = DremEstimator(theta_hat=np.ones((3, 2)), gamma=gamma)
-        obs = ObserverState(CHUA_OBSERVER_GAIN, model)
         switched = replace(model, switching_rule=TimeScheduleRule(((0.0, 1), (0.5, 2))))
-        res = run_simulation(
-            switched, est, obs, StepConfig(1e-3, 1.0), None, filter_gains=CHUA_FILTER_GAINS
+        res = run_experiment(
+            experiment(switched, StepConfig(1e-3, 1.0), gamma=gamma, theta_init=np.ones((3, 2)))
         )
         theta, sigma = res.trace.theta_hat, res.trace.sigma
         assert (theta[:, 2] == 1.0).all()
@@ -109,28 +108,27 @@ class TestAdaptationRate:
 
     def test_truth_is_a_fixed_point(self):
         theta_true = np.array([[0.3, -0.2], [1.0, 0.5], [0.0, 0.7]])
-        est = self.make_estimator(theta=theta_true)
         delta = 0.9
         zbar = np.concatenate([delta * theta_true[1], [4.0, 5.0, 6.0]])
-        theta_rates, _ = rates(est, delta, zbar, active=2)
+        theta_rates, _ = rates(GAMMA, theta_true, delta, zbar, active=2)
         np.testing.assert_allclose(theta_rates, np.zeros((3, 2)), atol=1e-15)
 
     def test_adaptation_ignores_trailing_mixed_entries(self):
         # The state-at-switch block of the mixed vector must not leak into
         # the parameter adaptation.
-        est = self.make_estimator(theta=np.ones((3, 2)))
+        theta = np.ones((3, 2))
         zbar = np.array([0.4, -0.3, 100.0, -50.0, 7.0])
         perturbed = zbar.copy()
         perturbed[2:] = [-1e6, 3e7, 0.0]
         for active in (1, 2, 3):
             np.testing.assert_array_equal(
-                rates(est, 0.6, zbar, active)[0],
-                rates(est, 0.6, perturbed, active)[0],
+                rates(GAMMA, theta, 0.6, zbar, active)[0],
+                rates(GAMMA, theta, 0.6, perturbed, active)[0],
             )
 
     def test_rate_formula(self):
-        est = self.make_estimator(theta=np.array([[0.1, 0.2], [0.0, 0.0], [0.0, 0.0]]))
-        theta_rates, _ = rates(est, 0.5, [1.0, 2.0, 0.0, 0.0, 0.0], active=1)
+        theta = np.array([[0.1, 0.2], [0.0, 0.0], [0.0, 0.0]])
+        theta_rates, _ = rates(GAMMA, theta, 0.5, [1.0, 2.0, 0.0, 0.0, 0.0], active=1)
         expected = 10.0 * 0.5 * (np.array([1.0, 2.0]) - 0.5 * np.array([0.1, 0.2]))
         np.testing.assert_allclose(theta_rates[0], expected)
 
@@ -145,12 +143,14 @@ class TestAdaptationRate:
 
 class TestExcitationRate:
     def test_zero_determinant_gives_zero(self):
-        est = DremEstimator.create(3, 2)
-        np.testing.assert_array_equal(rates(est, 0.0, np.zeros(5), 1)[1], np.zeros(3))
+        theta = np.zeros((3, 2))
+        np.testing.assert_array_equal(rates(GAMMA, theta, 0.0, np.zeros(5), 1)[1], np.zeros(3))
 
     def test_only_active_accumulates(self):
-        est = DremEstimator.create(3, 2)
-        np.testing.assert_array_equal(rates(est, 2.0, np.zeros(5), 3)[1], [0.0, 0.0, 4.0])
+        theta = np.zeros((3, 2))
+        np.testing.assert_array_equal(
+            rates(GAMMA, theta, 2.0, np.zeros(5), 3)[1], [0.0, 0.0, 4.0]
+        )
 
 
 class TestScalarClosedForm:
@@ -160,12 +160,12 @@ class TestScalarClosedForm:
         gamma, delta, horizon, h = 2.0, 0.8, 2.0, 1e-3
         theta_true = 0.7
         zbar = np.array([delta * theta_true])
-        probe = DremEstimator(theta_hat=np.zeros((1, 1)), gamma=np.array([gamma]))
+        gains = np.array([gamma])
 
         def rate(t, th):
-            return rates(DremEstimator(theta_hat=th, gamma=probe.gamma), delta, zbar, 1)[0]
+            return rates(gains, th, delta, zbar, 1)[0]
 
-        theta = probe.theta_hat
+        theta = np.zeros((1, 1))
         for _ in range(int(round(horizon / h))):
             theta = reference.rk4(rate, 0.0, theta, h)
         err0 = abs(0.0 - theta_true)

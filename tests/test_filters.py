@@ -5,10 +5,10 @@ import pytest
 from scipy.linalg import expm
 
 import reference
-from conftest import make_chua_setup
+from conftest import experiment
 from dremobs.errors import GainStabilityError
 from dremobs.plant import CHUA_FILTER_GAINS, TimeScheduleRule, chua_preset, stable_closed_loop
-from dremobs.sim import StateLayout, StepConfig, run_simulation
+from dremobs.sim import StateLayout, StepConfig, run_experiment
 
 
 @pytest.fixture()
@@ -18,13 +18,9 @@ def model():
 
 def final_panels(model, end_time, h=1e-3, schedule=None):
     """Filter panels [xu | upsilon | phi] of every unit at the end of a run."""
-    _, est, obs = make_chua_setup()
     if schedule is not None:
         model = replace(model, switching_rule=TimeScheduleRule(schedule))
-    res = run_simulation(
-        model, est, obs, StepConfig(h, end_time), None, filter_gains=CHUA_FILTER_GAINS
-    )
-    return res.final_panels
+    return run_experiment(experiment(model, StepConfig(h, end_time))).final_panels
 
 
 RESET_PANELS = StateLayout(3, 2, 3).filter_reset_template()

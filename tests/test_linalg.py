@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,20 @@ class TestHurwitz:
         verdict = hurwitz_verdict(m)
         assert verdict.stable is False
         assert verdict.indeterminate is True
+
+    def test_out_of_float_range_is_indeterminate_without_warnings(self):
+        # Beyond the float range the verdict is indeterminate, an expected
+        # outcome, and the overflow raises no warning: in the characteristic
+        # polynomial, and in the Routh array (inf / inf in its fourth row).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = [
+                hurwitz_verdict(np.full((2, 2), 1e300) - np.diag([2.0, 0.0])),
+                routh_verdict([1.0, 1e200, 1e200, 1.0, 1.0]),
+            ]
+        for verdict in verdicts:
+            assert verdict.stable is False
+            assert verdict.indeterminate is True
 
     def test_unstable_saddle_not_marginal(self):
         verdict = hurwitz_verdict(np.diag([1.0, -1.0]))

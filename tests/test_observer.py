@@ -3,11 +3,10 @@ import pytest
 
 import dremobs as d
 from dremobs.errors import GainStabilityError
-from dremobs.observer import ObserverState, error_metrics
-from dremobs.plant import CHUA_FILTER_GAINS, CHUA_OBSERVER_GAIN, chua_preset
+from dremobs.plant import CHUA_OBSERVER_GAIN, chua_preset, stable_closed_loop
 
 import reference
-from conftest import make_chua_setup
+from conftest import chua_experiment
 
 
 @pytest.fixture()
@@ -16,13 +15,15 @@ def model():
 
 
 class TestObserverState:
-    def test_default_estimate_is_zero(self, model):
-        obs = ObserverState(CHUA_OBSERVER_GAIN, model)
-        np.testing.assert_array_equal(obs.x_hat, np.zeros(3))
+    """The observer's part of the run description: its gain and initial
+    estimate."""
 
-    def test_destabilising_gain_rejected(self, model):
-        with pytest.raises(GainStabilityError):
-            ObserverState(np.array([-50.0, 0.0, 0.0]), model)
+    def test_default_estimate_is_zero(self):
+        np.testing.assert_array_equal(chua_experiment(1.0).observer_init, np.zeros(3))
+
+    def test_destabilising_gain_rejected(self):
+        with pytest.raises(GainStabilityError, match="observer_gain"):
+            chua_experiment(1.0, observer_gain=np.array([-50.0, 0.0, 0.0]))
 
 
 class TestObserverDerivative:
@@ -30,30 +31,31 @@ class TestObserverDerivative:
         # Estimate equal to the truth in both state and parameters: the
         # observer copies the plant vector field exactly.
         x = model.initial_state
-        obs = ObserverState(CHUA_OBSERVER_GAIN, model, x_hat=x)
         y = float(model.c @ x)
-        got = reference.observer_rate(model, obs.gain, obs.x_hat, model.true_params[0], y, 0.0)
+        got = reference.observer_rate(model, CHUA_OBSERVER_GAIN, x, model.true_params[0], y, 0.0)
         np.testing.assert_allclose(got, reference.plant_rate(model, x, 0.0, 1), atol=1e-14)
 
     def test_error_rate_is_injected_linear_flow_when_parameters_true(self, model):
         rng = np.random.default_rng(8)
+        a_closed = stable_closed_loop(model, CHUA_OBSERVER_GAIN)
         for _ in range(25):
             x = rng.uniform(-2, 2, 3)
             xhat = rng.uniform(-2, 2, 3)
-            obs = ObserverState(CHUA_OBSERVER_GAIN, model, x_hat=xhat)
             y = float(model.c @ x)
             sigma = model.switching_rule.subsystem_for(y, 0.0)
             err_rate = reference.observer_rate(
-                model, obs.gain, xhat, model.true_params[sigma - 1], y, 0.0
+                model, CHUA_OBSERVER_GAIN, xhat, model.true_params[sigma - 1], y, 0.0
             ) - reference.plant_rate(model, x, 0.0, sigma)
-            expected = obs.a_closed @ (xhat - x)
+            expected = a_closed @ (xhat - x)
             np.testing.assert_allclose(err_rate, expected, atol=1e-12)
 
 
 class TestErrorMetrics:
+    """The trace's own error columns against ``reference.error_metrics``."""
+
     def test_zero_errors_for_perfect_estimates(self, short_ideal_run, model):
         trace = short_ideal_run.trace
-        metrics = error_metrics(trace, model)
+        metrics = reference.error_metrics(trace, model)
         np.testing.assert_array_equal(metrics.x_error, trace.x_error)
         np.testing.assert_allclose(metrics.theta_error.T, trace.theta_error, atol=1e-12)
         # exactly one subsystem active at every grid point
@@ -71,7 +73,7 @@ class TestErrorMetrics:
             switch_times=trace.switch_times,
             pre_reset_delta=trace.pre_reset_delta,
         )
-        metrics = error_metrics(perfect, model)
+        metrics = reference.error_metrics(perfect, model)
         np.testing.assert_array_equal(metrics.x_error, np.zeros(data.shape[0]))
 
     def test_true_parameters_give_zero_theta_error(self, short_ideal_run, model):
@@ -86,22 +88,8 @@ class TestErrorMetrics:
             switch_times=trace.switch_times,
             pre_reset_delta=trace.pre_reset_delta,
         )
-        metrics = error_metrics(pinned, model)
+        metrics = reference.error_metrics(pinned, model)
         np.testing.assert_array_equal(metrics.theta_error, np.zeros((3, data.shape[0])))
-
-    def test_dimension_mismatch_rejected(self, short_ideal_run):
-        other = chua_preset()
-        bad = d.PlantModel(
-            a=np.array([[-1.0]]),
-            b=np.zeros(1),
-            c=np.ones(1),
-            psi=lambda y, u: np.zeros(np.shape(y) + (1, 1)),
-            true_params=np.zeros((1, 1)),
-            switching_rule=d.StateRegionRule((d.OutputRegion(),)),
-            initial_state=np.zeros(1),
-        )
-        with pytest.raises(Exception):
-            error_metrics(short_ideal_run.trace, bad)
 
 
 class TestConvergenceBehaviour:
@@ -109,11 +97,7 @@ class TestConvergenceBehaviour:
         # Estimates pinned at the truth: the observer error is a stable
         # linear flow, so a fitted exponential envelope must have a positive
         # decay rate.
-        model, est, obs = make_chua_setup(theta_init=chua_preset().true_params)
-        cfg = d.StepConfig(step_size=1e-3, end_time=8.0)
-        res = d.run_simulation(
-            model, est, obs, cfg, None, filter_gains=CHUA_FILTER_GAINS
-        )
+        res = d.run_experiment(chua_experiment(8.0, theta_init=chua_preset().true_params))
         xe = res.trace.x_error
         t = res.trace.t
         mask = xe > 1e-12

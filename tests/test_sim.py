@@ -11,22 +11,42 @@ from hypothesis import strategies as st
 import dremobs as d
 from dremobs import sim
 from dremobs.errors import ConfigurationError, SimulationAbort
-from dremobs.estimator import DremEstimator
-from dremobs.observer import ObserverState
 from dremobs.plant import (
     CHUA_FILTER_GAINS,
-    CHUA_OBSERVER_GAIN,
     OutputRegion,
     StateRegionRule,
     TimeScheduleRule,
+    chua_preset,
     chua_robust_noise,
     make_sinusoid_disturbance,
 )
-from dremobs.sim import StepConfig, run_simulation
+from dremobs.sim import StepConfig, run_experiment
 from dremobs.trace import trace_to_string
 
 import reference
-from conftest import make_chua_setup
+from conftest import chua_experiment, experiment
+
+
+def pinned_chua(*schedule):
+    """The Chua preset under a time schedule of (start, subsystem) pairs."""
+    return replace(chua_preset(), switching_rule=TimeScheduleRule(schedule))
+
+
+def reference_run(cfg, steps):
+    """The reference composition of the first ``steps`` grid steps of
+    ``cfg``'s run."""
+    return reference.simulate(
+        cfg.model, cfg.filter_gains, cfg.observer_gain, cfg.gamma, cfg.theta_init,
+        cfg.observer_init, cfg.step.step_size, steps, cfg.noise,
+    )
+
+
+# Gains of the spiralling two-state plants below.
+SPIRAL_GAINS = dict(
+    filter_gains=np.array([[6.0, 1.0], [10.0, 0.0], [8.0, 2.0]]),
+    observer_gain=np.array([10.0, 0.0]),
+    gamma=np.ones(2),
+)
 
 
 class TestStepConfig:
@@ -105,12 +125,9 @@ class TestRk4Step:
         # real-axis stability interval (about 4.5e5 in the aborting chunk):
         # the estimates blow up and the observer aborts on x_hat[0] at
         # t = 1.51 while the plant state is still bounded.
-        model, est, obs = make_chua_setup()
-        pinned = replace(model, switching_rule=TimeScheduleRule(((0.0, 2),)))
+        cfg = experiment(pinned_chua((0.0, 2)), StepConfig(0.01, 400.0))
         with pytest.raises(SimulationAbort) as info:
-            run_simulation(
-                pinned, est, obs, StepConfig(0.01, 400.0), None, filter_gains=CHUA_FILTER_GAINS
-            )
+            run_experiment(cfg)
         assert 0.0 < info.value.time <= 400.0
         assert info.value.component in reference.component_names(3, 2, 3)
         assert info.value.component in str(info.value)
@@ -118,15 +135,11 @@ class TestRk4Step:
     def test_abort_is_independent_of_chunk_length(self, monkeypatch):
         # The downstream blocks advance a chunk at a time; the abort must
         # still name the earliest non-finite grid row and its component.
-        model, est, obs = make_chua_setup()
-        pinned = replace(model, switching_rule=TimeScheduleRule(((0.0, 2),)))
+        cfg = experiment(pinned_chua((0.0, 2)), StepConfig(0.01, 400.0))
 
         def abort():
             with pytest.raises(SimulationAbort) as info:
-                run_simulation(
-                    pinned, est, obs, StepConfig(0.01, 400.0), None,
-                    filter_gains=CHUA_FILTER_GAINS,
-                )
+                run_experiment(cfg)
             return info.value.time, info.value.component
 
         default = abort()
@@ -136,12 +149,8 @@ class TestRk4Step:
     def test_abort_names_the_adaptation_step(self):
         # The message judges the aborting chunk's largest gated adaptation
         # step h*gamma*delta^2 against RK4's real-axis stability limit.
-        model, est, obs = make_chua_setup()
-        pinned = replace(model, switching_rule=TimeScheduleRule(((0.0, 2),)))
         with pytest.raises(SimulationAbort) as info:
-            run_simulation(
-                pinned, est, obs, StepConfig(0.01, 400.0), None, filter_gains=CHUA_FILTER_GAINS
-            )
+            run_experiment(experiment(pinned_chua((0.0, 2)), StepConfig(0.01, 400.0)))
         assert info.value.adaptation_step > 1e5 > sim.RK4_STABILITY_LIMIT
         assert "past RK4's real-axis stability limit 2.785" in str(info.value)
 
@@ -156,21 +165,18 @@ class TestRk4Step:
             switching_rule=TimeScheduleRule(((0.0, 1),)),
             initial_state=np.array([1.0]),
         )
+        cfg = experiment(
+            growing, StepConfig(0.01, 200.0), filter_gains=np.array([[6.0], [8.0]]),
+            observer_gain=np.array([10.0]), gamma=np.ones(1),
+        )
         with pytest.raises(SimulationAbort) as info:
-            run_simulation(
-                growing,
-                DremEstimator(theta_hat=np.zeros((1, 1)), gamma=np.ones(1)),
-                ObserverState(np.array([10.0]), growing),
-                StepConfig(0.01, 200.0),
-                None,
-                filter_gains=np.array([[6.0], [8.0]]),
-            )
+            run_experiment(cfg)
         assert 0.0 <= info.value.adaptation_step < 1e-100
         assert "within RK4's real-axis stability limit" in str(info.value)
 
 
 class TestDetectSwitch:
-    """Switch detection at grid points, as run_simulation performs it."""
+    """Switch detection at grid points, as run_experiment performs it."""
 
     def test_reports_new_region(self, short_ideal_run):
         trace = short_ideal_run.trace
@@ -180,10 +186,8 @@ class TestDetectSwitch:
         assert trace.sigma[0] == 1 and 2 in trace.sigma
 
     def test_schedule_rule_uses_time(self):
-        model, est, obs = make_chua_setup()
-        pinned = replace(model, switching_rule=TimeScheduleRule(((0.0, 1), (0.995, 2))))
-        cfg = StepConfig(step_size=1e-2, end_time=2.0)
-        res = run_simulation(pinned, est, obs, cfg, None, filter_gains=CHUA_FILTER_GAINS)
+        pinned = pinned_chua((0.0, 1), (0.995, 2))
+        res = run_experiment(experiment(pinned, StepConfig(step_size=1e-2, end_time=2.0)))
         assert res.trace.switch_times == [0.0, pytest.approx(1.0)]
         assert [e.subsystem for e in res.events] == [1, 2]
         np.testing.assert_array_equal(res.trace.sigma, np.where(res.trace.t < 0.995, 1, 2))
@@ -191,9 +195,7 @@ class TestDetectSwitch:
 
 class TestRunSimulation:
     def test_zero_length_run_has_single_row(self):
-        model, est, obs = make_chua_setup()
-        cfg = StepConfig(step_size=1e-3, end_time=0.0)
-        res = run_simulation(model, est, obs, cfg, None, filter_gains=CHUA_FILTER_GAINS)
+        res = run_experiment(chua_experiment(0.0))
         assert res.trace.data.shape[0] == 1
         assert res.trace.t[0] == 0.0
         assert res.trace.switch_times == [0.0]
@@ -201,12 +203,8 @@ class TestRunSimulation:
         assert res.trace.delta[0] == 0.0
 
     def test_wrong_gain_count_rejected(self):
-        model, est, obs = make_chua_setup()
-        cfg = StepConfig(step_size=1e-3, end_time=1.0)
-        with pytest.raises(ConfigurationError, match="m \\+ n = 5"):
-            run_simulation(
-                model, est, obs, cfg, None, filter_gains=CHUA_FILTER_GAINS[:4]
-            )
+        with pytest.raises(ConfigurationError, match="filter_gains: .*m \\+ n = 5"):
+            chua_experiment(1.0, filter_gains=CHUA_FILTER_GAINS[:4])
 
     def test_sigma_constant_between_events(self, short_ideal_run):
         trace = short_ideal_run.trace
@@ -226,10 +224,7 @@ class TestRunSimulation:
     def test_schedule_override_freezes_inactive_estimates(self):
         # A schedule that keeps subsystem 1 active forever: the other
         # estimates must stay exactly at their initial values.
-        model, est, obs = make_chua_setup()
-        pinned = replace(model, switching_rule=TimeScheduleRule(((0.0, 1),)))
-        cfg = StepConfig(step_size=1e-3, end_time=3.0)
-        res = run_simulation(pinned, est, obs, cfg, None, filter_gains=CHUA_FILTER_GAINS)
+        res = run_experiment(experiment(pinned_chua((0.0, 1)), StepConfig(1e-3, 3.0)))
         theta = res.trace.theta_hat
         assert (theta[:, 1, :] == theta[0, 1, :]).all()
         assert (theta[:, 2, :] == theta[0, 2, :]).all()
@@ -237,11 +232,9 @@ class TestRunSimulation:
         assert (res.trace.sigma == 1).all()
 
     def test_deterministic_robust_runs_bit_identical(self):
-        model, est, obs = make_chua_setup()
-        cfg = StepConfig(step_size=1e-3, end_time=1.0)
-        noise = chua_robust_noise(seed=11)
-        a = run_simulation(model, est, obs, cfg, noise, filter_gains=CHUA_FILTER_GAINS)
-        b = run_simulation(model, est, obs, cfg, noise, filter_gains=CHUA_FILTER_GAINS)
+        cfg = chua_experiment(1.0, chua_robust_noise(seed=11))
+        a = run_experiment(cfg)
+        b = run_experiment(cfg)
         assert trace_to_string(a.trace) == trace_to_string(b.trace)
         assert np.array_equal(a.trace.data, b.trace.data)
 
@@ -249,16 +242,11 @@ class TestRunSimulation:
         # The downstream blocks advance a chunk at a time; where the chunks
         # start must not change a single bit of the trace, the diagnostics
         # or the final filter bank, restarts included.
-        model, est, obs = make_chua_setup()
-        model = replace(model, switching_rule=TimeScheduleRule(((0.0, 1), (0.4995, 3))))
-        cfg = StepConfig(step_size=1e-3, end_time=1.0)
-        noise = chua_robust_noise(seed=11)
+        model = pinned_chua((0.0, 1), (0.4995, 3))
+        cfg = experiment(model, StepConfig(1e-3, 1.0), chua_robust_noise(seed=11))
 
         def run():
-            return run_simulation(
-                model, est, obs, cfg, noise, filter_gains=CHUA_FILTER_GAINS,
-                collect_diagnostics=True,
-            )
+            return run_experiment(cfg, collect_diagnostics=True)
 
         whole = run()
         monkeypatch.setattr(sim, "CHUNK", 3)
@@ -273,15 +261,11 @@ class TestRunSimulation:
         # Only the trace (29 columns for Chua) and the per-row active
         # subsystem, held noise and time grow with the horizon; a store of
         # the whole run state per row (123 floats) would not fit the budget.
-        model, est, obs = make_chua_setup()
-
         def peak(end_time):
+            cfg = chua_experiment(end_time, chua_robust_noise(seed=2))
             tracemalloc.start()
             try:
-                run_simulation(
-                    model, est, obs, StepConfig(1e-3, end_time), chua_robust_noise(seed=2),
-                    filter_gains=CHUA_FILTER_GAINS,
-                )
+                run_experiment(cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -290,14 +274,8 @@ class TestRunSimulation:
         assert growth / 3000 < 64 * 8
 
     def test_different_seeds_differ(self):
-        model, est, obs = make_chua_setup()
-        cfg = StepConfig(step_size=1e-3, end_time=1.0)
-        a = run_simulation(
-            model, est, obs, cfg, chua_robust_noise(seed=1), filter_gains=CHUA_FILTER_GAINS
-        )
-        b = run_simulation(
-            model, est, obs, cfg, chua_robust_noise(seed=2), filter_gains=CHUA_FILTER_GAINS
-        )
+        a = run_experiment(chua_experiment(1.0, chua_robust_noise(seed=1)))
+        b = run_experiment(chua_experiment(1.0, chua_robust_noise(seed=2)))
         assert not np.array_equal(a.trace.data, b.trace.data)
 
     def test_plant_overflow_stops_before_the_rule_sees_it(self, monkeypatch):
@@ -322,13 +300,9 @@ class TestRunSimulation:
             ),
             initial_state=np.array([1.0, 0.0]),
         )
-        est = DremEstimator(theta_hat=np.zeros((2, 1)), gamma=np.ones(2))
-        obs = ObserverState(np.array([10.0, 0.0]), model)
+        cfg = experiment(model, StepConfig(0.05, 1000.0), **SPIRAL_GAINS)
         with pytest.raises(SimulationAbort) as info:
-            run_simulation(
-                model, est, obs, StepConfig(0.05, 1000.0), None,
-                filter_gains=np.array([[6.0, 1.0], [10.0, 0.0], [8.0, 2.0]]),
-            )
+            run_experiment(cfg)
         assert 600.0 < info.value.time < 800.0  # e^t passes the float range
         assert info.value.component in reference.component_names(2, 1, 2)
 
@@ -348,9 +322,8 @@ class TestRunSimulation:
             ),
             initial_state=np.array([2.0, 0.0]),
         )
-        est = DremEstimator(theta_hat=np.zeros((2, 1)), gamma=np.ones(2))
-        obs = ObserverState(np.array([10.0, 0.0]), model)
         noise = d.NoiseSpec(v0=0.05, seed=9, omega=make_sinusoid_disturbance([0.02, 0.01], [4, 9]))
+        cfg = experiment(model, StepConfig(0.05, 1000.0), noise, **SPIRAL_GAINS)
         advance, stops = sim._Plant.advance, []
 
         def recording(plant, xs, lo, hi, *args):
@@ -364,10 +337,7 @@ class TestRunSimulation:
         for chunk in (3, sim.CHUNK):
             monkeypatch.setattr(sim, "CHUNK", chunk)
             with pytest.raises(SimulationAbort) as info:
-                run_simulation(
-                    model, est, obs, StepConfig(0.05, 1000.0), noise,
-                    filter_gains=np.array([[6.0, 1.0], [10.0, 0.0], [8.0, 2.0]]),
-                )
+                run_experiment(cfg)
             aborts.append((info.value.time, info.value.component))
         assert aborts[0] == aborts[1]
         row = round(aborts[0][0] / 0.05)
@@ -376,20 +346,19 @@ class TestRunSimulation:
         assert lo < row < reached < hi
 
     def test_divergent_plant_aborts_with_component(self):
-        model, est, obs = make_chua_setup()
         # Flip the sign of the whole linear part: unstable plant, but the
         # loop gains can stay stable long enough to start.
         unstable = replace(
-            model,
+            chua_preset(),
             a=np.array([[200.0, 0.0, 0.0], [0.0, 200.0, 0.0], [0.0, 0.0, 200.0]]),
         )
-        cfg = StepConfig(step_size=0.5, end_time=400.0)
         with pytest.raises((SimulationAbort, ConfigurationError)):
-            run_simulation(unstable, est, obs, cfg, None, filter_gains=CHUA_FILTER_GAINS)
+            run_experiment(experiment(unstable, StepConfig(step_size=0.5, end_time=400.0)))
 
 
-def small_switched_setup():
-    """n = 2, m = 1, s = 2 plant with an input, a schedule and noise on."""
+def small_switched_setup(step):
+    """n = 2, m = 1, s = 2 plant with an input, a schedule and noise on,
+    over the grid ``step``."""
     model = d.PlantModel(
         a=np.array([[-1.0, 1.0], [-2.0, -0.5]]),
         b=np.array([0.0, 1.0]),
@@ -400,41 +369,35 @@ def small_switched_setup():
         initial_state=np.array([0.7, -0.3]),
         input_signal=lambda t: np.cos(3.0 * t),
     )
-    gains = np.array([[1.0, 0.5], [2.0, -0.5], [0.5, 1.0]])
-    obs_gain = np.array([1.5, 0.0])
     noise = d.NoiseSpec(v0=0.05, seed=5, omega=make_sinusoid_disturbance([0.02, 0.01], [4, 9]))
-    est = DremEstimator(theta_hat=np.array([[0.1], [0.2]]), gamma=np.array([3.0, 7.0]))
-    obs = ObserverState(obs_gain, model, x_hat=np.array([0.1, 0.0]))
-    return model, gains, obs_gain, est, obs, noise
+    return experiment(
+        model, step, noise,
+        filter_gains=np.array([[1.0, 0.5], [2.0, -0.5], [0.5, 1.0]]),
+        observer_gain=np.array([1.5, 0.0]),
+        gamma=np.array([3.0, 7.0]),
+        theta_init=np.array([[0.1], [0.2]]),
+        observer_init=np.array([0.1, 0.0]),
+    )
 
 
 class TestLoopMatchesPublicOperations:
     def test_single_step_equals_manual_composition(self):
         """One integrator step must equal the independent reference
         composition of the pipeline stages, compared as flat states."""
-        model, est, obs = make_chua_setup()
-        h = 1e-3
-        cfg = StepConfig(step_size=h, end_time=h)
-        res = run_simulation(model, est, obs, cfg, None, filter_gains=CHUA_FILTER_GAINS)
-        rows, _, _ = reference.simulate(
-            model, CHUA_FILTER_GAINS, CHUA_OBSERVER_GAIN, est.gamma,
-            est.theta_hat, obs.x_hat, h, 1,
-        )
+        cfg = chua_experiment(1e-3)
+        res = run_experiment(cfg)
+        rows, _, _ = reference_run(cfg, 1)
         np.testing.assert_allclose(rows[-1], reference.final_state(res), rtol=1e-10, atol=1e-12)
 
     def test_small_switched_plant_matches_reference(self):
         """A plant other than the preset, with input, noise and a reset
         after three steps: every grid state, the active subsystem, the
         determinants and the mixed residual agree with the reference."""
-        model, gains, obs_gain, est, obs, noise = small_switched_setup()
         h, steps = 1e-3, 6
-        res = run_simulation(
-            model, est, obs, StepConfig(h, steps * h), noise,
-            filter_gains=gains, collect_diagnostics=True,
-        )
-        rows, sigmas, pre_reset = reference.simulate(
-            model, gains, obs_gain, est.gamma, est.theta_hat, obs.x_hat, h, steps, noise
-        )
+        cfg = small_switched_setup(StepConfig(h, steps * h))
+        model = cfg.model
+        res = run_experiment(cfg, collect_diagnostics=True)
+        rows, sigmas, pre_reset = reference_run(cfg, steps)
         np.testing.assert_allclose(rows[-1], reference.final_state(res), rtol=1e-10, atol=1e-13)
         np.testing.assert_array_equal(res.trace.sigma, sigmas)
         assert res.trace.switch_times == [0.0, pytest.approx(3 * h)]
@@ -460,12 +423,9 @@ class TestLoopMatchesPublicOperations:
             return law(gamma, delta, *rest)
 
         monkeypatch.setattr(sim, "adaptation_rates", spy)
-        model, est, obs = make_chua_setup()
         def run(schedule, steps):
             seen.clear()
-            pinned = replace(model, switching_rule=TimeScheduleRule(schedule))
-            cfg = StepConfig(step_size=1e-3, end_time=steps * 1e-3)
-            out = run_simulation(pinned, est, obs, cfg, None, filter_gains=CHUA_FILTER_GAINS)
+            out = run_experiment(experiment(pinned_chua(*schedule), StepConfig(1e-3, steps * 1e-3)))
             return out, np.concatenate(seen)
 
         switched, law_switched = run(((0.0, 1), (0.0095, 2)), 20)
@@ -525,16 +485,18 @@ def small_switched_cases(draw):
             seed=draw(st.integers(0, 2**32)),
             omega=make_sinusoid_disturbance(_uniform(draw, 0.0, 0.1, (n,)), np.arange(1.0, n + 1)),
         )
-    est = DremEstimator(
-        theta_hat=_uniform(draw, -1.0, 1.0, (s, m)), gamma=_uniform(draw, 0.5, 5.0, (s,))
+    theta_init, gamma = _uniform(draw, -1.0, 1.0, (s, m)), _uniform(draw, 0.5, 5.0, (s,))
+    inputs = dict(
+        filter_gains=gains[:-1],
+        observer_gain=gains[-1],
+        gamma=gamma,
+        theta_init=theta_init,
+        observer_init=_uniform(draw, -1.0, 1.0, (n,)),
     )
-    obs = ObserverState(gains[-1], model, x_hat=_uniform(draw, -1.0, 1.0, (n,)))
     return dict(
         model=model,
-        gains=gains[:-1],
-        est=est,
-        obs=obs,
         noise=noise,
+        inputs=inputs,
         regions=draw(st.booleans()),
         switch_row=draw(st.integers(2, 5)),
         chunk=draw(st.integers(2, 3)),
@@ -563,24 +525,20 @@ class TestKernelMatchesReference:
         """The chunked kernel against the reference on random small
         (n, m, s), with noise on and off, a time schedule or output regions,
         a reset mid-run and chunk boundaries between the grid points."""
-        model, gains, est, obs, noise = (case[k] for k in ("model", "gains", "est", "obs", "noise"))
+        model, noise, inputs = case["model"], case["noise"], case["inputs"]
         h, steps, row = self.H, self.STEPS, case["switch_row"]
+        step = StepConfig(h, steps * h)
         if case["regions"]:
-            plant_only = reference.simulate(
-                model, gains, obs.gain, est.gamma, est.theta_hat, obs.x_hat, h, row, noise
-            )[0]
+            plant_only = reference_run(experiment(model, step, noise, **inputs), row)[0]
             rule = switching_at_row(model, plant_only[:, : model.n] @ model.c, row)
         else:
             rule = TimeScheduleRule(((0.0, 1), ((row - 0.5) * h, model.s)))
-        model = replace(model, switching_rule=rule)
+        cfg = experiment(replace(model, switching_rule=rule), step, noise, **inputs)
+        model = cfg.model
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "CHUNK", case["chunk"])
-            res = run_simulation(
-                model, est, obs, StepConfig(h, steps * h), noise, filter_gains=gains
-            )
-        rows, sigmas, pre_reset = reference.simulate(
-            model, gains, obs.gain, est.gamma, est.theta_hat, obs.x_hat, h, steps, noise
-        )
+            res = run_experiment(cfg)
+        rows, sigmas, pre_reset = reference_run(cfg, steps)
         np.testing.assert_array_equal(res.trace.sigma, sigmas)
         assert res.trace.sigma[row] != res.trace.sigma[0]
         assert len(res.events) == len(pre_reset)
@@ -601,7 +559,7 @@ class TestLayout:
     order."""
 
     def test_component_names_cover_every_index(self):
-        model = make_chua_setup()[0]
+        model = chua_preset()
         names = reference.component_names(3, 2, 3)
         assert len(set(names)) == len(names) == reference.state_size(model) == 123
         assert names[0] == "x[0]"
@@ -609,7 +567,7 @@ class TestLayout:
         assert "excitation[2]" in names
 
     def test_views_are_aliases(self):
-        model = make_chua_setup()[0]
+        model = chua_preset()
         flat = np.zeros(reference.state_size(model))
         x, xhat, fs, theta, exc = reference.views(model, flat)
         fs[2, 1, 0] = 7.0
@@ -665,48 +623,43 @@ class TestPlantMatchesReference:
 
     @pytest.mark.parametrize("robust", [False, True], ids=["ideal", "robust"])
     def test_chua_one_second(self, robust):
-        model, est, obs = make_chua_setup()
         noise = chua_robust_noise(seed=3) if robust else None
         h, steps = 1e-3, 1000
-        res = run_simulation(
-            model, est, obs, StepConfig(h, steps * h), noise, filter_gains=CHUA_FILTER_GAINS
-        )
-        assert_plant_columns_equal(res, model, noise, h, steps)
+        cfg = chua_experiment(steps * h, noise, step_size=h)
+        res = run_experiment(cfg)
+        assert_plant_columns_equal(res, cfg.model, noise, h, steps)
 
     def test_input_disturbance_and_start_time(self):
-        model, gains, _, est, obs, noise = small_switched_setup()
         t0, h, steps = 0.37, 1e-3, 300
+        cfg = small_switched_setup(StepConfig(h, t0 + steps * h, t0))
         model = replace(
-            model, switching_rule=TimeScheduleRule(((t0, 2), (t0 + 0.1, 1), (t0 + 0.2, 2)))
+            cfg.model, switching_rule=TimeScheduleRule(((t0, 2), (t0 + 0.1, 1), (t0 + 0.2, 2)))
         )
-        res = run_simulation(
-            model, est, obs, StepConfig(h, t0 + steps * h, t0), noise, filter_gains=gains
-        )
+        res = run_experiment(replace(cfg, model=model))
         assert len(res.events) == 3
-        assert_plant_columns_equal(res, model, noise, h, steps, t0)
+        assert_plant_columns_equal(res, model, cfg.noise, h, steps, t0)
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(small_switched_cases())
     def test_random_small_plants(self, case):
-        model, gains, est, obs, noise = (case[k] for k in ("model", "gains", "est", "obs", "noise"))
+        model, noise, inputs = case["model"], case["noise"], case["inputs"]
         h, steps, row = self.H, self.STEPS, case["switch_row"]
         if case["regions"]:
             rule = switching_at_row(model, reference.plant_grid(model, noise, h, row)[1], row)
         else:
             rule = TimeScheduleRule(((0.0, 1), ((row - 0.5) * h, model.s)))
         model = replace(model, switching_rule=rule)
+        cfg = experiment(model, StepConfig(h, steps * h), noise, **inputs)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "CHUNK", case["chunk"])
-            res = run_simulation(
-                model, est, obs, StepConfig(h, steps * h), noise, filter_gains=gains
-            )
+            res = run_experiment(cfg)
         assert res.trace.sigma[row] != res.trace.sigma[0]
         assert_plant_columns_equal(res, model, noise, h, steps)
 
 
 class TestDisturbanceContract:
     """``omega`` maps a (K, 1) column of times to a (K, n) array; a callable
-    that does not is rejected before the integration starts."""
+    that does not is rejected when the run's config is built."""
 
     @pytest.mark.parametrize(
         "omega",
@@ -718,17 +671,14 @@ class TestDisturbanceContract:
         ids=["scalar-only", "one-row", "wrong-width"],
     )
     def test_rejected_before_integration(self, omega, monkeypatch):
-        model, gains, _, est, obs, _ = small_switched_setup()
+        cfg = small_switched_setup(StepConfig(1e-3, 1.0))
 
         def never(*args):
             raise AssertionError("the plant was stepped")
 
         monkeypatch.setattr(sim._Plant, "advance", never)
-        with pytest.raises(ConfigurationError, match="omega"):
-            run_simulation(
-                model, est, obs, StepConfig(1e-3, 1.0), d.NoiseSpec(v0=0.01, omega=omega),
-                filter_gains=gains,
-            )
+        with pytest.raises(ConfigurationError, match="noise: omega"):
+            run_experiment(replace(cfg, noise=d.NoiseSpec(v0=0.01, omega=omega)))
 
     def test_sinusoid_disturbance_rows_equal_per_time_calls(self):
         omega = make_sinusoid_disturbance([0.3, 0.02, 0.1], [7.0, 5.0, 13.0])
@@ -758,17 +708,14 @@ class TestPsiContract:
         ids=["scalar-only", "trailing-axis", "one-array", "wrong-width", "unequal-rows"],
     )
     def test_rejected_before_integration(self, psi, monkeypatch):
-        model, gains, _, est, obs, noise = small_switched_setup()
+        cfg = small_switched_setup(StepConfig(1e-3, 1.0))
 
         def never(*args):
             raise AssertionError("the plant was stepped")
 
         monkeypatch.setattr(sim._Plant, "advance", never)
         with pytest.raises(ConfigurationError, match="psi"):
-            run_simulation(
-                replace(model, psi=psi), est, obs, StepConfig(1e-3, 1.0), noise,
-                filter_gains=gains,
-            )
+            run_experiment(replace(cfg, model=replace(cfg.model, psi=psi)))
 
     # Signed zeros, subnormals, values near the float limit and ordinary ones.
     EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e308, 1e308, 1.7976931348623157e308,

@@ -19,19 +19,14 @@ from dremobs.trace import (
 )
 
 import reference
-from conftest import make_chua_setup
+from conftest import chua_experiment
 
 import dremobs as d
-from dremobs.plant import CHUA_FILTER_GAINS
 
 
 def tiny_run(end_time=0.05, noise_seed=None):
-    model, est, obs = make_chua_setup()
     noise = d.chua_robust_noise(seed=noise_seed) if noise_seed is not None else None
-    cfg = d.StepConfig(step_size=1e-3, end_time=end_time)
-    return d.run_simulation(
-        model, est, obs, cfg, noise, filter_gains=CHUA_FILTER_GAINS, seed=noise_seed
-    )
+    return d.run_experiment(chua_experiment(end_time, noise))
 
 
 # Values whose text form is easy to get wrong: signed zero, the smallest
