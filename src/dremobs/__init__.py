@@ -9,13 +9,11 @@ from .errors import (
     SimulationAbort,
     TraceFormatError,
 )
-from .estimator import ExcitationReport, adaptation_rates, pe_check
 from .linalg import (
     StabilityVerdict,
     characteristic_polynomial,
     det_adjugate_batch,
     hurwitz_verdict,
-    is_hurwitz,
     routh_verdict,
 )
 from .plant import (
@@ -36,9 +34,11 @@ from .sim import (
     StateLayout,
     StepConfig,
     SwitchEvent,
+    adaptation_rates,
     run_experiment,
 )
 from .trace import SimulationTrace, read_trace, traces_equal, write_trace
+from .verification import excitation_window_means
 
 __version__ = "0.1.0"
 
@@ -48,14 +48,10 @@ __all__ = [
     "GainStabilityError",
     "SimulationAbort",
     "TraceFormatError",
-    "ExcitationReport",
-    "adaptation_rates",
-    "pe_check",
     "StabilityVerdict",
     "characteristic_polynomial",
     "det_adjugate_batch",
     "hurwitz_verdict",
-    "is_hurwitz",
     "routh_verdict",
     "NoiseSpec",
     "OutputRegion",
@@ -72,9 +68,11 @@ __all__ = [
     "StateLayout",
     "StepConfig",
     "SwitchEvent",
+    "adaptation_rates",
     "run_experiment",
     "SimulationTrace",
     "read_trace",
     "traces_equal",
     "write_trace",
+    "excitation_window_means",
 ]

@@ -161,7 +161,10 @@ def _build_switching(spec: dict, path: str):
         epath = f"{path}.entries[{k}]"
         _expect(isinstance(e, list) and len(e) == 2, epath, "expected a [start_time, subsystem] pair")
         entries.append((_as_float(e[0], f"{epath}[0]"), _as_int(e[1], f"{epath}[1]")))
-    return TimeScheduleRule(tuple(entries))
+    try:
+        return TimeScheduleRule(tuple(entries))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}.entries: {exc}") from exc
 
 
 def _build_custom_plant(spec: dict, path: str) -> PlantModel:
@@ -206,7 +209,6 @@ def _build_noise(spec, path: str, n: int, seed: int) -> NoiseSpec:
             "unknown key",
         )
     v0 = _as_float(spec.get("v0", 0.0), f"{path}.v0")
-    _expect(v0 >= 0.0, f"{path}.v0", "must be nonnegative")
     omega = None
     omega_bound = 0.0
     if spec.get("omega") is not None:
@@ -218,13 +220,15 @@ def _build_noise(spec, path: str, n: int, seed: int) -> NoiseSpec:
         freqs = _as_float_list(ospec.get("frequencies", []), f"{path}.omega.frequencies", length=n)
         omega = make_sinusoid_disturbance(amps, freqs)
         omega_bound = float(np.linalg.norm(amps))
-    return NoiseSpec(
-        v0=v0,
-        seed=_as_int(spec["seed"], f"{path}.seed") if "seed" in spec else seed,
-        omega=omega,
-        omega_bound=omega_bound,
-        lipschitz_psi=_as_float(spec.get("lipschitz_psi", 0.0), f"{path}.lipschitz_psi"),
-    )
+    if "seed" in spec:
+        seed = _as_int(spec["seed"], f"{path}.seed")
+    lipschitz_psi = _as_float(spec.get("lipschitz_psi", 0.0), f"{path}.lipschitz_psi")
+    try:
+        return NoiseSpec(
+            v0=v0, seed=seed, omega=omega, omega_bound=omega_bound, lipschitz_psi=lipschitz_psi
+        )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}.{exc}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

@@ -242,11 +242,3 @@ def hurwitz_verdict(matrix) -> StabilityVerdict:
         return StabilityVerdict(False, True)
     return routh_verdict(coefficients)
 
-
-def is_hurwitz(matrix) -> bool:
-    """True iff all eigenvalues of the matrix have strictly negative real part.
-
-    Decided by the Routh array on the characteristic polynomial; marginal or
-    indeterminate cases count as not Hurwitz.
-    """
-    return hurwitz_verdict(matrix).stable

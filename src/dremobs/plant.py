@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, Union
 
@@ -185,7 +186,15 @@ class PlantModel:
                 f"but there are {s} parameter vectors"
             )
         if isinstance(rule, TimeScheduleRule):
-            for k, (_, index) in enumerate(rule.entries):
+            for k, (start, index) in enumerate(rule.entries):
+                if not math.isfinite(start):
+                    raise ConfigurationError(
+                        f"switching.entries[{k}][0]: start time {start} is not finite"
+                    )
+                if not isinstance(index, numbers.Integral) or isinstance(index, bool):
+                    raise ConfigurationError(
+                        f"switching.entries[{k}][1]: subsystem index {index!r} is not an integer"
+                    )
                 if not 1 <= index <= s:
                     raise ConfigurationError(
                         f"switching.entries[{k}][1]: subsystem index {index} outside 1..{s}"
@@ -268,10 +277,10 @@ class NoiseSpec:
     lipschitz_psi: float = 0.0
 
     def __post_init__(self):
-        if self.v0 < 0.0:
-            raise ConfigurationError("noise bound v0 must be nonnegative")
+        if not (math.isfinite(self.v0) and self.v0 >= 0.0):
+            raise ConfigurationError(f"v0: noise bound {self.v0} must be finite and nonnegative")
         if self.omega_bound < 0.0:
-            raise ConfigurationError("disturbance bound must be nonnegative")
+            raise ConfigurationError("omega_bound: disturbance bound must be nonnegative")
 
 
 def disturbance_rows(spec: NoiseSpec, n: int, times: np.ndarray) -> np.ndarray:

@@ -65,7 +65,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, SimulationAbort
-from .estimator import adaptation_rates
 from .linalg import Cofactors, det_adjugate_batch
 from .plant import (
     NoiseSpec,
@@ -258,7 +257,6 @@ class SwitchEvent:
 class Diagnostics:
     """Ground-truth residual series collected alongside a run."""
 
-    time: np.ndarray
     theta_bar: np.ndarray  # (T, m+n) augmented parameter from ground truth
     decomposition_residual: np.ndarray  # verification filter identity
     lre_residual_max: np.ndarray  # max_j |z_j - row_j . theta_bar|
@@ -418,6 +416,23 @@ class _Plant:
         shape = (reached - lo, 4)
         outputs, inputs = np.array(outputs), np.array(inputs, dtype=float)
         return reached, outputs.reshape(shape), inputs.reshape(shape), switches
+
+
+def adaptation_rates(gamma: np.ndarray, delta, zbar, active, m: int):
+    """The gated law as affine rates of the active estimates, for any stack
+    of stages.
+
+    While subsystem i = active - 1 is active, its estimates move as
+    d theta_i / dt = gamma_i * delta * (zbar[:m] - delta * theta_i), written
+    as slope * theta_i + offset with slope = -gamma_i * delta^2 and
+    offset = gamma_i * delta * zbar[:m], and its excitation accumulator
+    grows at delta^2.  Every other subsystem stays frozen.  Mixed components
+    beyond the first m (the state-at-switch block) are not adapted.
+    ``active`` broadcasts against ``delta``; ``zbar`` has one more, trailing
+    axis.  Returns (slope, offset, excitation rate).
+    """
+    gain_delta = np.asarray(gamma)[np.asarray(active) - 1] * delta
+    return -gain_delta * delta, gain_delta[..., None] * zbar[..., :m], delta * delta
 
 
 class _Cascade:
@@ -653,7 +668,6 @@ class _Store:
         if collect_diagnostics:
             arrays = {f.name: np.empty(rows) for f in fields(Diagnostics)}
             arrays.update(theta_bar=np.empty((rows, mn)), dbar=np.empty((rows, mn)))
-            arrays["time"] = trace.t.copy()
             self.diagnostics = Diagnostics(**arrays)
 
     def derive(self, lo: int, hi: int, panels: np.ndarray, events: list, event_rows: list):

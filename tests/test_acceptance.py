@@ -12,10 +12,10 @@ import numpy as np
 
 import dremobs as d
 from dremobs.cli import main as cli_main
-from dremobs.estimator import adaptation_rates
 from dremobs.linalg import det_adjugate_batch
 from dremobs.plant import NoiseSpec
-from dremobs.verification import trapezoid_excitation
+from dremobs.sim import adaptation_rates
+from dremobs.verification import excitation_window_means, trapezoid_excitation
 
 from conftest import FULL_HORIZON, STEP, chua_experiment, run_robust
 
@@ -116,7 +116,7 @@ class TestAcceptance:
         growing = bool((at_end > at_half).all())
         quad = trapezoid_excitation(trace)
         rel = float(np.max(np.abs(at_end - quad) / np.maximum(np.abs(at_end), 1e-30)))
-        floor = d.pe_check(trace, window=20.0, alpha0=1e-12).min_means
+        floor = excitation_window_means(trace, window=20.0).min(axis=1)
         report(
             6,
             "excitation evidence",

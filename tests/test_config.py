@@ -185,8 +185,11 @@ class TestStaticValidation:
             ({"switching": {"type": "regions",
                             "regions": [{"min": 0.0, "min_inclusive": "no"}, {}]}},
              r"config\.plant\.switching\.regions\[0\]\.min_inclusive: expected true or false"),
+            ({"switching": {"type": "schedule", "entries": [[0.0, 1], [0.0, 2]]}},
+             r"config\.plant\.switching\.entries: schedule times must be strictly increasing"),
         ],
-        ids=["index-0", "index-s+1", "region-gap", "m+n-9", "m-0", "name-type", "inclusive-type"],
+        ids=["index-0", "index-s+1", "region-gap", "m+n-9", "m-0", "name-type", "inclusive-type",
+             "repeated-time"],
     )
     def test_rejected_at_load(self, changes, match):
         raw = {"plant": dict(custom_plant_spec(), **changes), "filter_gains": [[2.0, 0.0]] * 3}
@@ -208,6 +211,11 @@ class TestStaticValidation:
         # NaN used to pass loading and stop the run with a ValueError.
         with pytest.raises(ConfigurationError, match=path + ": expected a finite number"):
             config_from_dict({"plant": "chua", key: value})
+
+    def test_negative_noise_bound_names_its_path(self):
+        # NoiseSpec checks v0; the parse reports its error under config.noise.
+        with pytest.raises(ConfigurationError, match=r"config\.noise\.v0: "):
+            config_from_dict({"plant": "chua", "mode": "robust", "noise": {"v0": -1.0}})
 
     def test_schedule_starting_after_start_time_rejected(self):
         # Used to load, then fail at the first rule query with no config path.

@@ -8,11 +8,11 @@ import pytest
 import reference
 from conftest import experiment
 from dremobs.errors import ConfigurationError
-from dremobs.estimator import adaptation_rates, pe_check
 from dremobs.linalg import Cofactors, det_adjugate_batch
 from dremobs.plant import TimeScheduleRule, chua_preset
-from dremobs.sim import StateLayout, StepConfig, run_experiment
+from dremobs.sim import StateLayout, StepConfig, adaptation_rates, run_experiment
 from dremobs.trace import SimulationTrace, column_names
+from dremobs.verification import excitation_window_means
 
 
 def rates(gamma, theta, delta, zbar, active):
@@ -188,28 +188,27 @@ class TestPeCheck:
     def test_zero_determinant_fails_every_window(self):
         t = np.arange(0.0, 10.0 + 1e-9, 0.01)
         trace = synthetic_trace(t, np.ones(t.size), np.zeros(t.size))
-        report = pe_check(trace, window=1.0, alpha0=0.5)
-        assert not report.all_windows_pass.any()
-        np.testing.assert_array_equal(report.min_means, np.zeros(3))
+        means = excitation_window_means(trace, window=1.0)
+        assert means.shape == (3, t.size - 100)
+        np.testing.assert_array_equal(means, np.zeros_like(means))
 
     def test_unit_excitation_passes(self):
         t = np.arange(0.0, 10.0 + 1e-9, 0.01)
         trace = synthetic_trace(t, np.ones(t.size), np.ones(t.size))
-        report = pe_check(trace, window=1.0, alpha0=0.5)
-        assert report.all_windows_pass[0]
-        np.testing.assert_allclose(report.window_means[0], 1.0, rtol=1e-12)
-        assert not report.all_windows_pass[1]  # subsystem 2 never active
+        means = excitation_window_means(trace, window=1.0)
+        np.testing.assert_allclose(means[0], 1.0, rtol=1e-12)
+        np.testing.assert_array_equal(means[1:], 0.0)  # subsystems 2 and 3 never active
 
     def test_window_larger_than_span_rejected(self):
         t = np.arange(0.0, 1.0 + 1e-9, 0.01)
         trace = synthetic_trace(t, np.ones(t.size), np.ones(t.size))
         with pytest.raises(ConfigurationError):
-            pe_check(trace, window=2.0, alpha0=0.5)
+            excitation_window_means(trace, window=2.0)
 
     def test_reports_empirical_floor_on_real_run(self, short_ideal_run):
-        report = pe_check(short_ideal_run.trace, window=2.0, alpha0=1e-9)
-        assert report.min_means.shape == (3,)
-        assert (report.min_means >= 0.0).all()
+        means = excitation_window_means(short_ideal_run.trace, window=2.0)
+        assert means.shape[0] == 3
+        assert (means.min(axis=1) >= 0.0).all()
 
 
 class TestRunLevelBehaviour:

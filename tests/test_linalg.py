@@ -13,7 +13,6 @@ from dremobs.linalg import (
     characteristic_polynomial,
     det_adjugate_batch,
     hurwitz_verdict,
-    is_hurwitz,
     routh_verdict,
 )
 
@@ -194,7 +193,7 @@ def bracket_real_root(coeffs, lo=-1e4, hi=0.0, iters=200):
 
 class TestHurwitz:
     def test_stable_diagonal(self):
-        assert is_hurwitz(np.diag([-1.0, -2.0, -3.0])) is True
+        assert hurwitz_verdict(np.diag([-1.0, -2.0, -3.0])).stable is True
 
     def test_pure_rotation_is_marginal(self):
         m = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -239,7 +238,7 @@ class TestHurwitz:
             assert max(roots) < 0
         else:
             assert -b2 / 2 < 0  # real part of the complex pair
-        assert is_hurwitz(m) is True
+        assert hurwitz_verdict(m).stable is True
 
     def test_agrees_with_eigenvalue_sign_oracle(self):
         rng = np.random.default_rng(23)
@@ -249,7 +248,7 @@ class TestHurwitz:
             real_parts = np.linalg.eigvals(m).real
             if np.abs(real_parts).min() < 1e-3:
                 continue  # skip near-marginal draws
-            assert is_hurwitz(m) == bool(real_parts.max() < 0)
+            assert hurwitz_verdict(m).stable == bool(real_parts.max() < 0)
             checked += 1
 
     def test_characteristic_polynomial_constant_term(self):

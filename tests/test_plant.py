@@ -256,3 +256,10 @@ class TestNoise:
     def test_rejects_negative_bound(self):
         with pytest.raises(ConfigurationError):
             NoiseSpec(v0=-0.1)
+
+    @pytest.mark.parametrize("v0", [math.inf, math.nan, -1.0], ids=["inf", "nan", "minus-1"])
+    def test_rejects_bound_that_is_not_finite_and_nonnegative(self, v0):
+        # An infinite or NaN bound used to build and abort the run at its
+        # first step, naming x_hat[0].
+        with pytest.raises(ConfigurationError, match=r"^v0: "):
+            NoiseSpec(v0=v0)

@@ -757,3 +757,38 @@ class TestPsiContract:
         )
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             self._assert_rows_equal_scalar_calls(cfg.model.psi)
+
+
+class TestScheduleEntries:
+    """Schedule entries are finite start times and integer subsystem
+    indices.  An index of 1.5 used to pass the range check and raise an
+    IndexError at its switch; a NaN start time was never reached, so its
+    entry was silently skipped.  Both are rejected when the model is built,
+    before the plant is stepped."""
+
+    @pytest.mark.parametrize(
+        "entries, match",
+        [
+            (((0.0, 2), (0.1, 1.5)), r"switching\.entries\[1\]\[1\]: .*not an integer"),
+            (((0.0, 2), (0.1, True)), r"switching\.entries\[1\]\[1\]: .*not an integer"),
+            (((0.0, 2), (math.nan, 1)), r"switching\.entries\[1\]\[0\]: .*not finite"),
+            (((0.0, 2), (math.inf, 1)), r"switching\.entries\[1\]\[0\]: .*not finite"),
+        ],
+        ids=["fractional-index", "bool-index", "nan-time", "inf-time"],
+    )
+    def test_rejected_before_integration(self, entries, match, monkeypatch):
+        cfg = small_switched_setup(StepConfig(1e-3, 1.0))
+
+        def never(*args):
+            raise AssertionError("the plant was stepped")
+
+        monkeypatch.setattr(sim._Plant, "advance", never)
+        with pytest.raises(ConfigurationError, match=match):
+            rule = TimeScheduleRule(entries)
+            run_experiment(replace(cfg, model=replace(cfg.model, switching_rule=rule)))
+
+    def test_numpy_integer_index_runs_as_its_int(self):
+        cfg = small_switched_setup(StepConfig(1e-3, 0.01))
+        rule = TimeScheduleRule(((0.0, np.int64(2)), (0.0025, np.int64(1))))
+        numpy_run = run_experiment(replace(cfg, model=replace(cfg.model, switching_rule=rule)))
+        assert trace_to_string(numpy_run.trace) == trace_to_string(run_experiment(cfg).trace)
