@@ -4,7 +4,6 @@ element-wise adaptation, and excitation monitoring."""
 
 from .errors import (
     ConfigurationError,
-    DimensionError,
     GainStabilityError,
     SimulationAbort,
     TraceFormatError,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError",
-    "DimensionError",
     "GainStabilityError",
     "SimulationAbort",
     "TraceFormatError",

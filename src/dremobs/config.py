@@ -5,14 +5,16 @@ A configuration is a single JSON object.  The only required key is
 ``plant`` (a preset name or a full plant description); everything else
 defaults to the built-in values of the named preset.  See the README for
 the full schema.  This module parses JSON types and fills in defaults; the
-checks on the run inputs themselves are ``ExperimentConfig``'s, reported
-here under ``config.``.
+checks on the run inputs themselves are made once, by ``PlantModel``,
+``NoiseSpec`` and ``ExperimentConfig``, and reported here under the path of
+the object that failed (``config.plant.``, ``config.noise.``, ``config.``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,16 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigurationError(f"{path}: {message}")
 
 
+@contextmanager
+def _under(path: str):
+    """Report a ConfigurationError raised inside, whose message starts with
+    a field name, under ``path``, keeping its type."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise type(exc)(f"{path}.{exc}") from exc
+
+
 def _as_float(value, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
     try:
@@ -63,12 +75,9 @@ def _as_int(value, path: str) -> int:
     return int(value)
 
 
-def _as_float_list(value, path: str, length: int | None = None) -> np.ndarray:
+def _as_float_list(value, path: str) -> np.ndarray:
     _expect(isinstance(value, list), path, "expected a list of numbers")
-    arr = np.array([_as_float(v, f"{path}[{k}]") for k, v in enumerate(value)])
-    if length is not None:
-        _expect(arr.size == length, path, f"expected {length} entries, got {arr.size}")
-    return arr
+    return np.array([_as_float(v, f"{path}[{k}]") for k, v in enumerate(value)])
 
 
 def _as_matrix(value, path: str, rows: int | None = None) -> np.ndarray:
@@ -150,10 +159,8 @@ def _build_switching(spec: dict, path: str):
                     upper_closed=_as_bool(r.get("max_inclusive", True), f"{rpath}.max_inclusive"),
                 )
             )
-        try:
+        with _under(path):
             return StateRegionRule(tuple(regions))
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}.regions: {exc}") from exc
     entries_spec = spec.get("entries")
     _expect(isinstance(entries_spec, list) and entries_spec, f"{path}.entries", "expected a non-empty list")
     entries = []
@@ -161,10 +168,8 @@ def _build_switching(spec: dict, path: str):
         epath = f"{path}.entries[{k}]"
         _expect(isinstance(e, list) and len(e) == 2, epath, "expected a [start_time, subsystem] pair")
         entries.append((_as_float(e[0], f"{epath}[0]"), _as_int(e[1], f"{epath}[1]")))
-    try:
+    with _under(path):
         return TimeScheduleRule(tuple(entries))
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}.entries: {exc}") from exc
 
 
 def _build_custom_plant(spec: dict, path: str) -> PlantModel:
@@ -175,17 +180,15 @@ def _build_custom_plant(spec: dict, path: str) -> PlantModel:
     for key in spec:
         _expect(key in known, f"{path}.{key}", "unknown key")
     a = _as_matrix(spec["a"], f"{path}.a")
-    n = a.shape[0]
-    _expect(a.shape == (n, n), f"{path}.a", "must be square")
-    b = _as_float_list(spec["b"], f"{path}.b", length=n)
-    c = _as_float_list(spec["c"], f"{path}.c", length=n)
+    b = _as_float_list(spec["b"], f"{path}.b")
+    c = _as_float_list(spec["c"], f"{path}.c")
     params = _as_matrix(spec["true_params"], f"{path}.true_params")
-    psi = _build_affine_psi(spec["psi"], f"{path}.psi", n)
+    psi = _build_affine_psi(spec["psi"], f"{path}.psi", len(a))
     rule = _build_switching(spec["switching"], f"{path}.switching")
-    x0 = _as_float_list(spec["initial_state"], f"{path}.initial_state", length=n)
+    x0 = _as_float_list(spec["initial_state"], f"{path}.initial_state")
     name = spec.get("name", "custom")
     _expect(isinstance(name, str), f"{path}.name", "expected a string")
-    try:
+    with _under(path):
         return PlantModel(
             a=a,
             b=b,
@@ -196,11 +199,9 @@ def _build_custom_plant(spec: dict, path: str) -> PlantModel:
             initial_state=x0,
             name=name,
         )
-    except (ConfigurationError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
-def _build_noise(spec, path: str, n: int, seed: int) -> NoiseSpec:
+def _build_noise(spec, path: str, seed: int) -> NoiseSpec:
     _expect(isinstance(spec, dict), path, "expected an object")
     for key in spec:
         _expect(
@@ -216,19 +217,26 @@ def _build_noise(spec, path: str, n: int, seed: int) -> NoiseSpec:
         _expect(isinstance(ospec, dict), f"{path}.omega", "expected an object")
         for key in ospec:
             _expect(key in ("amplitudes", "frequencies"), f"{path}.omega.{key}", "unknown key")
-        amps = _as_float_list(ospec.get("amplitudes", []), f"{path}.omega.amplitudes", length=n)
-        freqs = _as_float_list(ospec.get("frequencies", []), f"{path}.omega.frequencies", length=n)
-        omega = make_sinusoid_disturbance(amps, freqs)
-        omega_bound = float(np.linalg.norm(amps))
+        amps = _as_float_list(ospec.get("amplitudes", []), f"{path}.omega.amplitudes")
+        freqs = _as_float_list(ospec.get("frequencies", []), f"{path}.omega.frequencies")
+        with _under(f"{path}.omega"):
+            omega = make_sinusoid_disturbance(amps, freqs)
+        # The declared bound is the amplitudes' norm, which may leave the
+        # float range although every amplitude is finite.
+        with np.errstate(over="ignore"):
+            omega_bound = float(np.linalg.norm(amps))
+        _expect(
+            math.isfinite(omega_bound),
+            f"{path}.omega.amplitudes",
+            "their norm, the declared disturbance bound, exceeds the float range",
+        )
     if "seed" in spec:
         seed = _as_int(spec["seed"], f"{path}.seed")
     lipschitz_psi = _as_float(spec.get("lipschitz_psi", 0.0), f"{path}.lipschitz_psi")
-    try:
+    with _under(path):
         return NoiseSpec(
             v0=v0, seed=seed, omega=omega, omega_bound=omega_bound, lipschitz_psi=lipschitz_psi
         )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}.{exc}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -284,15 +292,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     noise = None
     if raw.get("noise") is not None:
-        noise = _build_noise(raw["noise"], "config.noise", model.n, seed)
+        noise = _build_noise(raw["noise"], "config.noise", seed)
     elif preset and mode == "robust":
         noise = chua_robust_noise(seed=seed)
 
-    try:
+    with _under("config"):
         step = StepConfig(step_size=h, end_time=t_end, start_time=t0)
         return ExperimentConfig(model=model, step=step, mode=mode, seed=seed, noise=noise, **fields)
-    except ConfigurationError as exc:
-        raise type(exc)(f"config.{exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:

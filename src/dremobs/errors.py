@@ -5,10 +5,6 @@ from __future__ import annotations
 import math
 
 
-class DimensionError(ValueError):
-    """An operand has the wrong shape for the requested operation."""
-
-
 class ConfigurationError(ValueError):
     """A model, rule, or experiment configuration is invalid."""
 

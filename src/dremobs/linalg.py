@@ -16,27 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionError
-
 MAX_SIDE = 8
-
-
-def as_vector(value, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionError(f"{name} must be a non-empty 1-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def as_matrix(value, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 2 or arr.size == 0:
-        raise DimensionError(f"{name} must be a non-empty 2-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
 
 
 def _minor_tables(k: int, cells: list[tuple[int, int]]) -> tuple:
@@ -107,7 +87,7 @@ class Cofactors:
 
     def __init__(self, k: int, cells: list[tuple[int, int]]):
         if not 1 <= k <= MAX_SIDE:
-            raise DimensionError(f"matrix side {k} outside the supported range 1..{MAX_SIDE}")
+            raise ValueError(f"matrix side {k} outside the supported range 1..{MAX_SIDE}")
         self.k = k
         self._size, self._levels, self._out, self._signs = _minor_tables(k, cells)
 
@@ -148,7 +128,7 @@ def det_adjugate_batch(matrices) -> tuple[np.ndarray, np.ndarray]:
     """
     ms = np.asarray(matrices, dtype=float)
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
-        raise DimensionError(f"expected a (batch, k, k) stack, got shape {ms.shape}")
+        raise ValueError(f"expected a (batch, k, k) stack, got shape {ms.shape}")
     if not np.isfinite(ms).all():
         raise ValueError("matrix stack contains non-finite entries")
     b, k, _ = ms.shape
@@ -163,10 +143,12 @@ def det_adjugate_batch(matrices) -> tuple[np.ndarray, np.ndarray]:
 def characteristic_polynomial(matrix) -> np.ndarray:
     """Coefficients of det(lambda*I - M), leading first, via the
     Faddeev-LeVerrier recursion (no eigenvalue iteration)."""
-    a = as_matrix(matrix)
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
     n = a.shape[0]
-    if a.shape != (n, n):
-        raise DimensionError(f"matrix must be square, got shape {a.shape}")
     coeffs = np.empty(n + 1)
     coeffs[0] = 1.0
     mk = a.copy()
@@ -199,7 +181,7 @@ def routh_verdict(coefficients) -> StabilityVerdict:
     """
     c = np.asarray(coefficients, dtype=float)
     if c.ndim != 1 or c.size < 1:
-        raise DimensionError("coefficient list must be 1-D and non-empty")
+        raise ValueError("coefficient list must be 1-D and non-empty")
     if not np.isfinite(c).all():
         raise ValueError("coefficients contain non-finite entries")
     if c[0] == 0.0:
@@ -234,8 +216,11 @@ def routh_verdict(coefficients) -> StabilityVerdict:
 
 def hurwitz_verdict(matrix) -> StabilityVerdict:
     """Full verdict (including the indeterminate flag) for a matrix.  A
-    characteristic polynomial beyond the float range is indeterminate, an
-    expected outcome, so its overflow raises no warning."""
+    matrix or characteristic polynomial beyond the float range is
+    indeterminate, an expected outcome, so its overflow raises no warning."""
+    matrix = np.asarray(matrix, dtype=float)
+    if not np.isfinite(matrix).all():
+        return StabilityVerdict(False, True)
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients = characteristic_polynomial(matrix)
     if not np.isfinite(coefficients).all():

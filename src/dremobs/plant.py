@@ -16,8 +16,8 @@ from typing import Any, Callable, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, GainStabilityError
-from .linalg import MAX_SIDE, as_matrix, as_vector, hurwitz_verdict
+from .errors import ConfigurationError, GainStabilityError
+from .linalg import MAX_SIDE, hurwitz_verdict
 
 MASK64 = (1 << 64) - 1
 XORSHIFT_MULTIPLIER = 0x2545F4914F6CDD1D  # xorshift64* output multiplier
@@ -26,6 +26,26 @@ STEP_MIX_CONSTANT = 0x9E3779B97F4A7C15  # odd 64-bit constant decorrelating step
 
 def zero_input(t: float) -> float:
     return 0.0
+
+
+def checked_array(name: str, value, shape: tuple, rule: str | None = None) -> np.ndarray:
+    """``value`` as a read-only float copy, so a checked input cannot change
+    afterwards, of ``shape`` (``None`` is any nonzero length) with finite
+    entries; else ConfigurationError ``<name>: <reason>``, the reason for a
+    wrong shape being ``rule`` when given."""
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name}: expected an array of numbers ({exc})") from exc
+    array.setflags(write=False)
+    if array.ndim != len(shape) or any(
+        got != want if want is not None else got == 0 for got, want in zip(array.shape, shape)
+    ):
+        rule = rule or f"expected shape {shape}"
+        raise ConfigurationError(f"{name}: {rule}, got shape {array.shape}")
+    if not np.isfinite(array).all():
+        raise ConfigurationError(f"{name}: entries must be finite")
+    return array
 
 
 @dataclass(frozen=True)
@@ -62,11 +82,11 @@ class StateRegionRule:
 
     def __post_init__(self):
         if not self.regions:
-            raise ConfigurationError("a state-region rule needs at least one region")
+            raise ConfigurationError("regions: a state-region rule needs at least one region")
         seam = _first_uncovered(self.regions)
         if seam is not None:
             raise ConfigurationError(
-                f"regions leave outputs near y={seam:.6g} uncovered; "
+                f"regions: outputs near y={seam:.6g} are left uncovered; "
                 "they must cover the real line"
             )
 
@@ -90,10 +110,10 @@ class TimeScheduleRule:
 
     def __post_init__(self):
         if not self.entries:
-            raise ConfigurationError("a schedule rule needs at least one entry")
+            raise ConfigurationError("entries: a schedule rule needs at least one entry")
         times = [t for t, _ in self.entries]
         if any(b <= a for a, b in zip(times, times[1:])):
-            raise ConfigurationError("schedule times must be strictly increasing")
+            raise ConfigurationError("entries: schedule times must be strictly increasing")
         object.__setattr__(self, "_times", times)
 
     def subsystem_for(self, y: float, t: float) -> int:
@@ -159,31 +179,32 @@ class PlantModel:
     name: str = "custom"
 
     def __post_init__(self):
-        a = as_matrix(self.a, "A")
+        """Errors name the field at fault first, as ``<field>: <reason>``,
+        by its key in the JSON schema."""
+        square = "expected a non-empty square matrix"
+        a = checked_array("a", self.a, (None, None), square)
         n = a.shape[0]
         if a.shape != (n, n):
-            raise DimensionError(f"A must be square, got {a.shape}")
-        b = as_vector(self.b, "B")
-        c = as_vector(self.c, "C")
-        x0 = as_vector(self.initial_state, "initial state")
-        if b.shape != (n,) or c.shape != (n,) or x0.shape != (n,):
-            raise DimensionError("B, C and the initial state must all have length n")
-        params = np.atleast_2d(np.asarray(self.true_params, dtype=float))
-        if params.ndim != 2 or params.shape[0] < 1 or params.shape[1] < 1:
-            raise DimensionError("true_params must stack at least one non-empty parameter vector")
-        if not np.isfinite(params).all():
-            raise ValueError("true_params contains non-finite entries")
-        _check_psi(self.psi, n, params.shape[1], float(c @ x0))
-        s = params.shape[0]
-        if n + params.shape[1] > MAX_SIDE:
+            raise ConfigurationError(f"a: {square}, got shape {a.shape}")
+        b, c, x0 = (
+            checked_array(key, getattr(self, key), (n,), f"expected length n = {n}")
+            for key in ("b", "c", "initial_state")
+        )
+        params = checked_array(
+            "true_params", self.true_params, (None, None),
+            "expected s >= 1 parameter vectors of length m >= 1 as rows",
+        )
+        s, m = params.shape
+        if n + m > MAX_SIDE:
             raise ConfigurationError(
-                f"m + n = {n + params.shape[1]} exceeds the supported maximum {MAX_SIDE}"
+                f"true_params: m + n = {n + m} exceeds the supported maximum {MAX_SIDE}"
             )
+        _check_psi(self.psi, n, m, float(c @ x0))
         rule = self.switching_rule
         if isinstance(rule, StateRegionRule) and rule.num_subsystems != s:
             raise ConfigurationError(
-                f"switching rule declares {rule.num_subsystems} regions "
-                f"but there are {s} parameter vectors"
+                f"switching.regions: {rule.num_subsystems} regions "
+                f"for {s} parameter vectors; region k activates subsystem k+1"
             )
         if isinstance(rule, TimeScheduleRule):
             for k, (start, index) in enumerate(rule.entries):
@@ -223,7 +244,7 @@ def _check_psi(psi, n: int, m: int, y0: float) -> None:
     to an (n, m) array and (K,) arrays to the (K, n, m) array of the K
     scalar calls, probed at the initial output and at a second point."""
     contract = (
-        f"psi must map floats (y, u) to an ({n}, {m}) array and (K,) arrays to a "
+        f"psi: must map floats (y, u) to an ({n}, {m}) array and (K,) arrays to a "
         f"(K, {n}, {m}) array equal to the K scalar calls"
     )
     ys, us = [y0, y0 + 1.0], [0.0, 0.5]
@@ -243,11 +264,12 @@ def _check_psi(psi, n: int, m: int, y0: float) -> None:
 
 def stable_closed_loop(model: PlantModel, gain, label: str = "gain") -> np.ndarray:
     """Closed-loop matrix A - gain C of an output-injection gain, screened
-    by the Routh test: marginal or unstable loops raise GainStabilityError."""
-    gain = as_vector(gain, label)
-    if gain.shape != (model.n,):
-        raise DimensionError(f"{label} must have length {model.n}, got {gain.shape}")
-    a_closed = model.a - np.outer(gain, model.c)
+    by the Routh test: marginal or unstable loops raise GainStabilityError,
+    and every error names ``label`` first."""
+    gain = checked_array(label, gain, (model.n,))
+    # A loop beyond the float range is indeterminate, an expected outcome.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_closed = model.a - np.outer(gain, model.c)
     verdict = hurwitz_verdict(a_closed)
     if not verdict.stable:
         kind = "unstable"
@@ -277,10 +299,20 @@ class NoiseSpec:
     lipschitz_psi: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.v0) and self.v0 >= 0.0):
-            raise ConfigurationError(f"v0: noise bound {self.v0} must be finite and nonnegative")
+        """Errors name the field at fault first, as ``<field>: <reason>``."""
+        for name in ("v0", "omega_bound", "lipschitz_psi"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigurationError(f"{name}: {value!r} is not a finite number")
+        if self.v0 < 0.0:
+            raise ConfigurationError(f"v0: noise bound {self.v0} must be nonnegative")
         if self.omega_bound < 0.0:
             raise ConfigurationError("omega_bound: disturbance bound must be nonnegative")
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ConfigurationError(f"seed: {self.seed!r} is not an integer")
+        # The noise stream masks the seed to 64 bits, which a numpy integer
+        # cannot hold; its int gives the same stream.
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 def disturbance_rows(spec: NoiseSpec, n: int, times: np.ndarray) -> np.ndarray:
@@ -289,7 +321,7 @@ def disturbance_rows(spec: NoiseSpec, n: int, times: np.ndarray) -> np.ndarray:
     A callable that fails on the column or returns another shape raises
     ConfigurationError naming ``omega``.
     """
-    contract = f"omega must map a (K, 1) column of times to a (K, {n}) array"
+    contract = f"omega: must map a (K, 1) column of times to a (K, {n}) array"
     try:
         rows = np.asarray(spec.omega(times), dtype=float)
     except Exception as exc:  # a user callable: any failure breaks the contract
@@ -402,10 +434,9 @@ CHUA_LIPSCHITZ_PSI = CHUA_P0  # ||psi(y,.) - psi(ybar,.)|| = p0 |y - ybar|
 
 
 def make_sinusoid_disturbance(amplitudes, frequencies) -> Callable[[np.ndarray], np.ndarray]:
-    amps = as_vector(amplitudes, "disturbance amplitudes")
-    freqs = as_vector(frequencies, "disturbance frequencies")
-    if amps.shape != freqs.shape:
-        raise DimensionError("amplitudes and frequencies must have matching length")
+    """Disturbance rate amplitudes * sin(frequencies * t), componentwise."""
+    amps = checked_array("amplitudes", amplitudes, (None,), "expected at least one amplitude")
+    freqs = checked_array("frequencies", frequencies, amps.shape, "expected one per amplitude")
 
     def omega(t):
         """Rates at a time, or (K, n) rates at a (K, 1) column of times."""

@@ -1,8 +1,9 @@
 """Fixed-step hybrid simulation of the plant / filter / estimator / observer
 cascade.
 
-A run is described by one ``ExperimentConfig``, which checks all of its
-inputs when it is built, and ``run_experiment`` runs it.
+A run is described by one ``ExperimentConfig``, whose inputs are all
+checked when it is built (the model's and the noise's by those objects),
+and ``run_experiment`` runs it.
 
 Signals flow one way: the plant drives the filter bank through the measured
 output, the filters feed the mixing, the mixing feeds the gated adaptation,
@@ -59,6 +60,7 @@ limit.
 from __future__ import annotations
 
 import math
+import numbers
 import time as _time
 from dataclasses import dataclass, fields
 
@@ -70,6 +72,7 @@ from .plant import (
     NoiseSpec,
     PlantModel,
     TimeScheduleRule,
+    checked_array,
     disturbance_rows,
     sample_noise,
     stable_closed_loop,
@@ -141,13 +144,6 @@ class StepConfig:
         return self.start_time + self.num_steps * self.step_size
 
 
-def _frozen(value) -> np.ndarray:
-    """A read-only float copy, so a checked input cannot change afterwards."""
-    array = np.array(value, dtype=float)
-    array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run, fully described: the plant, the m+n filter gains and the
@@ -155,10 +151,11 @@ class ExperimentConfig:
     estimates, the mode with its noise, and the seed the trace records.
 
     Unset gains are ``DEFAULT_GAIN`` and unset initial estimates zero.
-    Every check on these inputs is made here, once, when the config is
-    built; the run takes them as checked.  Errors name the field at fault
-    first, as ``<field>: <reason>``, by its key in the JSON schema (the
-    model's key is ``plant``).
+    The model and the noise check their own fields when they are built;
+    every other check on the run's inputs is made here, once, when the
+    config is built, and the run takes them as checked.  Errors name the
+    field at fault first, as ``<field>: <reason>``, by its key in the JSON
+    schema (the model's key is ``plant``).
     """
 
     model: PlantModel
@@ -182,16 +179,11 @@ class ExperimentConfig:
             "theta_init": ((s, m), np.zeros((s, m))),
             "observer_init": ((n,), np.zeros(n)),
         }
+        bank_rule = f"the bank needs exactly m + n = {m + n} gains of length {n}"
         for name, (shape, default) in arrays.items():
             value = getattr(self, name)
-            array = _frozen(default if value is None else value)
-            if array.shape != shape:
-                rule = f"expected shape {shape}"
-                if name == "filter_gains":
-                    rule = f"the bank needs exactly m + n = {m + n} gains of length {n}"
-                raise ConfigurationError(f"{name}: {rule}, got shape {array.shape}")
-            if not np.isfinite(array).all():
-                raise ConfigurationError(f"{name}: entries must be finite")
+            rule = bank_rule if name == "filter_gains" else None
+            array = checked_array(name, default if value is None else value, shape, rule)
             object.__setattr__(self, name, array)
         if not (self.gamma > 0.0).all():
             raise ConfigurationError("gamma: entries must be positive")
@@ -203,12 +195,24 @@ class ExperimentConfig:
         if (self.noise is not None) != (self.mode == "robust"):
             rule = "required" if self.noise is None else "only allowed"
             raise ConfigurationError(f"noise: {rule} in robust mode (mode is '{self.mode}')")
+        probe_times = [step.start_time, step.start_time + step.step_size]
         if self.noise is not None and self.noise.omega is not None:
-            times = np.array([[step.start_time], [step.start_time + step.step_size]])
             try:
-                disturbance_rows(self.noise, n, times)
+                disturbance_rows(self.noise, n, np.array(probe_times)[:, None])
             except ConfigurationError as exc:
-                raise ConfigurationError(f"noise: {exc}") from exc
+                raise ConfigurationError(f"noise.{exc}") from exc
+        for t in probe_times:
+            try:
+                u = model.input_signal(t)
+            except Exception as exc:  # a user callable: any failure breaks the contract
+                raise ConfigurationError(
+                    f"plant.input_signal: at t={t:.6g} it raised {exc!r}"
+                ) from exc
+            if not isinstance(u, numbers.Real):
+                raise ConfigurationError(
+                    f"plant.input_signal: must map a time to a real scalar; "
+                    f"at t={t:.6g} it returned {u!r}"
+                )
         rule = model.switching_rule
         if isinstance(rule, TimeScheduleRule) and rule.entries[0][0] > step.start_time:
             raise ConfigurationError(

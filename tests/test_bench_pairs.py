@@ -53,6 +53,22 @@ class TestVerdict:
         assert verdict(PARENT, [p * 0.81 for p in PARENT], "higher", 0.2)["within_bound"]
         assert not verdict(PARENT, [p * 0.79 for p in PARENT], "higher", 0.2)["within_bound"]
 
+    def test_parent_spread_wider_than_the_bound_is_unresolved(self):
+        # Parent quartiles 90 and 110 around a median of 100: a spread of 20,
+        # wider than a bound of 0.1 (10).
+        wide = [80.0, 90.0, 90.0, 100.0, 100.0, 100.0, 110.0, 110.0, 120.0]
+        v = verdict(wide, [p + 1.0 for p in wide], "higher", 0.1)
+        assert (v["parent"]["q1"], v["parent"]["q3"]) == (90.0, 110.0)
+        assert v["within_bound"] and v["unresolved"]
+        # Every change run better than every parent run resolves it.
+        v = verdict(wide, [121.0 + k for k in range(9)], "higher", 0.1)
+        assert v["within_bound"] and not v["unresolved"]
+        v = verdict(wide, [79.0 - k for k in range(9)], "lower", 0.1)
+        assert v["within_bound"] and not v["unresolved"]
+        # A spread inside the bound leaves the verdict kept.
+        assert not verdict(wide, [p + 1.0 for p in wide], "higher", 0.25)["unresolved"]
+        assert not verdict(PARENT, [p - 1.0 for p in PARENT], "higher", 0.2)["unresolved"]
+
     def test_single_pair(self):
         v = verdict([5.0], [6.0], "higher", 0.2)
         assert v["parent"] == {"q1": 5.0, "median": 5.0, "q3": 5.0}

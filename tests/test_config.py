@@ -85,6 +85,16 @@ class TestValidation:
         with pytest.raises(GainStabilityError, match=r"config\.filter_gains\[0\]: .*out of float range"):
             config_from_dict(raw)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_closed_loop_rejected_at_startup(self):
+        # A - g c itself overflowed, and the Routh screen raised a bare
+        # ValueError after an overflow warning.
+        spec = dict(custom_plant_spec(), a=[[1.7e308, 0.5], [0.0, -2.0]])
+        raw = {"plant": spec, "filter_gains": [[-1.7e308, 0.0], [1.0, 1.0], [3.0, 0.5]],
+               "observer_gain": [2.0, 0.5]}
+        with pytest.raises(GainStabilityError, match=r"config\.filter_gains\[0\]: .*out of float range"):
+            config_from_dict(raw)
+
     def test_noise_only_in_robust_mode(self):
         with pytest.raises(ConfigurationError, match="config.noise"):
             config_from_dict({"plant": "chua", "mode": "ideal", "noise": {"v0": 0.1}})
@@ -172,24 +182,30 @@ class TestStaticValidation:
         "changes, match",
         [
             ({"switching": {"type": "schedule", "entries": [[0.0, 1], [0.5, 0]]}},
-             r"config\.plant: switching\.entries\[1\]\[1\]"),
+             r"config\.plant\.switching\.entries\[1\]\[1\]: subsystem index \d outside 1\.\.2"),
             ({"switching": {"type": "schedule", "entries": [[0.0, 1], [0.5, 3]]}},
-             r"config\.plant: switching\.entries\[1\]\[1\]"),
+             r"config\.plant\.switching\.entries\[1\]\[1\]: subsystem index \d outside 1\.\.2"),
             ({"switching": GAP_REGIONS, "true_params": [[0.3], [-0.4], [0.1]]},
              r"config\.plant\.switching\.regions: .*cover the real line"),
             ({"psi": {"output_gain": [[1.0] * 7, [0.0] * 7]}, "true_params": [[0.1] * 7]},
-             r"config\.plant: m \+ n = 9 exceeds the supported maximum 8"),
+             r"config\.plant\.true_params: m \+ n = 9 exceeds the supported maximum 8"),
             ({"psi": {"output_gain": [[], []]}, "true_params": [[], []]},
-             r"config\.plant: true_params must stack at least one non-empty parameter vector"),
+             r"config\.plant\.true_params: expected s >= 1 parameter vectors of length m >= 1"),
             ({"name": 3}, r"config\.plant\.name: expected a string"),
             ({"switching": {"type": "regions",
                             "regions": [{"min": 0.0, "min_inclusive": "no"}, {}]}},
              r"config\.plant\.switching\.regions\[0\]\.min_inclusive: expected true or false"),
             ({"switching": {"type": "schedule", "entries": [[0.0, 1], [0.0, 2]]}},
              r"config\.plant\.switching\.entries: schedule times must be strictly increasing"),
+            ({"a": [[-1.0, 0.5, 0.0], [0.0, -2.0, 0.0]]},
+             r"config\.plant\.a: expected a non-empty square matrix, got shape \(2, 3\)"),
+            ({"b": [0.0, 1.0, 2.0]}, r"config\.plant\.b: expected length n = 2, got shape \(3,\)"),
+            ({"initial_state": []}, r"config\.plant\.initial_state: expected length n = 2"),
+            ({"true_params": [[0.3], [-0.4], [0.1]]},
+             r"config\.plant\.switching\.regions: 2 regions for 3 parameter vectors"),
         ],
         ids=["index-0", "index-s+1", "region-gap", "m+n-9", "m-0", "name-type", "inclusive-type",
-             "repeated-time"],
+             "repeated-time", "a-not-square", "b-length", "x0-empty", "regions-count"],
     )
     def test_rejected_at_load(self, changes, match):
         raw = {"plant": dict(custom_plant_spec(), **changes), "filter_gains": [[2.0, 0.0]] * 3}
@@ -216,6 +232,26 @@ class TestStaticValidation:
         # NoiseSpec checks v0; the parse reports its error under config.noise.
         with pytest.raises(ConfigurationError, match=r"config\.noise\.v0: "):
             config_from_dict({"plant": "chua", "mode": "robust", "noise": {"v0": -1.0}})
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "omega, match",
+        [
+            ({"amplitudes": [1e300] * 3, "frequencies": [1.0] * 3},
+             r"config\.noise\.omega\.amplitudes: their norm, .* exceeds the float range"),
+            ({"amplitudes": [0.1] * 2, "frequencies": [1.0] * 2},
+             r"config\.noise\.omega: must map a \(K, 1\) column of times to a \(K, 3\) array"),
+            ({"amplitudes": [0.1] * 3, "frequencies": [1.0] * 2},
+             r"config\.noise\.omega\.frequencies: expected one per amplitude"),
+        ],
+        ids=["amplitude-norm-overflow", "amplitude-count", "frequency-count"],
+    )
+    def test_disturbance_rejected_at_load(self, omega, match):
+        # Amplitudes whose norm overflows used to warn and declare an
+        # infinite omega_bound.
+        raw = {"plant": "chua", "mode": "robust", "noise": {"v0": 0.1, "omega": omega}}
+        with pytest.raises(ConfigurationError, match=match):
+            config_from_dict(raw)
 
     def test_schedule_starting_after_start_time_rejected(self):
         # Used to load, then fail at the first rule query with no config path.

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dremobs.errors import DimensionError
 from dremobs.linalg import (
     Cofactors,
     characteristic_polynomial,
@@ -77,11 +76,11 @@ class TestDeterminant:
             np.testing.assert_allclose(determinant(m.T), determinant(m), rtol=1e-12)
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match=r"expected a \(batch, k, k\) stack"):
             determinant(np.ones((2, 3)))
 
     def test_rejects_oversized(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="matrix side 9 outside the supported range"):
             determinant(np.eye(9))
 
     def test_rejects_non_finite(self):

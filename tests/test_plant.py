@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dremobs.errors import ConfigurationError, DimensionError
+from dremobs.errors import ConfigurationError
 from dremobs.plant import (
     CHUA_DISTURBANCE_AMPLITUDES,
     CHUA_DISTURBANCE_FREQUENCIES,
@@ -204,10 +204,40 @@ class TestChuaPreset:
     def test_dimension_checks(self):
         # Checked once when the model is built, not on every evaluation.
         model = chua_preset()
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError, match=r"^initial_state: expected length n = 3"):
             replace(model, initial_state=np.zeros(2))
         with pytest.raises(ConfigurationError):
             replace(model, switching_rule=TimeScheduleRule(((0.0, 4),)))
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"a": np.ones((3, 2))}, r"^a: expected a non-empty square matrix, got shape \(3, 2\)"),
+            ({"a": [[1.0, 2.0], [3.0]]}, r"^a: expected an array of numbers"),
+            ({"b": np.zeros(4)}, r"^b: expected length n = 3, got shape \(4,\)"),
+            ({"c": np.full(3, np.nan)}, r"^c: entries must be finite"),
+            ({"initial_state": np.zeros((3, 1))}, r"^initial_state: expected length n = 3"),
+            ({"true_params": np.zeros(2)}, r"^true_params: expected s >= 1 parameter vectors"),
+            ({"true_params": np.zeros((3, 6))}, r"^true_params: m \+ n = 9 exceeds"),
+            ({"true_params": np.zeros((2, 2))}, r"^switching\.regions: 3 regions for 2 parameter"),
+            ({"psi": lambda y, u: np.zeros((3, 3))}, r"^psi: must map floats"),
+        ],
+        ids=["a-not-square", "a-ragged", "b-length", "c-nan", "x0-shape", "params-flat",
+             "m+n-9", "regions-count", "psi-shape"],
+    )
+    def test_field_errors_name_the_field(self, fields, match):
+        # A wrong shape used to raise DimensionError, a ragged or non-finite
+        # array a bare ValueError.
+        with pytest.raises(ConfigurationError, match=match):
+            replace(chua_preset(), **fields)
+
+    def test_checked_arrays_are_read_only_copies(self):
+        a = chua_preset().a.copy()
+        model = replace(chua_preset(), a=a)
+        a[0, 0] = 1.0
+        assert model.a[0, 0] == -CHUA_P0
+        with pytest.raises(ValueError, match="read-only"):
+            model.a[0, 0] = 1.0
 
 
 class TestNoise:
@@ -263,3 +293,31 @@ class TestNoise:
         # first step, naming x_hat[0].
         with pytest.raises(ConfigurationError, match=r"^v0: "):
             NoiseSpec(v0=v0)
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"seed": 1.5}, r"^seed: 1\.5 is not an integer"),
+            ({"seed": True}, r"^seed: True is not an integer"),
+            ({"omega_bound": math.nan}, r"^omega_bound: nan is not a finite number"),
+            ({"omega_bound": math.inf}, r"^omega_bound: inf is not a finite number"),
+            ({"lipschitz_psi": math.nan}, r"^lipschitz_psi: nan is not a finite number"),
+            ({"lipschitz_psi": -math.inf}, r"^lipschitz_psi: -inf is not a finite number"),
+        ],
+        ids=["float-seed", "bool-seed", "nan-omega-bound", "inf-omega-bound", "nan-lipschitz",
+             "inf-lipschitz"],
+    )
+    def test_rejects_fields_at_build(self, fields, match):
+        # A seed of 1.5 used to build and fail the run in sample_noise with a
+        # raw TypeError; a NaN omega_bound ran and was written to the trace.
+        with pytest.raises(ConfigurationError, match=match):
+            NoiseSpec(v0=0.1, **fields)
+
+    def test_numpy_integer_seed_gives_its_int_stream(self):
+        # Used to build and raise OverflowError in sample_noise.
+        steps = np.arange(50)
+        for seed in (5, -5, 2**63 - 1):
+            expected = sample_noise(NoiseSpec(v0=0.1, seed=seed), steps)
+            spec = NoiseSpec(v0=0.1, seed=np.int64(seed))
+            assert type(spec.seed) is int
+            assert sample_noise(spec, steps).tobytes() == expected.tobytes()

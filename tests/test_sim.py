@@ -22,6 +22,13 @@ from dremobs.plant import (
 )
 from dremobs.sim import StepConfig, run_experiment
 from dremobs.trace import trace_to_string
+from dremobs.verification import (
+    check_decomposition,
+    check_freeze,
+    check_lre,
+    check_mixing,
+    check_monotone_decay,
+)
 
 import reference
 from conftest import chua_experiment, experiment
@@ -519,25 +526,30 @@ def switching_at_row(model, y, row):
 class TestKernelMatchesReference:
     H, STEPS = 0.01, 8
 
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(small_switched_cases())
-    def test_random_small_plants(self, case):
-        """The chunked kernel against the reference on random small
-        (n, m, s), with noise on and off, a time schedule or output regions,
-        a reset mid-run and chunk boundaries between the grid points."""
-        model, noise, inputs = case["model"], case["noise"], case["inputs"]
-        h, steps, row = self.H, self.STEPS, case["switch_row"]
-        step = StepConfig(h, steps * h)
+    def switched_run(self, case, noise, collect_diagnostics=False):
+        """The case's run, under a time schedule or output regions that
+        switch at its switch row, and with its chunk length."""
+        model, inputs, h, row = case["model"], case["inputs"], self.H, case["switch_row"]
+        step = StepConfig(h, self.STEPS * h)
         if case["regions"]:
             plant_only = reference_run(experiment(model, step, noise, **inputs), row)[0]
             rule = switching_at_row(model, plant_only[:, : model.n] @ model.c, row)
         else:
             rule = TimeScheduleRule(((0.0, 1), ((row - 0.5) * h, model.s)))
         cfg = experiment(replace(model, switching_rule=rule), step, noise, **inputs)
-        model = cfg.model
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "CHUNK", case["chunk"])
-            res = run_experiment(cfg)
+            return cfg, run_experiment(cfg, collect_diagnostics)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(small_switched_cases())
+    def test_random_small_plants(self, case):
+        """The chunked kernel against the reference on random small
+        (n, m, s), with noise on and off, a time schedule or output regions,
+        a reset mid-run and chunk boundaries between the grid points."""
+        steps, row = self.STEPS, case["switch_row"]
+        cfg, res = self.switched_run(case, case["noise"])
+        model = cfg.model
         rows, sigmas, pre_reset = reference_run(cfg, steps)
         np.testing.assert_array_equal(res.trace.sigma, sigmas)
         assert res.trace.sigma[row] != res.trace.sigma[0]
@@ -552,6 +564,21 @@ class TestKernelMatchesReference:
             np.testing.assert_allclose(res.trace.theta_hat[q], theta, rtol=1e-10, atol=1e-13)
             delta, _ = reference.mix(*reference.regressor_stack(model, fs[:mn], 0.0))
             assert res.trace.delta[q] == pytest.approx(delta, rel=1e-9, abs=1e-13)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(small_switched_cases())
+    def test_oracles_pass_on_random_small_plants(self, case):
+        """The same plants in ideal mode pass the decomposition, regression,
+        mixing, freeze and elementwise-decay oracles at their thresholds.
+        Excitation consistency is left out: eight steps from a restart leave
+        determinants near 1e-14 and excitation integrals near 1e-30, where
+        its relative tolerance compares rounding with rounding."""
+        _, res = self.switched_run(case, None, collect_diagnostics=True)
+        assert res.trace.sigma[case["switch_row"]] != res.trace.sigma[0]
+        checks = (check_decomposition, check_lre, check_mixing, check_freeze, check_monotone_decay)
+        for check in checks:
+            outcome = check(res)
+            assert outcome.passed, outcome.line()
 
 
 class TestLayout:
@@ -677,7 +704,7 @@ class TestDisturbanceContract:
             raise AssertionError("the plant was stepped")
 
         monkeypatch.setattr(sim._Plant, "advance", never)
-        with pytest.raises(ConfigurationError, match="noise: omega"):
+        with pytest.raises(ConfigurationError, match=r"^noise\.omega: "):
             run_experiment(replace(cfg, noise=d.NoiseSpec(v0=0.01, omega=omega)))
 
     def test_sinusoid_disturbance_rows_equal_per_time_calls(self):
@@ -689,6 +716,33 @@ class TestDisturbanceContract:
             assert rows.shape == (43, 3)
             for row, t in zip(rows, column[:, 0].tolist()):
                 assert row.tobytes() == omega(t).tobytes()
+
+
+class TestInputContract:
+    """``input_signal`` maps a time to a real scalar; a callable that does
+    not is rejected when the run's config is built.  A vector input used to
+    fail inside the first chunk with a raw TypeError."""
+
+    @pytest.mark.parametrize(
+        "input_signal, match",
+        [
+            (lambda t: np.array([1.0, 2.0]), r"must map a time to a real scalar; at t=0 it returned"),
+            (lambda t: 1j * t, r"must map a time to a real scalar"),
+            (lambda t: 1.0 / t, r"at t=0 it raised ZeroDivisionError"),
+            (lambda t: [0.0][int(t > 0.0)], r"at t=0\.001 it raised IndexError"),
+        ],
+        ids=["vector", "complex", "raises-at-start", "raises-one-step-in"],
+    )
+    def test_rejected_before_integration(self, input_signal, match, monkeypatch):
+        cfg = small_switched_setup(StepConfig(1e-3, 1.0))
+
+        def never(*args):
+            raise AssertionError("the plant was stepped")
+
+        monkeypatch.setattr(sim._Plant, "advance", never)
+        model = replace(cfg.model, input_signal=input_signal)
+        with pytest.raises(ConfigurationError, match=r"^plant\.input_signal: " + match):
+            run_experiment(replace(cfg, model=model))
 
 
 class TestPsiContract:

@@ -3,7 +3,7 @@
 Usage:
     python3 tools/bench_pairs.py --parent REV --workload W --seed S --pairs N --seconds T
 
-Checks ``REV`` out into a temporary git worktree, then runs
+Exports ``REV`` with ``git archive`` into a temporary directory, then runs
 ``perfbench/run.py --trace 0`` there and in this checkout ``N`` times each,
 alternating which side runs first, and parses each run's last JSON line.
 It prints every pair's end-to-end metrics, each side's median and quartiles,
@@ -13,21 +13,25 @@ and two verdicts per metric, by the rules of ``BENCHMARK.json``:
   neither side) and the medians differ, in the better direction, by more
   than the interquartile range of the parent's runs;
 * bound: the change's median is worse than the parent's by no more than the
-  metric's bound, taken as a fraction of the parent's median.
+  metric's bound, taken as a fraction of the parent's median ("kept"), but
+  when the parent's interquartile range is wider than that bound, a kept
+  bound is "unresolved" unless every change run beats every parent run.
 
 The last line is one JSON object with the same numbers.  The exit code is 1
-when a run fails or a metric is worse than its bound, else 0.  The worktree
+when a run fails or a metric is worse than its bound, else 0.  The export
 is removed when the script ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -56,6 +60,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     p_q1, p_median, p_q3 = quartiles(parent)
     c_q1, c_median, c_q3 = quartiles(change)
     gap = sign * (c_median - p_median)  # positive when the change is better
+    every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
     return {
         "pairs": len(parent),
         "wins": wins,
@@ -65,6 +70,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
         "median_gain_pct": 100.0 * gap / abs(p_median) if p_median else None,
         "gain": wins * 10 >= 9 * len(parent) and gap > p_q3 - p_q1,
         "within_bound": -gap <= bound * abs(p_median),
+        "unresolved": p_q3 - p_q1 > bound * abs(p_median) and not every_run_better,
     }
 
 
@@ -100,12 +106,14 @@ def main(argv=None) -> int:
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     parent_tree = scratch / "parent"
-    subprocess.run(
-        ["git", "-C", str(ROOT), "worktree", "add", "--detach", str(parent_tree), args.parent],
-        check=True, capture_output=True, text=True,
-    )
     runs = {"parent": [], "change": []}
     try:
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", "--format=tar", args.parent],
+            check=True, capture_output=True,
+        )
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(parent_tree, filter="data")
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
@@ -118,11 +126,6 @@ def main(argv=None) -> int:
             )
             print(f"pair {i + 1} ({order[0]} first), parent vs change: {cells}", flush=True)
     finally:
-        subprocess.run(
-            ["git", "-C", str(ROOT), "worktree", "remove", "--force", str(parent_tree)],
-            capture_output=True,
-        )
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
 
     correct = all(run["correct"] for side in runs.values() for run in side)
@@ -138,10 +141,11 @@ def main(argv=None) -> int:
             f"{side} {q['median']:.6g} [{q['q1']:.6g}, {q['q3']:.6g}]"
             for side, q in (("parent", v["parent"]), ("change", v["change"]))
         )
+        bound = "EXCEEDED" if not v["within_bound"] else "unresolved" if v["unresolved"] else "kept"
         print(
             f"{name} ({m['unit']}, {m['better']} is better): {sides}, "
             f"wins {v['wins']}/{v['pairs']}, gain {'yes' if v['gain'] else 'no'}, "
-            f"bound {m['bound']:g} {'kept' if v['within_bound'] else 'EXCEEDED'}"
+            f"bound {m['bound']:g} {bound}"
         )
     print(json.dumps(report))
     within = all(v["within_bound"] for v in report["metrics"].values())
