@@ -16,8 +16,8 @@ from .config import (
     DEFAULT_END,
     DEFAULT_STEP,
     ExperimentConfig,
+    config_from_dict,
     load_config,
-    preset_config,
     run_experiment,
 )
 from .errors import ConfigurationError, SimulationAbort, TraceFormatError
@@ -48,10 +48,13 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", help="built-in plant preset (chua)")
     sim.add_argument(
         "--mode", choices=("ideal", "robust"), default=None,
-        help="preset mode (default ideal); with --config it must equal the file's mode",
+        help="preset mode (default ideal); with --config it must match the file, "
+        "which is robust exactly when it has noise",
     )
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--seed", type=int, default=None, help="noise seed override")
+    sim.add_argument(
+        "--seed", type=int, default=None, help="noise seed override (no effect without noise)"
+    )
     sim.add_argument("--h", type=float, default=None, help="integration step override")
     sim.add_argument("--T", type=float, default=None, help="end time override")
     sim.add_argument("--no-plots", action="store_true", help="skip SVG rendering")
@@ -70,26 +73,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> ExperimentConfig:
     if not args.config:
-        return preset_config(
-            args.preset,
-            args.mode or "ideal",
-            seed=args.seed if args.seed is not None else 0,
-            step_size=args.h if args.h is not None else DEFAULT_STEP,
-            end_time=args.T if args.T is not None else DEFAULT_END,
-        )
+        raw = {"plant": args.preset, "mode": args.mode or "ideal"}
+        for key, value in (("seed", args.seed), ("step_size", args.h), ("end_time", args.T)):
+            if value is not None:
+                raw[key] = value
+        return config_from_dict(raw)
     cfg = load_config(args.config)
-    if args.mode is not None and args.mode != cfg.mode:
+    mode = "ideal" if cfg.noise is None else "robust"
+    if args.mode is not None and args.mode != mode:
         raise ConfigurationError(
-            f"config.mode: the file sets '{cfg.mode}' but --mode asks for "
+            f"config.mode: the file's run is '{mode}' but --mode asks for "
             f"'{args.mode}'; set the mode in the file"
         )
     if args.seed is None and args.h is None and args.T is None:
         return cfg
     # The overrides build a new config, checked as the file's was.
-    step, seed, noise = cfg.step, cfg.seed, cfg.noise
-    if args.seed is not None:
-        seed = args.seed
-        noise = noise if noise is None else replace(noise, seed=seed)
+    step, noise = cfg.step, cfg.noise
+    if args.seed is not None and noise is not None:
+        noise = replace(noise, seed=args.seed)
     try:
         return replace(
             cfg,
@@ -98,7 +99,6 @@ def _resolve_config(args) -> ExperimentConfig:
                 end_time=args.T if args.T is not None else step.end_time,
                 start_time=step.start_time,
             ),
-            seed=seed,
             noise=noise,
         )
     except ConfigurationError as exc:
@@ -155,7 +155,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        cfg = preset_config(args.preset, "verify", step_size=args.h, end_time=args.T)
+        cfg = config_from_dict(
+            {"plant": args.preset, "mode": "verify", "step_size": args.h, "end_time": args.T}
+        )
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

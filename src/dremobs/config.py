@@ -204,14 +204,9 @@ def _build_custom_plant(spec: dict, path: str) -> PlantModel:
 def _build_noise(spec, path: str, seed: int) -> NoiseSpec:
     _expect(isinstance(spec, dict), path, "expected an object")
     for key in spec:
-        _expect(
-            key in ("v0", "seed", "omega", "lipschitz_psi"),
-            f"{path}.{key}",
-            "unknown key",
-        )
+        _expect(key in ("v0", "seed", "omega"), f"{path}.{key}", "unknown key")
     v0 = _as_float(spec.get("v0", 0.0), f"{path}.v0")
     omega = None
-    omega_bound = 0.0
     if spec.get("omega") is not None:
         ospec = spec["omega"]
         _expect(isinstance(ospec, dict), f"{path}.omega", "expected an object")
@@ -221,22 +216,10 @@ def _build_noise(spec, path: str, seed: int) -> NoiseSpec:
         freqs = _as_float_list(ospec.get("frequencies", []), f"{path}.omega.frequencies")
         with _under(f"{path}.omega"):
             omega = make_sinusoid_disturbance(amps, freqs)
-        # The declared bound is the amplitudes' norm, which may leave the
-        # float range although every amplitude is finite.
-        with np.errstate(over="ignore"):
-            omega_bound = float(np.linalg.norm(amps))
-        _expect(
-            math.isfinite(omega_bound),
-            f"{path}.omega.amplitudes",
-            "their norm, the declared disturbance bound, exceeds the float range",
-        )
     if "seed" in spec:
         seed = _as_int(spec["seed"], f"{path}.seed")
-    lipschitz_psi = _as_float(spec.get("lipschitz_psi", 0.0), f"{path}.lipschitz_psi")
     with _under(path):
-        return NoiseSpec(
-            v0=v0, seed=seed, omega=omega, omega_bound=omega_bound, lipschitz_psi=lipschitz_psi
-        )
+        return NoiseSpec(v0=v0, seed=seed, omega=omega)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -270,7 +253,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         _expect(isinstance(plant_spec, dict), "config.plant", "expected a preset name or an object")
         model = _build_custom_plant(plant_spec, "config.plant")
 
-    mode = raw.get("mode", "ideal")
+    # The mode only switches the noise on: a robust run has noise, an ideal
+    # run (``verify`` is another name for it) has none.
+    mode, modes = raw.get("mode", "ideal"), ("ideal", "robust", "verify")
+    _expect(mode in modes, "config.mode", f"expected one of {modes}")
     seed = _as_int(raw.get("seed", 0), "config.seed")
     h = _as_float(raw.get("step_size", DEFAULT_STEP), "config.step_size")
     t_end = _as_float(raw.get("end_time", DEFAULT_END), "config.end_time")
@@ -295,10 +281,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         noise = _build_noise(raw["noise"], "config.noise", seed)
     elif preset and mode == "robust":
         noise = chua_robust_noise(seed=seed)
+    if (noise is not None) != (mode == "robust"):
+        rule = "required" if noise is None else "only allowed"
+        raise ConfigurationError(f"config.noise: {rule} in robust mode (mode is '{mode}')")
 
     with _under("config"):
         step = StepConfig(step_size=h, end_time=t_end, start_time=t0)
-        return ExperimentConfig(model=model, step=step, mode=mode, seed=seed, noise=noise, **fields)
+        return ExperimentConfig(model=model, step=step, noise=noise, **fields)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -314,22 +303,3 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"{p}: invalid JSON ({exc})") from exc
     return config_from_dict(raw)
 
-
-def preset_config(
-    name: str = "chua",
-    mode: str = "ideal",
-    *,
-    seed: int = 0,
-    step_size: float = DEFAULT_STEP,
-    end_time: float = DEFAULT_END,
-) -> ExperimentConfig:
-    """Named preset compiled into the package; no config file needed."""
-    return config_from_dict(
-        {
-            "plant": name,
-            "mode": mode,
-            "seed": seed,
-            "step_size": step_size,
-            "end_time": end_time,
-        }
-    )

@@ -83,6 +83,13 @@ class StateRegionRule:
     def __post_init__(self):
         if not self.regions:
             raise ConfigurationError("regions: a state-region rule needs at least one region")
+        for k, region in enumerate(self.regions):
+            for side in ("lower", "upper"):
+                bound = getattr(region, side)
+                if bound is not None and (not _is_real(bound) or math.isnan(bound)):
+                    raise ConfigurationError(
+                        f"regions[{k}].{side}: bound {bound!r} is neither None nor a number"
+                    )
         seam = _first_uncovered(self.regions)
         if seam is not None:
             raise ConfigurationError(
@@ -112,6 +119,9 @@ class TimeScheduleRule:
         if not self.entries:
             raise ConfigurationError("entries: a schedule rule needs at least one entry")
         times = [t for t, _ in self.entries]
+        for k, start in enumerate(times):
+            if not _is_real(start):
+                raise ConfigurationError(f"entries[{k}][0]: start time {start!r} is not a number")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigurationError("entries: schedule times must be strictly increasing")
         object.__setattr__(self, "_times", times)
@@ -123,6 +133,11 @@ class TimeScheduleRule:
                 f"schedule starts at t={self.entries[0][0]:.6g} but was queried at t={t:.6g}"
             )
         return self.entries[pos][1]
+
+
+def _is_real(value) -> bool:
+    """A real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _first_uncovered(regions) -> float | None:
@@ -288,26 +303,19 @@ class NoiseSpec:
     ``make_sinusoid_disturbance`` does; the simulation evaluates it once per
     chunk of grid steps, and ``ExperimentConfig`` checks this contract.
     Measurement noise is uniform on [-v0, v0], generated deterministically
-    from (seed, step index).  ``lipschitz_psi`` is a declared constant used
-    only for reporting.
+    from (seed, step index); the disturbance does not depend on the seed.
     """
 
     v0: float = 0.0
     seed: int = 0
     omega: Callable[[np.ndarray], np.ndarray] | None = None
-    omega_bound: float = 0.0
-    lipschitz_psi: float = 0.0
 
     def __post_init__(self):
         """Errors name the field at fault first, as ``<field>: <reason>``."""
-        for name in ("v0", "omega_bound", "lipschitz_psi"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ConfigurationError(f"{name}: {value!r} is not a finite number")
+        if not (_is_real(self.v0) and math.isfinite(self.v0)):
+            raise ConfigurationError(f"v0: {self.v0!r} is not a finite number")
         if self.v0 < 0.0:
             raise ConfigurationError(f"v0: noise bound {self.v0} must be nonnegative")
-        if self.omega_bound < 0.0:
-            raise ConfigurationError("omega_bound: disturbance bound must be nonnegative")
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ConfigurationError(f"seed: {self.seed!r} is not an integer")
         # The noise stream masks the seed to 64 bits, which a numpy integer
@@ -430,7 +438,6 @@ CHUA_OBSERVER_GAIN = np.array([-2.0, 2.5, 20.0])
 CHUA_DISTURBANCE_AMPLITUDES = np.array([0.05, 0.005, 0.1])
 CHUA_DISTURBANCE_FREQUENCIES = np.array([7.0, 5.0, 13.0])
 CHUA_NOISE_BOUND = 0.1
-CHUA_LIPSCHITZ_PSI = CHUA_P0  # ||psi(y,.) - psi(ybar,.)|| = p0 |y - ybar|
 
 
 def make_sinusoid_disturbance(amplitudes, frequencies) -> Callable[[np.ndarray], np.ndarray]:
@@ -453,6 +460,4 @@ def chua_robust_noise(seed: int = 0) -> NoiseSpec:
         omega=make_sinusoid_disturbance(
             CHUA_DISTURBANCE_AMPLITUDES, CHUA_DISTURBANCE_FREQUENCIES
         ),
-        omega_bound=float(np.linalg.norm(CHUA_DISTURBANCE_AMPLITUDES)),
-        lipschitz_psi=CHUA_LIPSCHITZ_PSI,
     )

@@ -91,8 +91,6 @@ RK4_STABILITY_LIMIT = 2.785293563405289
 # README gives the reason for the value.
 MAX_TRACE_ROWS = 10_000_000
 
-MODES = ("ideal", "robust", "verify")
-
 # Adaptation gain of every subsystem whose gain is not given.
 DEFAULT_GAIN = 10.0
 
@@ -148,7 +146,8 @@ class StepConfig:
 class ExperimentConfig:
     """One run, fully described: the plant, the m+n filter gains and the
     observer gain, the grid, one adaptation gain per subsystem, the initial
-    estimates, the mode with its noise, and the seed the trace records.
+    estimates, and the noise.  A run with noise is a robust run, recorded
+    with the noise's seed; a run without it is an ideal run, with no seed.
 
     Unset gains are ``DEFAULT_GAIN`` and unset initial estimates zero.
     The model and the noise check their own fields when they are built;
@@ -165,8 +164,6 @@ class ExperimentConfig:
     gamma: np.ndarray | None = None
     theta_init: np.ndarray | None = None
     observer_init: np.ndarray | None = None
-    mode: str = "ideal"
-    seed: int = 0
     noise: NoiseSpec | None = None
 
     def __post_init__(self):
@@ -190,11 +187,6 @@ class ExperimentConfig:
         for j, gain in enumerate(self.filter_gains):
             stable_closed_loop(model, gain, f"filter_gains[{j}]")
         stable_closed_loop(model, self.observer_gain, "observer_gain")
-        if self.mode not in MODES:
-            raise ConfigurationError(f"mode: expected one of {MODES}")
-        if (self.noise is not None) != (self.mode == "robust"):
-            rule = "required" if self.noise is None else "only allowed"
-            raise ConfigurationError(f"noise: {rule} in robust mode (mode is '{self.mode}')")
         probe_times = [step.start_time, step.start_time + step.step_size]
         if self.noise is not None and self.noise.omega is not None:
             try:
@@ -738,22 +730,15 @@ def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> 
         "h": h,
         "t0": t0,
         "t_end": step.effective_end,
-        "mode": cfg.mode,
-        "seed": cfg.seed,
+        "mode": "ideal" if noise is None else "robust",
+        "seed": None if noise is None else noise.seed,
         "gamma": cfg.gamma.tolist(),
         "filter_gains": cfg.filter_gains.tolist(),
         "observer_gain": cfg.observer_gain.tolist(),
         "theta_init": cfg.theta_init.tolist(),
         "xhat_init": cfg.observer_init.tolist(),
         "x0": model.initial_state.tolist(),
-        "noise": None
-        if noise is None
-        else {
-            "v0": noise.v0,
-            "seed": noise.seed,
-            "omega_bound": noise.omega_bound,
-            "lipschitz_psi": noise.lipschitz_psi,
-        },
+        "noise": None if noise is None else {"v0": noise.v0},
     }
     data = np.empty((steps + 1, len(column_names(n, m, s))))
     data[:, 0] = t0 + h * np.arange(steps + 1)

@@ -13,18 +13,10 @@ STEP = 1e-3
 
 def experiment(model, step, noise=None, **fields):
     """A test's run description: the Chua filter and observer gains unless
-    ``fields`` set others, and ideal mode without ``noise``, robust mode
-    with the noise's seed under it."""
+    ``fields`` set others."""
     fields.setdefault("filter_gains", CHUA_FILTER_GAINS)
     fields.setdefault("observer_gain", CHUA_OBSERVER_GAIN)
-    return d.ExperimentConfig(
-        model=model,
-        step=step,
-        noise=noise,
-        mode="ideal" if noise is None else "robust",
-        seed=0 if noise is None else noise.seed,
-        **fields,
-    )
+    return d.ExperimentConfig(model=model, step=step, noise=noise, **fields)
 
 
 def chua_experiment(end_time, noise=None, step_size=STEP, **fields):

@@ -298,6 +298,25 @@ class TestRunDescription:
         code = run_cli("simulate", "--config", str(path), "--mode", "robust", "--out", str(out))
         assert code == EXIT_OK
 
+    def test_seed_override_on_a_robust_file_is_recorded(self, tmp_path):
+        path = tmp_path / "robust.json"
+        path.write_text(json.dumps({"plant": "chua", "mode": "robust", "seed": 5, "end_time": 0.01}))
+        out = tmp_path / "o"
+        code = run_cli("simulate", "--config", str(path), "--seed", "9", "--out", str(out), "--no-plots")
+        assert code == EXIT_OK
+        assert "\n# seed: 9\n" in (out / "trace.csv").read_text()
+        assert read_trace(out / "trace.csv").meta["seed"] == 9
+        assert json.loads((out / "summary.json").read_text())["seed"] == 9
+
+    def test_verify_file_is_an_ideal_run(self, tmp_path):
+        # The mode a file's run has follows from its noise; verify has none.
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps({"plant": "chua", "mode": "verify", "end_time": 0.01}))
+        out = tmp_path / "o"
+        code = run_cli("simulate", "--config", str(path), "--mode", "ideal", "--out", str(out), "--no-plots")
+        assert code == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["mode"] == "ideal"
+
     def test_output_dir_key_is_unknown(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"plant": "chua", "end_time": 0.01, "output_dir": "elsewhere"}))

@@ -230,10 +230,11 @@ class TestRunLevelBehaviour:
         # about 5e-20: the squared determinant grows so steeply after the
         # restart that the trapezoid rule alone is off by 2.4e-3.  The check
         # allows for the rule's own error estimate and passes.
-        from dremobs.config import preset_config, run_experiment
+        from dremobs.config import config_from_dict, run_experiment
         from dremobs.verification import check_excitation_consistency, trapezoid_excitation
 
-        trace = run_experiment(preset_config("chua", "verify", end_time=9.0)).trace
+        raw = {"plant": "chua", "mode": "verify", "end_time": 9.0}
+        trace = run_experiment(config_from_dict(raw)).trace
         online = trace.excitation[-1]
         rel = np.abs(online - trapezoid_excitation(trace)) / online
         assert online[2] < 1e-19 and rel[2] > 2e-3

@@ -71,6 +71,22 @@ class TestRegionRule:
             with pytest.raises(ConfigurationError, match="cover the real line"):
                 StateRegionRule(tuple(OutputRegion(*r) for r in spans))
 
+    @pytest.mark.parametrize(
+        "regions, match",
+        [
+            ((OutputRegion(lower="a"),), r"^regions\[0\]\.lower: bound 'a' is neither None nor"),
+            ((OutputRegion(), OutputRegion(upper=[1.0])), r"^regions\[1\]\.upper: bound \[1\.0\]"),
+            ((OutputRegion(lower=math.nan),), r"^regions\[0\]\.lower: bound nan"),
+            ((OutputRegion(upper=True),), r"^regions\[0\]\.upper: bound True"),
+        ],
+        ids=["text", "list", "nan", "bool"],
+    )
+    def test_rejects_bound_that_is_not_a_number(self, regions, match):
+        # Compared in the coverage sweep before anything checked its type: a
+        # raw TypeError, or for NaN a region that contained every output.
+        with pytest.raises(ConfigurationError, match=match):
+            StateRegionRule(regions)
+
     def test_covering_seams_accepted(self):
         inf = None
         covering = [
@@ -139,6 +155,20 @@ class TestScheduleRule:
     def test_rejects_non_increasing(self):
         with pytest.raises(ConfigurationError):
             TimeScheduleRule(((0.0, 1), (0.0, 2)))
+
+    @pytest.mark.parametrize(
+        "entries, match",
+        [
+            (((0.0, 1), (None, 2)), r"^entries\[1\]\[0\]: start time None is not a number"),
+            ((("0", 1),), r"^entries\[0\]\[0\]: start time '0' is not a number"),
+            (((False, 1), (1.0, 2)), r"^entries\[0\]\[0\]: start time False is not a number"),
+        ],
+        ids=["none", "text", "bool"],
+    )
+    def test_rejects_start_that_is_not_a_number(self, entries, match):
+        # Compared before anything checked its type: a raw TypeError.
+        with pytest.raises(ConfigurationError, match=match):
+            TimeScheduleRule(entries)
 
 
 class TestChuaPreset:
@@ -277,11 +307,6 @@ class TestNoise:
             )
             np.testing.assert_allclose(noise.omega(t), expected, rtol=1e-15)
         assert noise.v0 == 0.1
-        assert noise.lipschitz_psi == 10.0
-        # componentwise bounds imply the declared norm bound
-        tt = np.linspace(0, 10, 2000)
-        norms = [np.linalg.norm(noise.omega(t)) for t in tt]
-        assert max(norms) <= noise.omega_bound + 1e-12
 
     def test_rejects_negative_bound(self):
         with pytest.raises(ConfigurationError):
@@ -299,17 +324,12 @@ class TestNoise:
         [
             ({"seed": 1.5}, r"^seed: 1\.5 is not an integer"),
             ({"seed": True}, r"^seed: True is not an integer"),
-            ({"omega_bound": math.nan}, r"^omega_bound: nan is not a finite number"),
-            ({"omega_bound": math.inf}, r"^omega_bound: inf is not a finite number"),
-            ({"lipschitz_psi": math.nan}, r"^lipschitz_psi: nan is not a finite number"),
-            ({"lipschitz_psi": -math.inf}, r"^lipschitz_psi: -inf is not a finite number"),
         ],
-        ids=["float-seed", "bool-seed", "nan-omega-bound", "inf-omega-bound", "nan-lipschitz",
-             "inf-lipschitz"],
+        ids=["float-seed", "bool-seed"],
     )
     def test_rejects_fields_at_build(self, fields, match):
         # A seed of 1.5 used to build and fail the run in sample_noise with a
-        # raw TypeError; a NaN omega_bound ran and was written to the trace.
+        # raw TypeError.
         with pytest.raises(ConfigurationError, match=match):
             NoiseSpec(v0=0.1, **fields)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dremobs import plots
+from dremobs.config import config_from_dict
 from dremobs.errors import TraceFormatError
 from dremobs.trace import (
     BLOCK_ROWS,
@@ -324,3 +325,43 @@ class TestStringForm:
                 switch_times=res.trace.switch_times,
                 pre_reset_delta=res.trace.pre_reset_delta,
             )
+
+
+def seed_header(trace: SimulationTrace) -> str:
+    """The value of the trace's ``# seed:`` header line."""
+    (line,) = [l for l in trace_to_string(trace).splitlines() if l.startswith("# seed: ")]
+    return line[len("# seed: "):]
+
+
+class TestRecordedSeed:
+    """The header and meta record the seed that drove the noise, a run's
+    mode follows from its noise, and neither depends on whether the run
+    collected diagnostics."""
+
+    def test_noise_seed_is_recorded_over_the_top_level_seed(self):
+        # The top-level 5 was recorded although the noise came from seed 7.
+        raw = {"plant": "chua", "mode": "robust", "seed": 5, "end_time": 0.01,
+               "noise": {"v0": 0.1, "seed": 7}}
+        trace = d.run_experiment(config_from_dict(raw)).trace
+        assert seed_header(trace) == "7"
+        assert trace.meta["seed"] == 7 and trace.meta["noise"] == {"v0": 0.1}
+        held = d.sample_noise(d.NoiseSpec(v0=0.1, seed=7), np.arange(len(trace.t)))
+        np.testing.assert_allclose(trace.ybar - trace.y, held, rtol=0.0, atol=1e-12)
+
+    def test_ideal_run_records_no_seed(self):
+        trace = tiny_run(end_time=0.01).trace
+        assert seed_header(trace) == "none"
+        assert (trace.meta["mode"], trace.meta["seed"], trace.meta["noise"]) == ("ideal", None, None)
+
+    def test_verify_mode_runs_and_records_the_ideal_run(self):
+        raw = {"plant": "chua", "mode": "verify", "end_time": 0.01}
+        verify = d.run_experiment(config_from_dict(raw)).trace
+        ideal = d.run_experiment(config_from_dict(dict(raw, mode="ideal"))).trace
+        assert trace_to_string(verify) == trace_to_string(ideal)
+
+    @pytest.mark.parametrize("noise_seed", [None, 3], ids=["ideal", "robust"])
+    def test_diagnostics_rerun_records_the_same_meta(self, noise_seed):
+        noise = d.chua_robust_noise(seed=noise_seed) if noise_seed is not None else None
+        cfg = chua_experiment(0.01, noise)
+        plain = d.run_experiment(cfg).trace
+        assert d.run_experiment(cfg, collect_diagnostics=True).trace.meta == plain.meta
