@@ -258,6 +258,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     mode, modes = raw.get("mode", "ideal"), ("ideal", "robust", "verify")
     _expect(mode in modes, "config.mode", f"expected one of {modes}")
     seed = _as_int(raw.get("seed", 0), "config.seed")
+    noise_spec = raw.get("noise")
+    both = "seed" in raw and isinstance(noise_spec, dict) and "seed" in noise_spec
+    _expect(not both, "config.seed", "also set as noise.seed; set the seed in one place")
     h = _as_float(raw.get("step_size", DEFAULT_STEP), "config.step_size")
     t_end = _as_float(raw.get("end_time", DEFAULT_END), "config.end_time")
     t0 = _as_float(raw.get("start_time", 0.0), "config.start_time")
@@ -277,8 +280,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         fields.setdefault(key, default)
 
     noise = None
-    if raw.get("noise") is not None:
-        noise = _build_noise(raw["noise"], "config.noise", seed)
+    if noise_spec is not None:
+        noise = _build_noise(noise_spec, "config.noise", seed)
     elif preset and mode == "robust":
         noise = chua_robust_noise(seed=seed)
     if (noise is not None) != (mode == "robust"):

@@ -62,7 +62,7 @@ from __future__ import annotations
 import math
 import numbers
 import time as _time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,25 +215,23 @@ class ExperimentConfig:
 
 class StateLayout:
     """Dimensions of the run state: plant and observer states (n each), the
-    m+n+1 filter units, the s x m estimates and the s excitation
-    accumulators.  ``size`` counts its floats.
+    m+n filter units, the s x m estimates and the s excitation accumulators.
+    ``size`` counts its floats.
 
-    Each unit is one (n, 1+m+n) panel [xu | upsilon | phi], so the whole
-    bank advances with a single batched product.  Unit j is the j-th
-    stacked filter for j < m+n; the final unit is the verification filter
-    sharing the observer gain.
+    Unit j is the filter with injection gain ``filter_gains[j]``, one
+    (n, 1+m+n) panel [xu | upsilon | phi], so the whole bank advances with
+    a single batched product.
     """
 
     def __init__(self, n: int, m: int, s: int):
         self.n, self.m, self.s = n, m, s
         self.mn = m + n
-        self.num_units = self.mn + 1
         self.panel = 1 + m + n  # columns per unit: xu, upsilon block, phi block
-        self.size = 2 * n + self.num_units * n * self.panel + s * m + s
+        self.size = 2 * n + self.mn * n * self.panel + s * m + s
 
     def filter_reset_template(self) -> np.ndarray:
         """Panel content right after a restart: zero filters, identity phi."""
-        template = np.zeros((self.num_units, self.n, self.panel))
+        template = np.zeros((self.mn, self.n, self.panel))
         template[:, :, 1 + self.m :] = np.eye(self.n)
         return template
 
@@ -251,14 +249,13 @@ class SwitchEvent:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Ground-truth residual series collected alongside a run."""
+    """Ground-truth residual series collected alongside a run, one row per
+    grid point, over the m+n filters j; theta_bar = [theta_sigma; x(t_k)]
+    is the augmented parameter."""
 
-    theta_bar: np.ndarray  # (T, m+n) augmented parameter from ground truth
-    decomposition_residual: np.ndarray  # verification filter identity
+    decomposition_residual: np.ndarray  # max_j |x - phi_j x(t_k) - xu_j - upsilon_j theta_sigma|
     lre_residual_max: np.ndarray  # max_j |z_j - row_j . theta_bar|
-    dbar: np.ndarray  # (T, m+n) mixed-equation residual
-    mixing_residual: np.ndarray  # max-abs of dbar per grid point
-    delta: np.ndarray  # cofactor-path determinant matching the mixing route
+    dbar: np.ndarray  # (T, m+n) mixed-equation residual adj(N) z - delta theta_bar
 
 
 @dataclass(frozen=True)
@@ -267,7 +264,7 @@ class RunResult:
     events: list[SwitchEvent]
     model: PlantModel
     layout: StateLayout
-    final_panels: np.ndarray  # (m+n+1, n, 1+m+n) filter bank at the last row
+    final_panels: np.ndarray  # (m+n, n, 1+m+n) filter bank at the last row
     elapsed_seconds: float
     diagnostics: Diagnostics | None = None
 
@@ -445,39 +442,39 @@ class _Cascade:
     def __init__(self, cfg: ExperimentConfig, layout: StateLayout):
         model, h = cfg.model, cfg.step.step_size
         n, m, mn = layout.n, layout.m, layout.mn
-        # Unit j's injection gain g_j and closed loop A - g_j c, as the
-        # config screened them; the last unit shares the observer's.
-        gains_all = np.vstack([cfg.filter_gains, cfg.observer_gain[None, :]])
-        a_closed = model.a - gains_all[:, :, None] * model.c
+        # Unit j's closed loop A - g_j c and the observer's, as the config
+        # screened them.
+        self.acl = acl = model.a - cfg.filter_gains[:, :, None] * model.c
+        self.observer_acl = acl_o = model.a - cfg.observer_gain[:, None] * model.c
+        self.gains, self.observer_gain = cfg.filter_gains, cfg.observer_gain
         self.layout = layout
         self.h = h
-        self.acl = a_closed
-        self.gains_all = gains_all
         self.b = model.b
         self.has_b = bool(np.any(model.b != 0.0))
         self.gamma = cfg.gamma
         self.template = layout.filter_reset_template()
-        self.panels = self.template.reshape(layout.num_units * n, layout.panel)
+        self.panels = self.template.reshape(mn * n, layout.panel)
         self.theta = cfg.theta_init.ravel().tolist()
         self.exc = np.zeros(layout.s)
         self.xhat = np.array(cfg.observer_init)
-        # Stage polynomials M_s - I and step polynomial P - I of h * Acl_j.
-        stage_off, step_off = _rk4_offsets(h, lambda s, z: a_closed @ z, (a_closed,) * 4)
-        step_poly = np.eye(n) + step_off
+        # Stage polynomials M_s - I and step polynomials P - I of h * Acl_j
+        # and h * Acl_o.
+        stage_off, step_off = _rk4_offsets(h, lambda s, z: acl @ z, (acl,) * 4)
+        _, observer_off = _rk4_offsets(h, lambda s, z: acl_o @ z, (acl_o,) * 4)
         # One product per step advances a recurrence z <- P z + d: the
         # augmented matrix [P | I] acts on z stacked over d.  The bank's
         # units sit on the block diagonal.
-        units = layout.num_units * n
+        units = mn * n
         self.bank_step = np.zeros((units, 2 * units))
-        for j, poly in enumerate(step_poly):
+        for j, poly in enumerate(np.eye(n) + step_off):
             self.bank_step[j * n : (j + 1) * n, j * n : (j + 1) * n] = poly
         self.bank_step[:, units:] = np.eye(units)
-        self.observer_step = np.hstack([step_poly[-1], np.eye(n)])
+        self.observer_step = np.hstack([np.eye(n) + observer_off, np.eye(n)])
         # Regressor rows c M_s of the four stage values; stage 1 is c itself.
         self.crow_stages = np.empty((mn, 4, n))
         self.crow_stages[:, 0] = model.c
         for s, off in enumerate(stage_off, start=1):
-            self.crow_stages[:, s] = model.c + model.c @ off[:mn]
+            self.crow_stages[:, s] = model.c + model.c @ off
         self.crow = model.c[None]
         # All (i, j) with j < m laid out row-major, then (0, j) for j >= m.
         self.cofactors = Cofactors(
@@ -485,9 +482,9 @@ class _Cascade:
         )
 
     def stage_rows(self, panels: np.ndarray) -> np.ndarray:
-        """c M_s F of the stacked units of (R, units, n, panel) grid panels,
-        shape (R, m+n, 4, panel)."""
-        return _matmul_ew(self.crow_stages, panels[:, : self.layout.mn])
+        """c M_s F of (R, m+n, n, panel) grid panels, shape
+        (R, m+n, 4, panel)."""
+        return _matmul_ew(self.crow_stages, panels)
 
     def mix(self, rows: np.ndarray, ybar: np.ndarray):
         """Mixing determinant and the adapted mixed components of every
@@ -503,7 +500,7 @@ class _Cascade:
         return delta, zbar
 
     def grid_delta(self, panels: np.ndarray) -> np.ndarray:
-        """The determinant the adaptation law uses at (R, units, n, panel)
+        """The determinant the adaptation law uses at (R, m+n, n, panel)
         grid panels, computed exactly as in ``advance``."""
         return self.mix(self.stage_rows(panels), np.zeros((len(panels), 4)))[0][:, 0]
 
@@ -515,26 +512,26 @@ class _Cascade:
         (K, 4) the measured output and the input of every stage, ``psi``
         (K, 4, n, m) the nonlinearity at them, and ``resets`` the rows,
         counted from lo, whose filters restart.
-        Returns the filter bank (K+1, units, n, panel) at rows lo..hi; x_hat
+        Returns the filter bank (K+1, m+n, n, panel) at rows lo..hi; x_hat
         (K, n), theta_hat (K, s, m) and the accumulators (K, s) at rows
         lo+1..hi; the determinant the law used at rows lo..hi-1; the
         restarted rows' pre-reset banks by row; and the chunk's largest
         adaptation step h * gamma_i * delta^2 (NaN values skipped).
         """
         lay = self.layout
-        n, m, mn, nu = lay.n, lay.m, lay.mn, lay.num_units
+        n, m, mn = lay.n, lay.m, lay.mn
         h, steps, c1 = self.h, len(active), 1 + lay.m
 
         # Filter bank: stage forcings of the xu and upsilon columns.
-        forcing = np.empty((4, nu, n, steps, c1))
-        forcing[..., 0] = self.gains_all[None, :, :, None] * ybar.T[:, None, None, :]
+        forcing = np.empty((4, mn, n, steps, c1))
+        forcing[..., 0] = self.gains[None, :, :, None] * ybar.T[:, None, None, :]
         if self.has_b:
             forcing[..., 0] += (self.b[:, None] * u.T[:, None, :])[:, None]
         forcing[..., 1:] = psi.transpose(1, 2, 0, 3)[:, None]
         offsets, step_off = _rk4_offsets(
-            h, lambda s, z: _matmul_ew(self.acl, z), forcing.reshape(4, nu, n, steps * c1)
+            h, lambda s, z: _matmul_ew(self.acl, z), forcing.reshape(4, mn, n, steps * c1)
         )
-        units = nu * n
+        units = mn * n
         bank = np.zeros((steps + 1, 2 * units, lay.panel))
         bank[:steps, units:, :c1] = step_off.reshape(units, steps, c1).transpose(1, 0, 2)
         bank[0, :units] = self.panels
@@ -545,14 +542,14 @@ class _Cascade:
             nxt = bank[k + 1, :units]
             bank_dot(bank[k], nxt)
             if k + 1 in resets:
-                pre_reset[k + 1] = nxt.reshape(nu, n, lay.panel).copy()
+                pre_reset[k + 1] = nxt.reshape(mn, n, lay.panel).copy()
                 nxt[...] = template
         self.panels = bank[steps, :units]
-        fs = bank[:, :units].reshape(steps + 1, nu, n, lay.panel)
+        fs = bank[:, :units].reshape(steps + 1, mn, n, lay.panel)
 
         # Mixing over every stage of every step.
         rows = self.stage_rows(fs[:steps])
-        coff = _matmul_ew(self.crow, np.stack(offsets)[:, :mn])
+        coff = _matmul_ew(self.crow, np.stack(offsets))
         rows[:, :, 1:, :c1] += coff.reshape(3, mn, steps, c1).transpose(2, 1, 0, 3)
         delta, zbar = self.mix(rows, ybar)
 
@@ -591,11 +588,11 @@ class _Cascade:
             axis=1,
         )
         obs_forcing = _matmul_ew(psi, theta_st[..., None])[..., 0]
-        obs_forcing += self.gains_all[-1] * ybar[..., None]
+        obs_forcing += self.observer_gain * ybar[..., None]
         if self.has_b:
             obs_forcing += u[..., None] * self.b
         _, obs_step = _rk4_offsets(
-            h, lambda s, z: _matmul_ew(self.acl[-1], z), obs_forcing.transpose(1, 2, 0)
+            h, lambda s, z: _matmul_ew(self.observer_acl, z), obs_forcing.transpose(1, 2, 0)
         )
         observer = np.empty((steps + 1, 2 * n))
         observer[0, :n] = self.xhat
@@ -662,26 +659,24 @@ class _Store:
         self.v = np.zeros(rows)
         self.diagnostics = None
         if collect_diagnostics:
-            arrays = {f.name: np.empty(rows) for f in fields(Diagnostics)}
-            arrays.update(theta_bar=np.empty((rows, mn)), dbar=np.empty((rows, mn)))
-            self.diagnostics = Diagnostics(**arrays)
+            self.diagnostics = Diagnostics(np.empty(rows), np.empty(rows), np.empty((rows, mn)))
 
     def derive(self, lo: int, hi: int, panels: np.ndarray, events: list, event_rows: list):
         """Fill the derived columns, and the diagnostics, of rows lo..hi from
-        their stored states and their (hi-lo+1, units, n, panel) filter bank.
+        their stored states and their (hi-lo+1, m+n, n, panel) filter bank.
 
         Every value is computed row by row, so its bits do not depend on the
         rows filled with it; the output's product spans at least two rows
         whenever the run has them (a one-row product takes another route).
         """
         model = self.model
-        m, mn = model.m, model.m + model.n
+        m = model.m
         rows = slice(lo, hi + 1)
         x, xhat = self.x[rows], self.xhat[rows]
         y = x @ model.c
         ybar = y + self.v[rows]
         xu = panels[..., 0]
-        z = ybar[:, None] - xu[:, :mn] @ model.c
+        z = ybar[:, None] - xu @ model.c
         theta = self.theta[rows]
         self.y[rows], self.ybar[rows], self.z[rows] = y, ybar, z
         self.theta_err[rows] = np.linalg.norm(theta - model.true_params[None], axis=2)
@@ -694,19 +689,15 @@ class _Store:
         theta_sigma = model.true_params[self.sigma[rows] - 1]
         theta_bar = np.concatenate([theta_sigma, x_tk], axis=1)
         recon = (
-            np.einsum("tij,tj->ti", panels[:, mn, :, 1 + m :], x_tk)
-            + xu[:, mn]
-            + np.einsum("tij,tj->ti", panels[:, mn, :, 1 : 1 + m], theta_sigma)
+            np.einsum("tuij,tj->tui", panels[..., 1 + m :], x_tk)
+            + xu
+            + np.einsum("tuij,tj->tui", panels[..., 1 : 1 + m], theta_sigma)
         )
-        nt = np.einsum("k,tukj->tuj", model.c, panels[:, :mn, :, 1:])
+        nt = np.einsum("k,tukj->tuj", model.c, panels[..., 1:])
         dets, adjs = det_adjugate_batch(nt)
-        dbar = np.einsum("tij,tj->ti", adjs, z) - dets[:, None] * theta_bar
-        dg.theta_bar[rows] = theta_bar
-        dg.decomposition_residual[rows] = np.linalg.norm(x - recon, axis=1)
+        dg.decomposition_residual[rows] = np.linalg.norm(x[:, None] - recon, axis=2).max(axis=1)
         dg.lre_residual_max[rows] = np.abs(z - np.einsum("tuj,tj->tu", nt, theta_bar)).max(axis=1)
-        dg.dbar[rows] = dbar
-        dg.mixing_residual[rows] = np.abs(dbar).max(axis=1)
-        dg.delta[rows] = dets
+        dg.dbar[rows] = np.einsum("tij,tj->ti", adjs, z) - dets[:, None] * theta_bar
 
 
 def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> RunResult:
@@ -748,7 +739,6 @@ def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> 
     rule = model.switching_rule
     active = rule.subsystem_for(float(model.c @ model.initial_state), t0)
     plant = _Plant(model, noise, step, active)
-    cascade = _Cascade(cfg, layout)
     store.x[0], store.xhat[0] = model.initial_state, cfg.observer_init
     store.theta[0], store.exc[0], store.sigma[0] = cfg.theta_init, 0.0, active
     if noise is not None:
@@ -757,9 +747,11 @@ def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> 
     events = [SwitchEvent(t0, active, model.initial_state.copy(), math.nan)]
     event_rows = [0]
 
-    # Overflow before the finiteness check just precedes an abort; keep the
-    # warning stream quiet until then.
+    # Overflow before the finiteness check just precedes an abort, and a
+    # cascade whose step polynomials overflow aborts at its first chunk;
+    # keep the warning stream quiet until then.
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        cascade = _Cascade(cfg, layout)
         lo = 0
         while lo < steps:
             hi, y, u, switches = plant.advance(
@@ -785,10 +777,10 @@ def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> 
                     event_rows.append(row)
             store.derive(lo, hi, panels, events, event_rows)
             lo = hi
-    final_panels = cascade.panels.reshape(layout.num_units, n, layout.panel).copy()
-    store.delta[steps] = cascade.grid_delta(final_panels[None])[0]
-    if steps == 0:
-        store.derive(0, 0, final_panels[None], events, event_rows)
+        final_panels = cascade.panels.reshape(layout.mn, n, layout.panel).copy()
+        store.delta[steps] = cascade.grid_delta(final_panels[None])[0]
+        if steps == 0:
+            store.derive(0, 0, final_panels[None], events, event_rows)
     data[:, 1] = store.sigma
     trace.switch_times = [e.time for e in events]
     trace.pre_reset_delta = [e.delta_before for e in events]

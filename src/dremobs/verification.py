@@ -53,7 +53,8 @@ def _theta_errors(result: RunResult) -> np.ndarray:
 
 
 def check_decomposition(result: RunResult) -> CheckResult:
-    """State equals zero-input response plus both filtered responses."""
+    """State equals zero-input response plus both filtered responses, for
+    every filter of the bank."""
     if result.diagnostics is None:
         raise ConfigurationError("run was made without diagnostics")
     worst = float(result.diagnostics.decomposition_residual.max())
@@ -84,9 +85,8 @@ def check_mixing(result: RunResult) -> CheckResult:
     """Mixed vector equals determinant times the augmented parameter."""
     if result.diagnostics is None:
         raise ConfigurationError("run was made without diagnostics")
-    dg = result.diagnostics
-    scale = np.maximum(1.0, np.abs(dg.delta))
-    worst = float((dg.mixing_residual / scale).max())
+    scale = np.maximum(1.0, np.abs(result.trace.delta))
+    worst = float((np.abs(result.diagnostics.dbar).max(axis=1) / scale).max())
     return CheckResult(
         name="mixing_identity",
         passed=worst <= MIXING_REL_TOL,

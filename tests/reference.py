@@ -3,15 +3,15 @@
 Straight-line functions on plain arrays, one per pipeline stage, with no
 validation.  They share nothing with the chunked kernel in ``dremobs.sim``
 beyond the model description and the noise stream.  The reference steps one
-flat state per grid row, laid out here: x, x_hat, the m+n+1 filter panels
-[xu | upsilon | phi], theta_hat and the excitation accumulators; a run is
-compared through ``final_state`` (its trace's last row plus its final
-filter bank) and through the trace's per-row columns.  ``component_names``
-lists the flat state's components in order, the order in which an aborted
-run names its first non-finite component.  Determinants and adjugates come
-from LAPACK minors, not from the library's cofactor route.  The trace text
-and the SVG polyline points are formatted value by value, as the library's
-block formatters must reproduce byte for byte.
+flat state per grid row, laid out here: x, x_hat, the m+n filter panels
+[xu | upsilon | phi], one per filter gain, theta_hat and the excitation
+accumulators; a run is compared through ``final_state`` (its trace's last
+row plus its final filter bank) and through the trace's per-row columns.
+``component_names`` lists the flat state's components in order, the order
+in which an aborted run names its first non-finite component.  Determinants
+and adjugates come from LAPACK minors, not from the library's cofactor
+route.  The trace text and the SVG polyline points are formatted value by
+value, as the library's block formatters must reproduce byte for byte.
 """
 
 import json
@@ -26,7 +26,7 @@ from dremobs.trace import FORMAT_TAG
 
 def _block_sizes(n, m, s):
     """Float counts of x, x_hat, the filter panels, theta_hat and excitation."""
-    return n, n, (m + n + 1) * n * (1 + m + n), s * m, s
+    return n, n, (m + n) * n * (1 + m + n), s * m, s
 
 
 def views(model, flat):
@@ -34,7 +34,7 @@ def views(model, flat):
     state; writing through a view writes the flat state."""
     n, m, s = model.n, model.m, model.s
     x, xhat, fs, theta, exc = np.split(flat, np.cumsum(_block_sizes(n, m, s))[:-1])
-    return x, xhat, fs.reshape(m + n + 1, n, 1 + m + n), theta.reshape(s, m), exc
+    return x, xhat, fs.reshape(m + n, n, 1 + m + n), theta.reshape(s, m), exc
 
 
 def state_size(model):
@@ -44,7 +44,7 @@ def state_size(model):
 def component_names(n, m, s):
     """Name of every flat-state component, in flat order."""
     names = [f"x[{i}]" for i in range(n)] + [f"x_hat[{i}]" for i in range(n)]
-    for unit in range(m + n + 1):
+    for unit in range(m + n):
         for row in range(n):
             names.append(f"filter[{unit}].xu[{row}]")
             names += [f"filter[{unit}].upsilon[{row},{j}]" for j in range(m)]
@@ -123,18 +123,18 @@ def rk4(f, t, y, h):
 
 def derivative(model, gains, obs_gain, gamma, t, flat, active, v, omega=None):
     """Rates of the flat state, composed unit by unit."""
-    m, mn, i = model.m, model.m + model.n, active - 1
+    m, i = model.m, active - 1
     x, xhat, fs, theta, _ = views(model, flat)
     out = np.zeros_like(flat)
     ox, oxhat, ofs, otheta, oexc = views(model, out)
     u, ybar = model.input_signal(t), float(model.c @ x) + v
     ox[:] = plant_rate(model, x, t, active, omega)
     oxhat[:] = observer_rate(model, obs_gain, xhat, theta[i], ybar, u)
-    for k, gain in enumerate(list(gains) + [obs_gain]):
+    for k, gain in enumerate(gains):
         p = fs[k]
         rates = filter_rates(model, gain, p[:, 0], p[:, 1 : 1 + m], p[:, 1 + m :], ybar, u)
         ofs[k, :, 0], ofs[k, :, 1 : 1 + m], ofs[k, :, 1 + m :] = rates
-    delta, zbar = mix(*regressor_stack(model, fs[:mn], ybar))
+    delta, zbar = mix(*regressor_stack(model, fs, ybar))
     otheta[i] = gamma[i] * delta * (zbar[:m] - delta * theta[i])
     oexc[i] = delta * delta
     return out
@@ -144,7 +144,6 @@ def simulate(model, gains, obs_gain, gamma, theta0, xhat0, h, steps, noise=None)
     """Grid states, active subsystems and pre-reset determinants of a run
     from t = 0; switches are detected and all filters restarted (zero
     filters, identity transition factor) at grid points."""
-    mn = model.m + model.n
     omega = noise.omega if noise is not None else None
     flat = np.zeros(state_size(model))
     x, xhat, fs, theta, _ = views(model, flat)
@@ -163,7 +162,7 @@ def simulate(model, gains, obs_gain, gamma, theta0, xhat0, h, steps, noise=None)
         x, _, fs, _, _ = views(model, flat)
         target = rule.subsystem_for(float(model.c @ x), (q + 1) * h)
         if target != active:
-            pre_reset.append(mix(*regressor_stack(model, fs[:mn], 0.0))[0])
+            pre_reset.append(mix(*regressor_stack(model, fs, 0.0))[0])
             fs[:] = 0.0
             fs[:, :, 1 + model.m :] = np.eye(model.n)
             active = target

@@ -292,7 +292,6 @@ class TestFileLoading:
 CHUA_CONFIG = {
     "plant": "chua",
     "mode": "robust",
-    "seed": 3,
     "step_size": 1e-3,
     "end_time": 1.0,
     "start_time": 0.0,

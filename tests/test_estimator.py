@@ -78,9 +78,8 @@ class TestMix:
             np.testing.assert_allclose(kernel(nt), [adj_ref[j, i] for i, j in cells], atol=1e-12)
 
     def test_mixing_identity_against_ground_truth(self, short_ideal_run):
-        dg = short_ideal_run.diagnostics
-        scale = np.maximum(1.0, np.abs(dg.delta))
-        assert (dg.mixing_residual / scale).max() <= 1e-3
+        scale = np.maximum(1.0, np.abs(short_ideal_run.trace.delta))
+        assert (np.abs(short_ideal_run.diagnostics.dbar).max(axis=1) / scale).max() <= 1e-3
 
 
 GAMMA = np.full(3, 10.0)

@@ -29,9 +29,9 @@ RESET_PANELS = StateLayout(3, 2, 3).filter_reset_template()
 class TestFilterUnit:
     def test_construction_is_reset_state(self, model):
         panels = final_panels(model, 0.0)
-        np.testing.assert_array_equal(panels[:, :, 0], np.zeros((6, 3)))
-        np.testing.assert_array_equal(panels[:, :, 1:3], np.zeros((6, 3, 2)))
-        np.testing.assert_array_equal(panels[:, :, 3:], np.broadcast_to(np.eye(3), (6, 3, 3)))
+        np.testing.assert_array_equal(panels[:, :, 0], np.zeros((5, 3)))
+        np.testing.assert_array_equal(panels[:, :, 1:3], np.zeros((5, 3, 2)))
+        np.testing.assert_array_equal(panels[:, :, 3:], np.broadcast_to(np.eye(3), (5, 3, 3)))
 
     def test_unstable_gain_rejected(self, model):
         # Positive injection into the first state destabilises the loop.

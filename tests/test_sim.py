@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import dremobs as d
 from dremobs import sim
+from dremobs.config import config_from_dict
 from dremobs.errors import ConfigurationError, SimulationAbort
 from dremobs.plant import (
     CHUA_FILTER_GAINS,
@@ -37,6 +38,15 @@ from conftest import chua_experiment, experiment
 def pinned_chua(*schedule):
     """The Chua preset under a time schedule of (start, subsystem) pairs."""
     return replace(chua_preset(), switching_rule=TimeScheduleRule(schedule))
+
+
+def theta_bar_rows(res):
+    """The augmented parameter [theta_sigma; x(t_k)] of every grid row, from
+    the run's events and active subsystems."""
+    event_rows = np.searchsorted(res.trace.t, [e.time for e in res.events])
+    last = np.searchsorted(event_rows, np.arange(len(res.trace.t)), side="right") - 1
+    states = np.stack([e.state for e in res.events])[last]
+    return np.concatenate([res.model.true_params[res.trace.sigma - 1], states], axis=1)
 
 
 def reference_run(cfg, steps):
@@ -267,7 +277,7 @@ class TestRunSimulation:
     def test_run_state_is_chunk_resident(self):
         # Only the trace (29 columns for Chua) and the per-row active
         # subsystem, held noise and time grow with the horizon; a store of
-        # the whole run state per row (123 floats) would not fit the budget.
+        # the whole run state per row (105 floats) would not fit the budget.
         def peak(end_time):
             cfg = chua_experiment(end_time, chua_robust_noise(seed=2))
             tracemalloc.start()
@@ -362,6 +372,28 @@ class TestRunSimulation:
         with pytest.raises((SimulationAbort, ConfigurationError)):
             run_experiment(experiment(unstable, StepConfig(step_size=0.5, end_time=400.0)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_step_polynomial_aborts_without_a_warning(self):
+        # The continuous closed loops are stable, but h * Acl = -1e197
+        # overflows the cascade's RK4 polynomials: the run aborts at its
+        # first chunk, and building the cascade warns of nothing.
+        raw = {
+            "plant": {
+                "a": [[-1e200]],
+                "b": [0.0],
+                "c": [1.0],
+                "psi": {"constant": [[0.0]]},
+                "true_params": [[1.0]],
+                "switching": {"type": "schedule", "entries": [[0.0, 1]]},
+                "initial_state": [1.0],
+            },
+            "filter_gains": [[1.0], [2.0]],
+            "observer_gain": [1.0],
+            "end_time": 0.01,
+        }
+        with pytest.raises(SimulationAbort, match="x\\[0\\]"):
+            run_experiment(config_from_dict(raw))
+
 
 def small_switched_setup(step):
     """n = 2, m = 1, s = 2 plant with an input, a schedule and noise on,
@@ -409,14 +441,14 @@ class TestLoopMatchesPublicOperations:
         np.testing.assert_array_equal(res.trace.sigma, sigmas)
         assert res.trace.switch_times == [0.0, pytest.approx(3 * h)]
         np.testing.assert_allclose(res.trace.pre_reset_delta[1:], pre_reset[1:], atol=1e-15)
-        mn = model.m + model.n
+        theta_bar = theta_bar_rows(res)
         for q, flat in enumerate(rows):
             x, _, fs, _, _ = reference.views(model, flat)
             np.testing.assert_allclose(res.trace.x[q], x, rtol=1e-10, atol=1e-13)
-            zf, nt = reference.regressor_stack(model, fs[:mn], res.trace.ybar[q])
+            zf, nt = reference.regressor_stack(model, fs, res.trace.ybar[q])
             delta, zbar = reference.mix(zf, nt)
             assert res.trace.delta[q] == pytest.approx(delta, abs=1e-15)
-            dbar = reference.residual(delta, zbar, res.diagnostics.theta_bar[q])
+            dbar = reference.residual(delta, zbar, theta_bar[q])
             np.testing.assert_allclose(res.diagnostics.dbar[q], dbar, atol=1e-12)
 
     def test_trace_delta_is_the_law_determinant(self, monkeypatch):
@@ -556,13 +588,12 @@ class TestKernelMatchesReference:
         assert len(res.events) == len(pre_reset)
         np.testing.assert_allclose(res.trace.pre_reset_delta[1:], pre_reset[1:], rtol=1e-9, atol=1e-13)
         np.testing.assert_allclose(rows[-1], reference.final_state(res), rtol=1e-10, atol=1e-13)
-        mn = model.m + model.n
         for q, flat in enumerate(rows):
             x, xhat, fs, theta, _ = reference.views(model, flat)
             np.testing.assert_allclose(res.trace.x[q], x, rtol=1e-10, atol=1e-13)
             np.testing.assert_allclose(res.trace.xhat[q], xhat, rtol=1e-10, atol=1e-13)
             np.testing.assert_allclose(res.trace.theta_hat[q], theta, rtol=1e-10, atol=1e-13)
-            delta, _ = reference.mix(*reference.regressor_stack(model, fs[:mn], 0.0))
+            delta, _ = reference.mix(*reference.regressor_stack(model, fs, 0.0))
             assert res.trace.delta[q] == pytest.approx(delta, rel=1e-9, abs=1e-13)
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -588,7 +619,7 @@ class TestLayout:
     def test_component_names_cover_every_index(self):
         model = chua_preset()
         names = reference.component_names(3, 2, 3)
-        assert len(set(names)) == len(names) == reference.state_size(model) == 123
+        assert len(set(names)) == len(names) == reference.state_size(model) == 105
         assert names[0] == "x[0]"
         assert "theta_hat[0,0]" in names
         assert "excitation[2]" in names
@@ -600,7 +631,7 @@ class TestLayout:
         fs[2, 1, 0] = 7.0
         theta[1, 1] = -3.0
         assert flat[6 + 2 * 18 + 1 * 6] == 7.0
-        assert flat[6 + 108 + 3] == -3.0
+        assert flat[6 + 90 + 3] == -3.0
 
     @pytest.mark.parametrize("dims", [(3, 2, 3), (2, 1, 2), (1, 2, 3)])
     def test_abort_names_the_first_component_in_layout_order(self, dims):
@@ -628,6 +659,35 @@ class TestLayout:
         assert sim._first_non_finite(blocks, {}, m) is None
         nan_panels = np.full(blocks[2][0].shape, np.nan)
         assert sim._first_non_finite(blocks, {3: nan_panels}, m) == (3, names[2 * n])
+
+
+class TestRegressionBank:
+    """The bank is the m+n regression filters, and the decomposition oracle
+    checks every one of them."""
+
+    def test_run_state_holds_only_the_regression_filters(self):
+        res = run_experiment(chua_experiment(0.01), collect_diagnostics=True)
+        assert res.final_panels.shape == (5, 3, 6)
+        assert res.layout.size == 105
+        names = [f.name for f in fields(sim.Diagnostics)]
+        assert names == ["decomposition_residual", "lre_residual_max", "dbar"]
+
+    @pytest.mark.parametrize("unit", range(5))
+    def test_decomposition_oracle_sees_every_filter(self, unit, monkeypatch):
+        # Offsetting one unit's xu right after the start's restart breaks
+        # that unit's identity x = phi x(t_k) + xu + upsilon theta.
+        cfg = chua_experiment(0.05)
+        assert check_decomposition(run_experiment(cfg, collect_diagnostics=True)).passed
+
+        class Perturbed(sim._Cascade):
+            def __init__(self, cfg, layout):
+                super().__init__(cfg, layout)
+                n = layout.n
+                self.panels = self.panels.copy()
+                self.panels[unit * n : (unit + 1) * n, 0] += 1e-3
+
+        monkeypatch.setattr(sim, "_Cascade", Perturbed)
+        assert not check_decomposition(run_experiment(cfg, collect_diagnostics=True)).passed
 
 
 def assert_plant_columns_equal(res, model, noise, h, steps, t0=0.0):

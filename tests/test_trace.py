@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dremobs import plots
 from dremobs.config import config_from_dict
-from dremobs.errors import TraceFormatError
+from dremobs.errors import ConfigurationError, TraceFormatError
 from dremobs.trace import (
     BLOCK_ROWS,
     SimulationTrace,
@@ -338,15 +338,21 @@ class TestRecordedSeed:
     mode follows from its noise, and neither depends on whether the run
     collected diagnostics."""
 
-    def test_noise_seed_is_recorded_over_the_top_level_seed(self):
-        # The top-level 5 was recorded although the noise came from seed 7.
-        raw = {"plant": "chua", "mode": "robust", "seed": 5, "end_time": 0.01,
+    def test_noise_seed_is_recorded(self):
+        raw = {"plant": "chua", "mode": "robust", "end_time": 0.01,
                "noise": {"v0": 0.1, "seed": 7}}
         trace = d.run_experiment(config_from_dict(raw)).trace
         assert seed_header(trace) == "7"
         assert trace.meta["seed"] == 7 and trace.meta["noise"] == {"v0": 0.1}
         held = d.sample_noise(d.NoiseSpec(v0=0.1, seed=7), np.arange(len(trace.t)))
         np.testing.assert_allclose(trace.ybar - trace.y, held, rtol=0.0, atol=1e-12)
+
+    def test_seed_in_both_places_is_rejected(self):
+        # One of the two seeds would be dropped without a word.
+        raw = {"plant": "chua", "mode": "robust", "seed": 5, "end_time": 0.01,
+               "noise": {"v0": 0.1, "seed": 7}}
+        with pytest.raises(ConfigurationError, match="^config.seed: "):
+            config_from_dict(raw)
 
     def test_ideal_run_records_no_seed(self):
         trace = tiny_run(end_time=0.01).trace
