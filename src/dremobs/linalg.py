@@ -227,3 +227,36 @@ def hurwitz_verdict(matrix) -> StabilityVerdict:
         return StabilityVerdict(False, True)
     return routh_verdict(coefficients)
 
+
+def unit_disc_verdict(offset) -> StabilityVerdict:
+    """Whether every eigenvalue of I + offset lies inside the unit circle,
+    with no eigenvalue solver.
+
+    The map lambda = (1 + s)/(1 - s) takes the unit disc onto the open left
+    half plane, so I + offset is stable exactly when
+    (1 - s)^n p((1 + s)/(1 - s)) is Hurwitz (Routh test), p being its
+    characteristic polynomial.  As p(lambda) = q(lambda - 1) for q the
+    characteristic polynomial of the offset, that is
+    sum_k q_k (2 s)^(n-k) (1 - s)^k.  Working from the offset keeps the
+    test accurate for matrices near the identity, such as an RK4 step
+    polynomial at a small step, whose p would lose its small coefficients
+    to cancellation.  A matrix or polynomial beyond the float range is
+    indeterminate, an expected outcome, so its overflow raises no warning.
+    """
+    offset = np.asarray(offset, dtype=float)
+    if not np.isfinite(offset).all():
+        return StabilityVerdict(False, True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = characteristic_polynomial(offset)
+        n = q.size - 1
+        mapped = np.zeros(n + 1)  # lowest power first
+        for k, coefficient in enumerate(q):
+            term = np.ones(1)
+            for factor in [[0.0, 2.0]] * (n - k) + [[1.0, -1.0]] * k:
+                term = np.convolve(term, factor)
+            mapped += coefficient * term
+    if not np.isfinite(mapped).all():
+        return StabilityVerdict(False, True)
+    if mapped[n] == 0.0:  # an eigenvalue at -1, on the circle
+        return StabilityVerdict(False, False)
+    return routh_verdict(mapped[::-1])

@@ -214,7 +214,15 @@ class PlantModel:
             raise ConfigurationError(
                 f"true_params: m + n = {n + m} exceeds the supported maximum {MAX_SIDE}"
             )
-        _check_psi(self.psi, n, m, float(c @ x0))
+        # An output beyond the float range is an expected outcome here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            y0 = float(c @ x0)
+        if not math.isfinite(y0):
+            raise ConfigurationError(
+                f"initial_state: its output c x0 = {y0} is not finite; "
+                "the switching rule and psi need a finite output"
+            )
+        _check_psi(self.psi, n, m, y0)
         rule = self.switching_rule
         if isinstance(rule, StateRegionRule) and rule.num_subsystems != s:
             raise ConfigurationError(

@@ -24,10 +24,12 @@ applied block by block in cascade order, so the integrator is split:
   when B has a nonzero entry, omega only with a disturbance), stages
   k h/2 + x and k h + x, step x + ((((k2 + k3) 2 + k1) + k4) h/6).  The
   three products C x, A x and psi theta are BLAS calls; the glue around
-  them runs on Python floats, the same IEEE operations; a step's stage-1
-  output is the C x its predecessor computed for the switch check; the
-  disturbance is evaluated once per chunk at the steps' start, middle and
-  end times.
+  them runs on Python floats, the same IEEE operations, as one scalar
+  expression per state component in a step loop generated and compiled
+  once per model shape (n, whether B has a nonzero entry, whether there is
+  a disturbance); a step's stage-1 output is the C x its predecessor
+  computed for the switch check; the disturbance is evaluated once per
+  chunk at the steps' start, middle and end times.
 * Every ``CHUNK`` steps the downstream blocks advance over the whole chunk.
   Each is affine in its own state, so one RK4 step is an exact affine
   recurrence whose coefficients are computed from the recorded signals for
@@ -59,6 +61,7 @@ limit.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time as _time
@@ -66,8 +69,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SimulationAbort
-from .linalg import Cofactors, det_adjugate_batch
+from .errors import ConfigurationError, GainStabilityError, SimulationAbort
+from .linalg import Cofactors, det_adjugate_batch, unit_disc_verdict
 from .plant import (
     NoiseSpec,
     PlantModel,
@@ -184,9 +187,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, array)
         if not (self.gamma > 0.0).all():
             raise ConfigurationError("gamma: entries must be positive")
-        for j, gain in enumerate(self.filter_gains):
-            stable_closed_loop(model, gain, f"filter_gains[{j}]")
-        stable_closed_loop(model, self.observer_gain, "observer_gain")
+        labelled = [(f"filter_gains[{j}]", gain) for j, gain in enumerate(self.filter_gains)]
+        for label, gain in labelled + [("observer_gain", self.observer_gain)]:
+            _stable_step(stable_closed_loop(model, gain, label), step.step_size, gain, label)
         probe_times = [step.start_time, step.start_time + step.step_size]
         if self.noise is not None and self.noise.omega is not None:
             try:
@@ -211,6 +214,23 @@ class ExperimentConfig:
                 f"plant.switching.entries[0][0]: the schedule starts at "
                 f"t={rule.entries[0][0]:.6g}, after start_time {step.start_time:.6g}"
             )
+
+
+def _stable_step(acl: np.ndarray, h: float, gain: np.ndarray, label: str) -> None:
+    """Raise GainStabilityError naming ``label`` and the step unless the RK4
+    step polynomial P(h Acl) of the closed loop ``acl``, which advances its
+    discretised filter or observer, has every eigenvalue inside the unit
+    circle."""
+    # A polynomial beyond the float range is indeterminate, an expected outcome.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, step_off = _rk4_offsets(h, lambda s, z: acl @ z, (acl,) * 4)
+    verdict = unit_disc_verdict(step_off)
+    if not verdict.stable:
+        kind = "beyond the float range" if verdict.indeterminate else "of spectral radius 1 or more"
+        raise GainStabilityError(
+            f"{label}: {gain.tolist()} at step_size {h:.6g} gives an RK4 step polynomial "
+            f"P(h Acl) {kind}, so the discretised loop diverges; a smaller step is needed"
+        )
 
 
 class StateLayout:
@@ -307,13 +327,117 @@ def _rk4_offsets(h: float, apply, forcing):
     return (g2, g3, g4), (h / 6.0) * (w1 + 2.0 * (w2 + w3) + w4)
 
 
+def _step_loop_source(n: int, has_b: bool, has_omega: bool) -> str:
+    """Source of the plant's step loop for one model shape, every state
+    component a Python float of its own; see ``_step_loop``."""
+    def each(template: str, sep: str = ", ") -> str:
+        return sep.join(template.format(i=i) for i in range(n))
+
+    def stage(s: int, u: str, omega: str | None) -> list[str]:
+        # rate ((A x + psi(y, u) theta) + B u) + omega at the stage point;
+        # stage 3 reuses stage 2's disturbance row (omega None).
+        point = "x" if s == 1 else "z"
+        output = "y" if s == 1 else f"y{s}"
+        lines = [
+            f"({each('a{i}')},) = dot_a({point}).tolist()",
+            f"({each('p{i}')},) = psi({output}, {u}).dot(theta).tolist()",
+        ]
+        if has_omega and omega is not None:
+            lines.append(f"({each('w{i}')},) = {omega}")
+        for i in range(n):
+            rate = f"a{i} + p{i}"
+            if has_b:
+                rate += f" + b{i} * {u}"
+            if has_omega:
+                rate += f" + w{i}"
+            lines.append(f"f{s}_{i} = {rate}")
+        return lines
+
+    def point(s: int, step: str) -> list[str]:
+        # stage point k h/2 + x (k h + x for the last stage), written into
+        # the buffer z that only the products read, and its output.
+        return [
+            *(f"z[{i}] = x{i} + f{s - 1}_{i} * {step}" for i in range(n)),
+            f"y{s} = float(dot_c(z))",
+        ]
+
+    omegas = ", om_start, om_half, om_end" if has_omega else ""
+    body = [
+        "q = lo + k",
+        "t = t0 + q * h",
+        "u = u_fn(t)",
+        *stage(1, "u", "om_start[k]"),
+        "u_half = u_fn(t + half)",
+        *point(2, "half"),
+        *stage(2, "u_half", "om_half[k]"),
+        *point(3, "half"),
+        *stage(3, "u_half", None),
+        *point(4, "h"),
+        "u_end = u_fn(t + h)",
+        *stage(4, "u_end", "om_end[k]"),
+        "outputs += (y, y2, y3, y4)",
+        "inputs += (u, u_half, u_half, u_end)",
+        *(f"x{i} = x{i} + ((f2_{i} + f3_{i}) * 2.0 + f1_{i} + f4_{i}) * sixth" for i in range(n)),
+        f"states.append(({each('x{i}')},))",
+        f"x = array(({each('x{i}')},))",
+        "y = float(dot_c(x))",
+        f"if not isfinite(y) and not ({each('isfinite(x{i})', ' and ')}):",
+        "    reached = q + 1",
+        "    break",
+        "target = rule_for(y, t0 + (q + 1) * h)",
+        "if target != active:",
+        "    switches.append((q + 1, target, x))",
+        "    active, theta = target, params[target - 1]",
+        "actives.append(active)",
+    ]
+    lines = [
+        f"def steps(plant, x, lo, hi{omegas}):",
+        "    h, t0, u_fn, psi = plant.h, plant.t0, plant.u_fn, plant.psi",
+        "    dot_a, dot_c, rule_for, params = plant.dot_a, plant.dot_c, plant.rule_for, plant.params",
+        "    half, sixth = 0.5 * h, h / 6.0",
+        "    y, active, theta = plant.y, plant.active, plant.theta",
+        *([f"    ({each('b{i}')},) = plant.b"] if has_b else []),
+        "    outputs, inputs, states, actives, switches = [], [], [], [], []",
+        f"    z = array({[0.0] * n})",
+        f"    ({each('x{i}')},) = x.tolist()",
+        "    reached = hi",
+        "    for k in range(hi - lo):",
+        *("        " + line for line in body),
+        "    plant.y, plant.active, plant.theta = y, active, theta",
+        "    return reached, states, outputs, inputs, actives, switches",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _step_loop(n: int, has_b: bool, has_omega: bool):
+    """The plant's step loop for one model shape, compiled once.
+
+    ``steps(plant, x, lo, hi[, omega_start, omega_half, omega_end])`` steps
+    grid rows lo..hi-1 from the state ``x`` of row lo, with the disturbance
+    rows of each step's start, middle and end times when there is a
+    disturbance.  It stops after a row whose state is non-finite, leaves
+    the plant's output, active subsystem and parameter at the last row
+    reached, and returns that row, the states of the rows stepped, the true
+    outputs and inputs of every stage, the active subsystem of each row
+    (the non-finite row has none) and the switches as (row, new subsystem,
+    state).
+    """
+    namespace = {"array": np.array, "isfinite": math.isfinite}
+    code = compile(_step_loop_source(n, has_b, has_omega), f"<plant step loop n={n}>", "exec")
+    exec(code, namespace)
+    return namespace["steps"]
+
+
 class _Plant:
     """The plant, stepped stage by stage with grid-point switch detection.
 
     Each stage also records the true output and the input, from which the
     downstream blocks' measured outputs and nonlinearity are formed per
-    chunk.  ``y`` is the output at the last grid row reached.  The module
-    docstring states which operations the loop must keep.
+    chunk.  ``y`` is the output at the last grid row reached.  The step loop
+    is compiled per model shape (``_step_loop``): n, whether B has a nonzero
+    entry, and whether there is a disturbance.  The module docstring states
+    which operations the loop must keep.
     """
 
     def __init__(self, model: PlantModel, noise: NoiseSpec | None, step: StepConfig, active: int):
@@ -322,28 +446,21 @@ class _Plant:
         self.h = step.step_size
         self.t0 = step.start_time
         self.active = active
+        self.params = model.true_params
         self.theta = model.true_params[active - 1]
-        self.b = model.b.tolist() if np.any(model.b != 0.0) else None
+        has_b = bool(np.any(model.b != 0.0))
+        self.b = model.b.tolist()
         self.dot_c, self.dot_a, self.psi = model.c.dot, model.a.dot, model.psi
+        self.u_fn, self.rule_for = model.input_signal, model.switching_rule.subsystem_for
         self.y = float(self.dot_c(model.initial_state))
+        self.has_omega = noise is not None and noise.omega is not None
+        self.steps = _step_loop(model.n, has_b, self.has_omega)
 
-    def rate(self, x: np.ndarray, y: float, u: float, omega) -> list[float]:
-        """Plant rate at the state ``x`` with output ``y``, at the input
-        ``u`` and disturbance row ``omega`` (None when there is none) of the
-        stage's time."""
-        linear, param = self.dot_a(x).tolist(), self.psi(y, u).dot(self.theta).tolist()
-        if self.b is not None:
-            linear = [p + q + b * u for p, q, b in zip(linear, param, self.b)]
-            return linear if omega is None else [r + w for r, w in zip(linear, omega)]
-        if omega is None:
-            return [p + q for p, q in zip(linear, param)]
-        return [p + q + w for p, q, w in zip(linear, param, omega)]
-
-    def disturbance(self, lo: int, hi: int):
+    def disturbance(self, lo: int, hi: int) -> tuple:
         """Disturbance rows of steps lo..hi-1 at their start, middle and end
-        times, or None per row when there is no disturbance."""
-        if self.noise is None or self.noise.omega is None:
-            return ([None] * (hi - lo),) * 3
+        times; none when there is no disturbance."""
+        if not self.has_omega:
+            return ()
         h, n = self.h, self.model.n
         t = self.t0 + np.arange(lo, hi)[:, None] * h
         return tuple(
@@ -359,51 +476,11 @@ class _Plant:
         taken, each (steps, 4), and the switches as (row, new subsystem,
         state).
         """
-        h, t0, rule = self.h, self.t0, self.model.switching_rule
-        half, sixth = 0.5 * h, h / 6.0
-        rate, u_fn, dot_c = self.rate, self.model.input_signal, self.dot_c
         if self.noise is not None:
             vs[lo + 1 : hi + 1] = sample_noise(self.noise, np.arange(lo + 1, hi + 1))
-        omega_start, omega_half, omega_end = self.disturbance(lo, hi)
-        outputs, inputs, switches, states, actives = [], [], [], [], []
-        x, y = xs[lo], self.y
-        xl = x.tolist()
-        reached = hi
-        for k in range(hi - lo):
-            q = lo + k
-            t = t0 + q * h
-            u = u_fn(t)
-            k1 = rate(x, y, u, omega_start[k])
-            # Stages 2 and 3 share their time, so their input and disturbance.
-            u_half = u_fn(t + half)
-            x2 = np.array([a + b * half for a, b in zip(xl, k1)])
-            y2 = float(dot_c(x2))
-            k2 = rate(x2, y2, u_half, omega_half[k])
-            x3 = np.array([a + b * half for a, b in zip(xl, k2)])
-            y3 = float(dot_c(x3))
-            k3 = rate(x3, y3, u_half, omega_half[k])
-            x4 = np.array([a + b * h for a, b in zip(xl, k3)])
-            y4, u_end = float(dot_c(x4)), u_fn(t + h)
-            k4 = rate(x4, y4, u_end, omega_end[k])
-            outputs += (y, y2, y3, y4)
-            inputs += (u, u_half, u_half, u_end)
-            xl = [
-                a + ((r2 + r3) * 2.0 + r1 + r4) * sixth
-                for a, r1, r2, r3, r4 in zip(xl, k1, k2, k3, k4)
-            ]
-            states.append(xl)
-            x = np.array(xl)
-            y = float(dot_c(x))
-            if not math.isfinite(y) and not all(map(math.isfinite, xl)):
-                reached = q + 1
-                break
-            target = rule.subsystem_for(y, t0 + (q + 1) * h)
-            if target != self.active:
-                switches.append((q + 1, target, x))
-                self.active = target
-                self.theta = self.model.true_params[target - 1]
-            actives.append(self.active)
-        self.y = y
+        reached, states, outputs, inputs, actives, switches = self.steps(
+            self, xs[lo], lo, hi, *self.disturbance(lo, hi)
+        )
         xs[lo + 1 : lo + 1 + len(states)] = states
         sigmas[lo + 1 : lo + 1 + len(actives)] = actives
         shape = (reached - lo, 4)
@@ -747,11 +824,11 @@ def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> 
     events = [SwitchEvent(t0, active, model.initial_state.copy(), math.nan)]
     event_rows = [0]
 
-    # Overflow before the finiteness check just precedes an abort, and a
-    # cascade whose step polynomials overflow aborts at its first chunk;
-    # keep the warning stream quiet until then.
+    # The config screened every step polynomial, so building the cascade
+    # stays in the float range.  Overflow before the finiteness check just
+    # precedes an abort; keep the warning stream quiet until then.
+    cascade = _Cascade(cfg, layout)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        cascade = _Cascade(cfg, layout)
         lo = 0
         while lo < steps:
             hi, y, u, switches = plant.advance(

@@ -1,6 +1,7 @@
 """The verdicts of ``tools/bench_pairs.py`` on hand-made paired runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,59 @@ class TestVerdict:
     def test_unpaired_runs_rejected(self):
         with pytest.raises(ValueError):
             verdict([1.0, 2.0], [1.0], "higher", 0.2)
+
+
+BENCHMARK = {"workloads": [{"name": "first"}, {"name": "second"}, {"name": "third"}]}
+
+
+class TestWorkloadSelection:
+    def test_every_workload_in_order_when_none_is_named(self):
+        assert bench_pairs.select_workloads(BENCHMARK, None) == ["first", "second", "third"]
+
+    def test_a_named_workload_alone(self):
+        assert bench_pairs.select_workloads(BENCHMARK, "second") == ["second"]
+
+    def test_an_undeclared_workload_rejected(self):
+        with pytest.raises(ValueError, match="unknown workload 'fourth'"):
+            bench_pairs.select_workloads(BENCHMARK, "fourth")
+
+
+class TestMain:
+    """``main`` with the export and the perfbench runs replaced by fakes."""
+
+    def run_main(self, monkeypatch, capsys, argv, slow=()):
+        calls = []
+        benchmark = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())
+
+        def fake_run(tree, workload, seed, seconds):
+            calls.append((tree.name, workload))
+            # The change halves steps_per_s on the workloads named in ``slow``.
+            scale = 0.5 if workload in slow and tree == bench_pairs.ROOT else 1.0
+            values = {m["name"]: 1.0 for m in benchmark["end_to_end"]}
+            values["steps_per_s"] = 100.0 * scale
+            return {"correct": True, "metrics": values}
+
+        monkeypatch.setattr(bench_pairs, "export_tree", lambda rev, dest: None)
+        monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+        code = bench_pairs.main(["--parent", "HEAD", "--seed", "1", "--pairs", "2",
+                                 "--seconds", "1", *argv])
+        return code, calls, capsys.readouterr().out, benchmark
+
+    def test_without_a_workload_every_workload_runs_under_its_heading(self, monkeypatch, capsys):
+        code, calls, out, benchmark = self.run_main(monkeypatch, capsys, [])
+        names = [w["name"] for w in benchmark["workloads"]]
+        assert code == 0
+        assert [w for _, w in calls] == [w for w in names for _ in range(4)]
+        headings = [line for line in out.splitlines() if line.startswith("== ")]
+        assert headings == [f"== {name} ==" for name in names]
+        reports = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+        assert [r["workload"] for r in reports] == names
+
+    def test_one_workload_runs_alone(self, monkeypatch, capsys):
+        code, calls, out, benchmark = self.run_main(monkeypatch, capsys, ["--workload", "robust-sweep"])
+        assert code == 0 and {w for _, w in calls} == {"robust-sweep"} and len(calls) == 4
+
+    def test_a_bound_exceeded_on_any_workload_exits_1(self, monkeypatch, capsys):
+        code, _, out, _ = self.run_main(monkeypatch, capsys, [], slow=("verify-plot",))
+        assert code == 1
+        assert "EXCEEDED" in out.split("== verify-plot ==")[1]

@@ -111,6 +111,25 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "runtime abort" in err and "t=" in err
 
+    def test_step_whose_filter_recurrence_diverges_exits_2(self, tmp_path, capsys):
+        # At h = 0.3 the RK4 step polynomial P(h Acl) of filter_gains[0] has
+        # spectral radius 1.715: the run used to load, take 55 steps and
+        # exit 3 on x_hat[0], blaming an adaptation step of 1.22e20.
+        out = tmp_path / "o"
+        code = run_cli("simulate", "--preset", "chua", "--h", "0.3", "--out", str(out))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config.filter_gains[0]: [0.0, -1.0, -15.0] at step_size 0.3" in err
+        assert "spectral radius 1 or more" in err
+        assert not out.exists()
+
+    def test_step_whose_loops_stay_inside_the_unit_circle_runs(self, tmp_path):
+        # At h = 0.2 every step polynomial's radius is below 1 (largest 0.998).
+        out = tmp_path / "o"
+        code = run_cli("simulate", "--preset", "chua", "--h", "0.2", "--out", str(out), "--no-plots")
+        assert code == EXIT_OK
+        assert read_trace(out / "trace.csv").t[-1] == pytest.approx(100.0)
+
     def test_unstable_custom_gain_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(

@@ -261,6 +261,16 @@ class TestStaticValidation:
         with pytest.raises(ConfigurationError, match=match):
             config_from_dict(raw)
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_initial_output_rejected_at_load(self):
+        # c x0 = 1e400 - 1e400 is NaN: the plant used to load with a raw
+        # RuntimeWarning, and its run aborted at t = 0.01 on x_hat[0].
+        spec = dict(custom_plant_spec(), c=[1e200, 1e200], initial_state=[1e200, -1e200])
+        raw = {"plant": spec, "filter_gains": [[1e-200, 0.0], [2e-200, 1e-200], [3e-200, 5e-201]],
+               "observer_gain": [2e-200, 5e-201], "step_size": 0.01, "end_time": 0.1}
+        with pytest.raises(ConfigurationError, match=r"^config\.plant\.initial_state: .* not finite"):
+            config_from_dict(raw)
+
     def test_schedule_starting_after_start_time_rejected(self):
         # Used to load, then fail at the first rule query with no config path.
         spec = dict(custom_plant_spec(), switching={"type": "schedule", "entries": [[1.0, 1]]})

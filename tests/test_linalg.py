@@ -13,6 +13,7 @@ from dremobs.linalg import (
     det_adjugate_batch,
     hurwitz_verdict,
     routh_verdict,
+    unit_disc_verdict,
 )
 
 
@@ -280,3 +281,43 @@ class TestHurwitz:
         assert oracle is False
         assert verdict.stable is False
         assert verdict.indeterminate is False
+
+
+class TestUnitDisc:
+    """``unit_disc_verdict(offset)`` judges I + offset against the unit
+    circle, with an eigenvalue solver as the oracle."""
+
+    def test_agrees_with_eigenvalue_modulus_oracle(self):
+        rng = np.random.default_rng(31)
+        checked = 0
+        while checked < 200:
+            k = 1 + checked % 5
+            matrix = rng.normal(scale=0.6, size=(k, k))
+            radius = np.abs(np.linalg.eigvals(matrix)).max()
+            if abs(radius - 1.0) < 1e-3:
+                continue  # skip near-marginal draws
+            assert unit_disc_verdict(matrix - np.eye(k)).stable == bool(radius < 1.0)
+            checked += 1
+
+    def test_small_offsets_keep_their_verdict(self):
+        # I + offset within about 1e-6 of the identity, as an RK4 step
+        # polynomial of slow poles at a small step is.  Mapped from the
+        # characteristic polynomial of I + offset itself, whose small
+        # coefficients cancellation rounds away, this stable matrix would
+        # be judged unstable; from that of the offset, both verdicts hold.
+        slow = 1e-6 * (np.diag([-1.0, -2.0, -0.5]) + 0.1 * np.eye(3, k=1))
+        assert unit_disc_verdict(slow).stable is True
+        assert unit_disc_verdict(slow + np.diag([0.0, 0.0, 1e-6])).stable is False
+
+    def test_eigenvalue_on_the_circle_is_not_stable(self):
+        assert unit_disc_verdict(np.diag([-2.0, -0.5])).stable is False  # eigenvalue -1
+        rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
+        verdict = unit_disc_verdict(rotation - np.eye(2))
+        assert verdict.stable is False and verdict.indeterminate is True
+
+    def test_out_of_float_range_is_indeterminate_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = [unit_disc_verdict([[np.inf]]), unit_disc_verdict(np.full((3, 3), 1e200))]
+        for verdict in verdicts:
+            assert verdict.stable is False and verdict.indeterminate is True

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import dremobs as d
 from dremobs import sim
 from dremobs.config import config_from_dict
-from dremobs.errors import ConfigurationError, SimulationAbort
+from dremobs.errors import ConfigurationError, GainStabilityError, SimulationAbort
+from dremobs.linalg import MAX_SIDE
 from dremobs.plant import (
     CHUA_FILTER_GAINS,
     OutputRegion,
@@ -373,10 +374,11 @@ class TestRunSimulation:
             run_experiment(experiment(unstable, StepConfig(step_size=0.5, end_time=400.0)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_step_polynomial_aborts_without_a_warning(self):
+    def test_overflowing_step_polynomial_rejected_at_load(self):
         # The continuous closed loops are stable, but h * Acl = -1e197
-        # overflows the cascade's RK4 polynomials: the run aborts at its
-        # first chunk, and building the cascade warns of nothing.
+        # overflows the RK4 step polynomial P(h Acl): the config used to
+        # load and the run aborted at t = 0.001 on x[0].  It is rejected at
+        # load, without a warning.
         raw = {
             "plant": {
                 "a": [[-1e200]],
@@ -391,8 +393,11 @@ class TestRunSimulation:
             "observer_gain": [1.0],
             "end_time": 0.01,
         }
-        with pytest.raises(SimulationAbort, match="x\\[0\\]"):
-            run_experiment(config_from_dict(raw))
+        with pytest.raises(
+            GainStabilityError,
+            match=r"^config\.filter_gains\[0\]: \[1\.0\] at step_size 0\.001 .* beyond the float range",
+        ):
+            config_from_dict(raw)
 
 
 def small_switched_setup(step):
@@ -485,19 +490,23 @@ def _uniform(draw, lo, hi, shape):
 
 
 @st.composite
-def small_switched_cases(draw):
+def small_switched_cases(draw, sides=st.integers(1, 3), zero_b=st.just(False)):
     """A random small plant whose every injection gain is Hurwitz by
     construction: in observable canonical form (superdiagonal ones, c = e1)
     the gain a + p places the closed-loop characteristic polynomial at p,
     whose roots are drawn negative; a diagonally dominant similarity then
-    hides the structure."""
-    n = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 2))
+    hides the structure.
+
+    ``sides`` draws n (m is 1 or 2, at most MAX_SIDE - n) and ``zero_b``
+    whether B is zero."""
+    n = draw(sides)
+    m = draw(st.integers(1, min(2, MAX_SIDE - n)))
     s = draw(st.integers(2, 3))
     first_col = _uniform(draw, -2.0, 2.0, (n,))
     canonical = np.eye(n, k=1)
     canonical[:, 0] = first_col
-    sim_t = np.eye(n) + _uniform(draw, -0.3, 0.3, (n, n))
+    spread = min(0.3, 0.9 / n)  # off-diagonal row sums below 1
+    sim_t = np.eye(n) + _uniform(draw, -spread, spread, (n, n))
     sim_inv = np.linalg.inv(sim_t)
     gains = np.array(
         [
@@ -509,7 +518,7 @@ def small_switched_cases(draw):
     frequency = draw(st.floats(0.5, 5.0))
     model = d.PlantModel(
         a=sim_t @ canonical @ sim_inv,
-        b=_uniform(draw, -1.0, 1.0, (n,)),
+        b=np.zeros(n) if draw(zero_b) else _uniform(draw, -1.0, 1.0, (n,)),
         c=np.eye(n)[0] @ sim_inv,
         psi=lambda y, u: const + np.multiply.outer(y, out_gain) + np.multiply.outer(u, in_gain),
         true_params=_uniform(draw, -1.0, 1.0, (s, m)),
@@ -726,8 +735,10 @@ class TestPlantMatchesReference:
         assert len(res.events) == 3
         assert_plant_columns_equal(res, model, cfg.noise, h, steps, t0)
 
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(small_switched_cases())
+    # Enough examples to meet many of the 28 shapes the step loop is
+    # compiled for (n up to MAX_SIDE - 1, B zero or not, disturbance or not).
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(small_switched_cases(sides=st.integers(1, MAX_SIDE - 1), zero_b=st.booleans()))
     def test_random_small_plants(self, case):
         model, noise, inputs = case["model"], case["noise"], case["inputs"]
         h, steps, row = self.H, self.STEPS, case["switch_row"]

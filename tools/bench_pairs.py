@@ -1,13 +1,15 @@
-"""Alternating parent/change pairs of one perfbench workload.
+"""Alternating parent/change pairs of perfbench workloads.
 
 Usage:
-    python3 tools/bench_pairs.py --parent REV --workload W --seed S --pairs N --seconds T
+    python3 tools/bench_pairs.py --parent REV [--workload W] --seed S --pairs N --seconds T
 
-Exports ``REV`` with ``git archive`` into a temporary directory, then runs
-``perfbench/run.py --trace 0`` there and in this checkout ``N`` times each,
-alternating which side runs first, and parses each run's last JSON line.
-It prints every pair's end-to-end metrics, each side's median and quartiles,
-and two verdicts per metric, by the rules of ``BENCHMARK.json``:
+Exports ``REV`` with ``git archive`` into a temporary directory, then, for
+the workload ``W`` or, without ``--workload``, for every workload of
+``BENCHMARK.json`` in turn, runs ``perfbench/run.py --trace 0`` there and in
+this checkout ``N`` times each, alternating which side runs first, and
+parses each run's last JSON line.  Under a heading per workload it prints
+every pair's end-to-end metrics, each side's median and quartiles, and two
+verdicts per metric, by the rules of ``BENCHMARK.json``:
 
 * gain: the change wins at least nine tenths of the pairs (ties count for
   neither side) and the medians differ, in the better direction, by more
@@ -17,9 +19,9 @@ and two verdicts per metric, by the rules of ``BENCHMARK.json``:
   when the parent's interquartile range is wider than that bound, a kept
   bound is "unresolved" unless every change run beats every parent run.
 
-The last line is one JSON object with the same numbers.  The exit code is 1
-when a run fails or a metric is worse than its bound, else 0.  The export
-is removed when the script ends.
+Each workload's section ends with one JSON object line holding the same
+numbers.  The exit code is 1 when a run fails or a metric is worse than its
+bound on any workload, else 0.  The export is removed when the script ends.
 """
 
 from __future__ import annotations
@@ -92,44 +94,47 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": result["correct"], "metrics": values}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+def export_tree(rev: str, dest: Path) -> None:
+    """Extract the files of git revision ``rev`` of this checkout into
+    ``dest``."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        check=True, capture_output=True,
+    )
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
 
-    scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    parent_tree = scratch / "parent"
+
+def select_workloads(benchmark: dict, workload: str | None) -> list[str]:
+    """The workloads to compare: ``workload`` alone, or every workload of
+    ``benchmark`` (the parsed ``BENCHMARK.json``) in its order when it is
+    None.  A name the benchmark does not declare raises ValueError."""
+    names = [w["name"] for w in benchmark["workloads"]]
+    if workload is None:
+        return names
+    if workload not in names:
+        raise ValueError(f"unknown workload {workload!r}; BENCHMARK.json declares {names}")
+    return [workload]
+
+
+def compare(parent_tree: Path, workload: str, args, metrics: list[dict]) -> dict:
+    """Run one workload's alternating pairs, print them and the verdicts,
+    and return the workload's report."""
     runs = {"parent": [], "change": []}
-    try:
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", "--format=tar", args.parent],
-            check=True, capture_output=True,
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            tree = parent_tree if side == "parent" else ROOT
+            runs[side].append(run_once(tree, workload, args.seed, args.seconds))
+        cells = "; ".join(
+            f"{m['name']} {runs['parent'][-1]['metrics'][m['name']]:.6g} vs "
+            f"{runs['change'][-1]['metrics'][m['name']]:.6g}"
+            for m in metrics
         )
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(parent_tree, filter="data")
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                tree = parent_tree if side == "parent" else ROOT
-                runs[side].append(run_once(tree, args.workload, args.seed, args.seconds))
-            cells = "; ".join(
-                f"{m['name']} {runs['parent'][-1]['metrics'][m['name']]:.6g} vs "
-                f"{runs['change'][-1]['metrics'][m['name']]:.6g}"
-                for m in metrics
-            )
-            print(f"pair {i + 1} ({order[0]} first), parent vs change: {cells}", flush=True)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+        print(f"pair {i + 1} ({order[0]} first), parent vs change: {cells}", flush=True)
 
     correct = all(run["correct"] for side in runs.values() for run in side)
-    report = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+    report = {"workload": workload, "seed": args.seed, "pairs": args.pairs,
               "correct": correct, "metrics": {}}
     for m in metrics:
         name = m["name"]
@@ -147,9 +152,42 @@ def main(argv=None) -> int:
             f"wins {v['wins']}/{v['pairs']}, gain {'yes' if v['gain'] else 'no'}, "
             f"bound {m['bound']:g} {bound}"
         )
-    print(json.dumps(report))
-    within = all(v["within_bound"] for v in report["metrics"].values())
-    return 0 if correct and within else 1
+    print(json.dumps(report), flush=True)
+    return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", help="one workload (default: every workload in turn)")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    try:
+        workloads = select_workloads(benchmark, args.workload)
+    except ValueError as exc:
+        parser.error(str(exc))
+    metrics = benchmark["end_to_end"]
+
+    scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    parent_tree = scratch / "parent"
+    reports = []
+    try:
+        export_tree(args.parent, parent_tree)
+        for workload in workloads:
+            print(f"== {workload} ==", flush=True)
+            reports.append(compare(parent_tree, workload, args, metrics))
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    passed = all(
+        report["correct"] and all(v["within_bound"] for v in report["metrics"].values())
+        for report in reports
+    )
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":
