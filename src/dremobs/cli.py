@@ -1,7 +1,7 @@
 """Command-line front end: simulate / verify / plot.
 
-Exit codes: 0 success, 1 a requested check failed, 2 configuration error,
-3 runtime abort inside the integrator.
+Exit codes: 0 success, 1 a requested check failed, 2 configuration or
+output error, 3 runtime abort inside the integrator.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import (
@@ -117,6 +117,14 @@ def _output_dir(path) -> Path | None:
     return out
 
 
+def _output_error(exc: OSError, out: Path) -> int:
+    """Print which artifact in ``out`` could not be written, and return the
+    exit code."""
+    path = exc.filename if exc.filename is not None else out
+    print(f"output error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def _cmd_simulate(args) -> int:
     try:
         cfg = _resolve_config(args)
@@ -132,13 +140,16 @@ def _cmd_simulate(args) -> int:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
     trace_path = out / "trace.csv"
-    write_trace(result.trace, trace_path)
     summary = summarize(result)
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
-    if not args.no_plots:
-        render_trace_plots(result.trace, out)
+    try:
+        write_trace(result.trace, trace_path)
+        (out / "summary.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="ascii"
+        )
+        if not args.no_plots:
+            render_trace_plots(result.trace, out)
+    except OSError as exc:
+        return _output_error(exc, out)
     print(f"trace: {trace_path}")
     print(f"mode: {summary['mode']}  seed: {summary['seed']}  switches: {summary['switch_count']}")
     print(f"final parameter error norms: {summary['final_theta_error']}")
@@ -176,21 +187,15 @@ def _cmd_verify(args) -> int:
     if out is not None:
         report = {
             "all_passed": all_passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "value": c.value,
-                    "threshold": c.threshold,
-                    "detail": c.detail,
-                }
-                for c in checks
-            ],
+            "checks": [asdict(c) for c in checks],
             "summary": summarize(result),
         }
-        (out / "verify_report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="ascii"
-        )
+        try:
+            (out / "verify_report.json").write_text(
+                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="ascii"
+            )
+        except OSError as exc:
+            return _output_error(exc, out)
     print("all checks passed" if all_passed else "some checks FAILED")
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
@@ -204,7 +209,10 @@ def _cmd_plot(args) -> int:
     out = _output_dir(args.out)
     if out is None:
         return EXIT_CONFIG
-    written = render_trace_plots(trace, out)
+    try:
+        written = render_trace_plots(trace, out)
+    except OSError as exc:
+        return _output_error(exc, out)
     for path in written:
         print(path)
     return EXIT_OK

@@ -124,7 +124,8 @@ def det_adjugate_batch(matrices) -> tuple[np.ndarray, np.ndarray]:
 
     The determinant is the first-row cofactor expansion over the same
     cofactors that populate the adjugate, so adj(M) @ M - det(M) * I stays
-    at rounding level even for ill-conditioned or singular members.
+    at rounding level even for ill-conditioned or singular members.  Its
+    terms are summed one by one, so a member's bits do not depend on its stack.
     """
     ms = np.asarray(matrices, dtype=float)
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
@@ -136,7 +137,7 @@ def det_adjugate_batch(matrices) -> tuple[np.ndarray, np.ndarray]:
     if route is None:
         route = _ALL_CELLS[k] = Cofactors(k, [(i, j) for i in range(k) for j in range(k)])
     cof = route(ms).reshape(b, k, k)
-    dets = np.einsum("bj,bj->b", ms[:, 0, :], cof[:, 0, :])
+    dets = sum(ms[:, 0, j] * cof[:, 0, j] for j in range(k))
     return dets, np.swapaxes(cof, 1, 2)
 
 

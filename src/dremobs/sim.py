@@ -45,11 +45,12 @@ applied block by block in cascade order, so the integrator is split:
   - excitation accumulators: a masked cumulative sum;
   - observer: xhat_{k+1} = P(h Acl_o) xhat_k + D_k.
 
-The run state is chunk-resident.  The plant writes its states straight into
-the trace, the cascade keeps its blocks' states between chunks, and the
-trace (with each row's active subsystem and held noise) is the only store
-with a row per grid point; the columns derived from the states, and the
-diagnostics, are filled a chunk at a time from the chunk's filter panels.
+The run state is chunk-resident: the trace (with each row's active subsystem
+and held noise) is the only store with a row per grid point, and the block
+that computes a column's values writes them into it, the plant x and y, the
+run ybar, the cascade z, delta and its estimates, accumulators and observer
+states.  The error norms and the diagnostics are computed from the trace, a
+chunk at a time, with the chunk's filter panels.
 
 Measurement noise is sampled once per grid step and held constant across the
 four stages of that step, so identical configurations and seeds reproduce
@@ -111,6 +112,9 @@ class StepConfig:
         """Errors name the field at fault first, as ``<field>: <reason>``."""
         if not (self.step_size > 0.0 and math.isfinite(self.step_size)):
             raise ConfigurationError("step_size: must be positive and finite")
+        for name in ("start_time", "end_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name}: must be finite, got {getattr(self, name)}")
         if self.end_time < self.start_time:
             raise ConfigurationError("end_time: must not precede start_time")
         span = self.end_time - self.start_time
@@ -434,25 +438,25 @@ class _Plant:
 
     Each stage also records the true output and the input, from which the
     downstream blocks' measured outputs and nonlinearity are formed per
-    chunk.  ``y`` is the output at the last grid row reached.  The step loop
-    is compiled per model shape (``_step_loop``): n, whether B has a nonzero
-    entry, and whether there is a disturbance.  The module docstring states
-    which operations the loop must keep.
+    chunk.  ``y`` is the output at the last grid row reached, ``active`` its
+    subsystem.  The step loop is compiled per model shape (``_step_loop``):
+    n, whether B has a nonzero entry, and whether there is a disturbance.
+    The module docstring states which operations the loop must keep.
     """
 
-    def __init__(self, model: PlantModel, noise: NoiseSpec | None, step: StepConfig, active: int):
+    def __init__(self, model: PlantModel, noise: NoiseSpec | None, step: StepConfig):
         self.model = model
         self.noise = noise
         self.h = step.step_size
         self.t0 = step.start_time
-        self.active = active
-        self.params = model.true_params
-        self.theta = model.true_params[active - 1]
         has_b = bool(np.any(model.b != 0.0))
         self.b = model.b.tolist()
         self.dot_c, self.dot_a, self.psi = model.c.dot, model.a.dot, model.psi
         self.u_fn, self.rule_for = model.input_signal, model.switching_rule.subsystem_for
         self.y = float(self.dot_c(model.initial_state))
+        self.active = self.rule_for(self.y, self.t0)
+        self.params = model.true_params
+        self.theta = model.true_params[self.active - 1]
         self.has_omega = noise is not None and noise.omega is not None
         self.steps = _step_loop(model.n, has_b, self.has_omega)
 
@@ -467,9 +471,10 @@ class _Plant:
             disturbance_rows(self.noise, n, times).tolist() for times in (t, t + 0.5 * h, t + h)
         )
 
-    def advance(self, xs: np.ndarray, lo: int, hi: int, sigmas: np.ndarray, vs: np.ndarray):
-        """Step grid rows lo..hi-1 of ``xs`` and fill ``sigmas`` and the
-        held noise ``vs`` of the rows after them.
+    def advance(self, trace: SimulationTrace, lo: int, hi: int, sigmas: np.ndarray, vs: np.ndarray):
+        """Step grid rows lo..hi-1 from the trace's state at row lo; write
+        the states and true outputs of the rows after them into the trace,
+        and their subsystems and held noise into ``sigmas`` and ``vs``.
 
         Stops after a row whose state is non-finite.  Returns the last row
         reached, the true outputs and the inputs of every stage of the steps
@@ -478,14 +483,17 @@ class _Plant:
         """
         if self.noise is not None:
             vs[lo + 1 : hi + 1] = sample_noise(self.noise, np.arange(lo + 1, hi + 1))
+        xs = trace.x
         reached, states, outputs, inputs, actives, switches = self.steps(
             self, xs[lo], lo, hi, *self.disturbance(lo, hi)
         )
         xs[lo + 1 : lo + 1 + len(states)] = states
         sigmas[lo + 1 : lo + 1 + len(actives)] = actives
         shape = (reached - lo, 4)
-        outputs, inputs = np.array(outputs), np.array(inputs, dtype=float)
-        return reached, outputs.reshape(shape), inputs.reshape(shape), switches
+        outputs = np.array(outputs).reshape(shape)
+        ys = trace.y
+        ys[lo + 1 : reached], ys[reached] = outputs[1:, 0], self.y
+        return reached, outputs, np.array(inputs, dtype=float).reshape(shape), switches
 
 
 def adaptation_rates(gamma: np.ndarray, delta, zbar, active, m: int):
@@ -512,8 +520,9 @@ class _Cascade:
 
     Each block is affine in its own state, so one RK4 step is an affine
     recurrence; its coefficients are computed for the whole chunk at once,
-    and only the recurrences themselves run step by step.  The blocks'
-    states at the last grid row reached are kept between chunks.
+    and only the recurrences themselves run step by step.  The filter bank
+    at the last grid row reached is kept between chunks; the estimates,
+    accumulators and observer state start each chunk from the trace's row.
     """
 
     def __init__(self, cfg: ExperimentConfig, layout: StateLayout):
@@ -531,9 +540,6 @@ class _Cascade:
         self.gamma = cfg.gamma
         self.template = layout.filter_reset_template()
         self.panels = self.template.reshape(mn * n, layout.panel)
-        self.theta = cfg.theta_init.ravel().tolist()
-        self.exc = np.zeros(layout.s)
-        self.xhat = np.array(cfg.observer_init)
         # Stage polynomials M_s - I and step polynomials P - I of h * Acl_j
         # and h * Acl_o.
         stage_off, step_off = _rk4_offsets(h, lambda s, z: acl @ z, (acl,) * 4)
@@ -558,14 +564,11 @@ class _Cascade:
             mn, [(i, j) for i in range(mn) for j in range(m)] + [(0, j) for j in range(m, mn)]
         )
 
-    def stage_rows(self, panels: np.ndarray) -> np.ndarray:
-        """c M_s F of (R, m+n, n, panel) grid panels, shape
-        (R, m+n, 4, panel)."""
-        return _matmul_ew(self.crow_stages, panels)
-
     def mix(self, rows: np.ndarray, ybar: np.ndarray):
-        """Mixing determinant and the adapted mixed components of every
-        stage's regressor stack; ``rows`` is (R, m+n, 4, panel)."""
+        """Mix S stages' regressor stacks, rows c M_s F (R, m+n, S, panel),
+        at measured outputs ``ybar`` (R, S): the determinant (R, S), the
+        regressions ybar - c M_s xu (R, S, m+n) and the adapted mixed
+        components (R, S, m)."""
         m, mn = self.layout.m, self.layout.mn
         nt = rows[..., 1:].transpose(0, 2, 1, 3)
         zf = ybar[:, :, None] - rows[..., 0].transpose(0, 2, 1)
@@ -574,30 +577,33 @@ class _Cascade:
         first_row = np.concatenate((cof_jm[..., 0, :], cof[..., mn * m :]), axis=-1)
         delta = _sum_last(nt[..., 0, :] * first_row)
         zbar = _sum_last(np.swapaxes(zf[..., None] * cof_jm, -1, -2))
-        return delta, zbar
+        return delta, zf, zbar
 
-    def grid_delta(self, panels: np.ndarray) -> np.ndarray:
-        """The determinant the adaptation law uses at (R, m+n, n, panel)
-        grid panels, computed exactly as in ``advance``."""
-        return self.mix(self.stage_rows(panels), np.zeros((len(panels), 4)))[0][:, 0]
+    def grid_row(self, panels: np.ndarray, ybar: np.ndarray):
+        """The determinant (R,) and regressions (R, m+n) the law uses at
+        (R, m+n, n, panel) grid panels and measured outputs (R,), computed
+        as ``advance`` computes a step's first stage."""
+        delta, zf, _ = self.mix(_matmul_ew(self.crow_stages[:, :1], panels), ybar[:, None])
+        return delta[:, 0], zf[:, 0]
 
-    def advance(self, active, ybar, u, psi, resets):
+    def advance(self, trace: SimulationTrace, lo: int, active, ybar, u, psi, resets):
         """Advance every block over the K steps from the last row reached,
-        lo, to row hi = lo + K.
+        lo, to row hi = lo + K, and write into the trace the regressions z
+        and the determinant delta the law used at rows lo..hi-1 and x_hat,
+        theta_hat and the accumulators at rows lo+1..hi.
 
         ``active`` (K,) holds each step's subsystem, ``ybar`` and ``u``
         (K, 4) the measured output and the input of every stage, ``psi``
         (K, 4, n, m) the nonlinearity at them, and ``resets`` the rows,
         counted from lo, whose filters restart.
-        Returns the filter bank (K+1, m+n, n, panel) at rows lo..hi; x_hat
-        (K, n), theta_hat (K, s, m) and the accumulators (K, s) at rows
-        lo+1..hi; the determinant the law used at rows lo..hi-1; the
-        restarted rows' pre-reset banks by row; and the chunk's largest
+        Returns the filter bank (K+1, m+n, n, panel) at rows lo..hi, the
+        restarted rows' pre-reset banks by row, and the chunk's largest
         adaptation step h * gamma_i * delta^2 (NaN values skipped).
         """
         lay = self.layout
         n, m, mn = lay.n, lay.m, lay.mn
         h, steps, c1 = self.h, len(active), 1 + lay.m
+        hi = lo + steps
 
         # Filter bank: stage forcings of the xu and upsilon columns.
         forcing = np.empty((4, mn, n, steps, c1))
@@ -625,10 +631,11 @@ class _Cascade:
         fs = bank[:, :units].reshape(steps + 1, mn, n, lay.panel)
 
         # Mixing over every stage of every step.
-        rows = self.stage_rows(fs[:steps])
+        rows = _matmul_ew(self.crow_stages, fs[:steps])
         coff = _matmul_ew(self.crow, np.stack(offsets))
         rows[:, :, 1:, :c1] += coff.reshape(3, mn, steps, c1).transpose(2, 1, 0, 3)
-        delta, zbar = self.mix(rows, ybar)
+        delta, zf, zbar = self.mix(rows, ybar)
+        trace.z[lo:hi], trace.delta[lo:hi] = zf[:, 0], delta[:, 0]
 
         # Gated adaptation: theta_i <- theta_i + (g theta_i + beta) on the
         # active row only; every other row keeps its bits.
@@ -638,7 +645,7 @@ class _Cascade:
         drive_off, drive_step = _rk4_offsets(
             h, lambda s, z: slope[:, s, None] * z, offset.transpose(1, 0, 2)
         )
-        theta = self.theta
+        theta = trace.theta_hat[lo].ravel().tolist()
         held, theta_rows = [], []
         for i, g, beta in zip(active.tolist(), gain_step.tolist(), drive_step.tolist()):
             base = (i - 1) * m
@@ -647,15 +654,15 @@ class _Cascade:
                 held.append(value)
                 theta[base + j] = value + (g * value + beta[j])
             theta_rows.append(theta[:])
+        trace.theta_hat[lo + 1 : hi + 1] = np.reshape(theta_rows, (steps, lay.s, m))
 
         # Excitation accumulators: a masked cumulative sum of the steps.
         acc = np.zeros((steps + 1, lay.s))
-        acc[0] = self.exc
+        acc[0] = trace.excitation[lo]
         acc[np.arange(1, steps + 1), active - 1] = (h / 6.0) * (
             exc_rate[:, 0] + 2.0 * (exc_rate[:, 1] + exc_rate[:, 2]) + exc_rate[:, 3]
         )
-        exc = np.cumsum(acc, axis=0)[1:]
-        self.exc = exc[-1]
+        trace.excitation[lo + 1 : hi + 1] = np.cumsum(acc, axis=0)[1:]
 
         # Observer, driven by the active estimate's stage values.
         theta_k = np.array(held).reshape(steps, 1, m)
@@ -672,14 +679,13 @@ class _Cascade:
             h, lambda s, z: _matmul_ew(self.observer_acl, z), obs_forcing.transpose(1, 2, 0)
         )
         observer = np.empty((steps + 1, 2 * n))
-        observer[0, :n] = self.xhat
+        observer[0, :n] = trace.xhat[lo]
         observer[:steps, n:] = obs_step.T
         observer_dot = self.observer_step.dot
         for k in range(steps):
             observer_dot(observer[k], observer[k + 1, :n])
-        self.xhat = observer[steps, :n]
-        theta_rows = np.reshape(theta_rows, (steps, lay.s, m))
-        return fs, observer[1:, :n], theta_rows, exc, delta[:, 0], pre_reset, peak_step
+        trace.xhat[lo + 1 : hi + 1] = observer[1:, :n]
+        return fs, pre_reset, peak_step
 
 
 def _component(block: str, index: tuple, m: int) -> str:
@@ -721,60 +727,34 @@ def _first_non_finite(blocks, pre_reset, m) -> tuple[int, str] | None:
     return row, _component(name, index, m)
 
 
-class _Store:
-    """The run's per-row store: the trace, filled through its column views,
-    the active subsystem and held noise of every grid row, and the
-    diagnostics when they are collected."""
-
-    def __init__(self, model: PlantModel, trace: SimulationTrace, collect_diagnostics: bool):
-        rows, mn = len(trace.data), model.m + model.n
-        self.model = model
-        self.x, self.xhat, self.y, self.ybar = trace.x, trace.xhat, trace.y, trace.ybar
-        self.z, self.delta, self.theta = trace.z, trace.delta, trace.theta_hat
-        self.theta_err, self.x_err, self.exc = trace.theta_error, trace.x_error, trace.excitation
-        self.sigma = np.empty(rows, dtype=np.int64)
-        self.v = np.zeros(rows)
-        self.diagnostics = None
-        if collect_diagnostics:
-            self.diagnostics = Diagnostics(np.empty(rows), np.empty(rows), np.empty((rows, mn)))
-
-    def derive(self, lo: int, hi: int, panels: np.ndarray, events: list, event_rows: list):
-        """Fill the derived columns, and the diagnostics, of rows lo..hi from
-        their stored states and their (hi-lo+1, m+n, n, panel) filter bank.
-
-        Every value is computed row by row, so its bits do not depend on the
-        rows filled with it; the output's product spans at least two rows
-        whenever the run has them (a one-row product takes another route).
-        """
-        model = self.model
-        m = model.m
-        rows = slice(lo, hi + 1)
-        x, xhat = self.x[rows], self.xhat[rows]
-        y = x @ model.c
-        ybar = y + self.v[rows]
-        xu = panels[..., 0]
-        z = ybar[:, None] - xu @ model.c
-        theta = self.theta[rows]
-        self.y[rows], self.ybar[rows], self.z[rows] = y, ybar, z
-        self.theta_err[rows] = np.linalg.norm(theta - model.true_params[None], axis=2)
-        self.x_err[rows] = np.linalg.norm(xhat - x, axis=1)
-        dg = self.diagnostics
-        if dg is None:
-            return
-        event_of = np.searchsorted(event_rows, np.arange(lo, hi + 1), side="right") - 1
-        x_tk = np.stack([e.state for e in events])[event_of]
-        theta_sigma = model.true_params[self.sigma[rows] - 1]
-        theta_bar = np.concatenate([theta_sigma, x_tk], axis=1)
-        recon = (
-            np.einsum("tuij,tj->tui", panels[..., 1 + m :], x_tk)
-            + xu
-            + np.einsum("tuij,tj->tui", panels[..., 1 : 1 + m], theta_sigma)
-        )
-        nt = np.einsum("k,tukj->tuj", model.c, panels[..., 1:])
-        dets, adjs = det_adjugate_batch(nt)
-        dg.decomposition_residual[rows] = np.linalg.norm(x[:, None] - recon, axis=2).max(axis=1)
-        dg.lre_residual_max[rows] = np.abs(z - np.einsum("tuj,tj->tu", nt, theta_bar)).max(axis=1)
-        dg.dbar[rows] = np.einsum("tij,tj->ti", adjs, z) - dets[:, None] * theta_bar
+def _fill_errors(trace, model, lo, panels, sigma, events, event_rows, diagnostics) -> None:
+    """Fill the error norms, and the diagnostics when collected, of the R
+    grid rows from lo, from their recorded values, active subsystems
+    ``sigma`` and (R, m+n, n, panel) filter bank ``panels``.  Every value is
+    computed row by row, so its bits do not depend on the rows filled with it.
+    """
+    m = model.m
+    rows = slice(lo, lo + len(panels))
+    x, theta = trace.x[rows], trace.theta_hat[rows]
+    trace.theta_error[rows] = np.linalg.norm(theta - model.true_params[None], axis=2)
+    trace.x_error[rows] = np.linalg.norm(trace.xhat[rows] - x, axis=1)
+    if diagnostics is None:
+        return
+    z, xu = trace.z[rows], panels[..., 0]
+    event_of = np.searchsorted(event_rows, np.arange(rows.start, rows.stop), side="right") - 1
+    x_tk = np.stack([e.state for e in events])[event_of]
+    theta_sigma = model.true_params[sigma[rows] - 1]
+    theta_bar = np.concatenate([theta_sigma, x_tk], axis=1)
+    recon = (
+        np.einsum("tuij,tj->tui", panels[..., 1 + m :], x_tk)
+        + xu
+        + np.einsum("tuij,tj->tui", panels[..., 1 : 1 + m], theta_sigma)
+    )
+    nt = np.einsum("k,tukj->tuj", model.c, panels[..., 1:])
+    dets, adjs = det_adjugate_batch(nt)
+    diagnostics.decomposition_residual[rows] = np.linalg.norm(x[:, None] - recon, axis=2).max(axis=1)
+    diagnostics.lre_residual_max[rows] = np.abs(z - np.einsum("tuj,tj->tu", nt, theta_bar)).max(axis=1)
+    diagnostics.dbar[rows] = np.einsum("tij,tj->ti", adjs, z) - dets[:, None] * theta_bar
 
 
 def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> RunResult:
@@ -811,17 +791,20 @@ def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> 
     data = np.empty((steps + 1, len(column_names(n, m, s))))
     data[:, 0] = t0 + h * np.arange(steps + 1)
     trace = SimulationTrace(meta=meta, data=data)
-    store = _Store(model, trace, collect_diagnostics)
+    # Each row's active subsystem and held noise.
+    sigma, v = np.empty(steps + 1, dtype=np.int64), np.zeros(steps + 1)
+    diagnostics = None
+    if collect_diagnostics:
+        rows = steps + 1
+        diagnostics = Diagnostics(np.empty(rows), np.empty(rows), np.empty((rows, m + n)))
 
-    rule = model.switching_rule
-    active = rule.subsystem_for(float(model.c @ model.initial_state), t0)
-    plant = _Plant(model, noise, step, active)
-    store.x[0], store.xhat[0] = model.initial_state, cfg.observer_init
-    store.theta[0], store.exc[0], store.sigma[0] = cfg.theta_init, 0.0, active
+    plant = _Plant(model, noise, step)
+    trace.x[0], trace.y[0], trace.xhat[0] = model.initial_state, plant.y, cfg.observer_init
+    trace.theta_hat[0], trace.excitation[0], sigma[0] = cfg.theta_init, 0.0, plant.active
     if noise is not None:
-        store.v[0] = sample_noise(noise, 0)
+        v[0] = sample_noise(noise, 0)
 
-    events = [SwitchEvent(t0, active, model.initial_state.copy(), math.nan)]
+    events = [SwitchEvent(t0, plant.active, model.initial_state.copy(), math.nan)]
     event_rows = [0]
 
     # The config screened every step polynomial, so building the cascade
@@ -831,34 +814,36 @@ def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         lo = 0
         while lo < steps:
-            hi, y, u, switches = plant.advance(
-                store.x, lo, min(lo + CHUNK, steps), store.sigma, store.v
-            )
+            hi, y, u, switches = plant.advance(trace, lo, min(lo + CHUNK, steps), sigma, v)
             # Measured outputs of the steps reached, noise held per step.
-            ybar = y + store.v[lo:hi, None]
+            ybar = y + v[lo:hi, None]
+            trace.ybar[lo:hi] = ybar[:, 0]
             psi = model.psi(ybar.ravel(), u.ravel()).reshape(hi - lo, 4, n, m)
-            panels, xhat, theta, exc, delta, pre_reset, peak_step = cascade.advance(
-                store.sigma[lo:hi], ybar, u, psi, {row - lo for row, _, _ in switches}
+            panels, pre_reset, peak_step = cascade.advance(
+                trace, lo, sigma[lo:hi], ybar, u, psi, {row - lo for row, _, _ in switches}
             )
             new = slice(lo + 1, hi + 1)
-            store.xhat[new], store.theta[new], store.exc[new] = xhat, theta, exc
-            store.delta[lo:hi] = delta
-            bad = _first_non_finite((store.x[new], xhat, panels[1:], theta, exc), pre_reset, m)
+            blocks = (
+                trace.x[new], trace.xhat[new], panels[1:], trace.theta_hat[new], trace.excitation[new]
+            )
+            bad = _first_non_finite(blocks, pre_reset, m)
             if bad is not None:
                 at = t0 + (lo + bad[0]) * h
                 raise SimulationAbort(at, bad[1], peak_step, RK4_STABILITY_LIMIT)
             if switches:
-                pre_deltas = cascade.grid_delta(np.stack(list(pre_reset.values())))
+                pre_resets = np.stack(list(pre_reset.values()))
+                pre_deltas, _ = cascade.grid_row(pre_resets, np.zeros(len(switches)))
                 for (row, target, state), pre in zip(switches, pre_deltas.tolist()):
                     events.append(SwitchEvent(t0 + row * h, target, state, pre))
                     event_rows.append(row)
-            store.derive(lo, hi, panels, events, event_rows)
+            _fill_errors(trace, model, lo, panels[:-1], sigma, events, event_rows, diagnostics)
             lo = hi
         final_panels = cascade.panels.reshape(layout.mn, n, layout.panel).copy()
-        store.delta[steps] = cascade.grid_delta(final_panels[None])[0]
-        if steps == 0:
-            store.derive(0, 0, final_panels[None], events, event_rows)
-    data[:, 1] = store.sigma
+        trace.ybar[steps] = trace.y[steps] + v[steps]
+        delta, z = cascade.grid_row(final_panels[None], trace.ybar[steps:])
+        trace.delta[steps], trace.z[steps] = delta[0], z[0]
+        _fill_errors(trace, model, steps, final_panels[None], sigma, events, event_rows, diagnostics)
+    data[:, 1] = sigma
     trace.switch_times = [e.time for e in events]
     trace.pre_reset_delta = [e.delta_before for e in events]
     return RunResult(
@@ -868,5 +853,5 @@ def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> 
         layout=layout,
         final_panels=final_panels,
         elapsed_seconds=_time.perf_counter() - started,
-        diagnostics=store.diagnostics,
+        diagnostics=diagnostics,
     )

@@ -10,6 +10,7 @@ block on the way out, numpy's C text reader per block on the way in.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -80,8 +81,9 @@ class SimulationTrace:
     def num_subsystems(self) -> int:
         return int(self.meta["s"])
 
-    @property
+    @functools.cached_property
     def columns(self) -> list[str]:
+        """Column names, fixed by the dimensions the trace was built with."""
         return column_names(self.n, self.m, self.num_subsystems)
 
     def _col(self, name: str) -> int:

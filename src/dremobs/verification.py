@@ -213,6 +213,8 @@ def excitation_window_means(trace, window: float) -> np.ndarray:
     shape (s, W): entry [i, w] is subsystem i's trapezoid integral over the
     window of ``window`` seconds (rounded to whole steps) starting at grid
     row w, divided by the window's width."""
+    if not 0.0 < window < np.inf:
+        raise ConfigurationError(f"window must be a positive finite number of seconds: {window!r}")
     t = trace.t
     if t.shape[0] < 2:
         raise ConfigurationError("trace must cover at least two grid points")

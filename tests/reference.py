@@ -179,7 +179,8 @@ def plant_grid(model, noise, h, steps, t0=0.0):
     ``@``/``np.matmul`` for the products and one ``omega(t)`` call per
     stage: rate = ((A x + psi(y, u) theta) + B u) + omega(t), the B term
     only when B has a nonzero entry; stage k_s h/2 + x (k_3 h for the last
-    stage); step x + ((((k2 + k3) 2 + k1) + k4) h/6).
+    stage); step x + ((((k2 + k3) 2 + k1) + k4) h/6).  Each row's output is
+    c @ x of that row alone, as the switch check computes it.
     """
     omega = None if noise is None else noise.omega
     has_b = bool(np.any(model.b != 0.0))
@@ -213,9 +214,8 @@ def plant_grid(model, noise, h, steps, t0=0.0):
             switch_times.append(t0 + (q + 1) * h)
         xs.append(x_next)
         sigmas.append(active)
-    xs = np.array(xs)
-    y = xs @ model.c
-    return xs, y, y + np.array(vs), np.array(sigmas, dtype=float), switch_times
+    y = np.array([float(model.c @ x) for x in xs])
+    return np.array(xs), y, y + np.array(vs), np.array(sigmas, dtype=float), switch_times
 
 
 def trace_text(trace):

@@ -377,8 +377,9 @@ class TestRunDescription:
 
 
 class TestOutputDirectory:
-    """An --out that cannot be a directory exits 2 before any work, with
-    the path named and no traceback."""
+    """An --out that cannot be a directory exits 2 before any work, and an
+    artifact that cannot be written exits 2, with the path named and no
+    traceback."""
 
     def test_simulate(self, tmp_path):
         taken = tmp_path / "taken"
@@ -410,4 +411,35 @@ class TestOutputDirectory:
         proc = run_module("plot", "--trace", str(run_out / "trace.csv"), "--out", str(taken))
         assert proc.returncode == EXIT_CONFIG
         assert "Traceback" not in proc.stderr and str(taken) in proc.stderr
+        assert proc.stdout == ""
+
+    def test_simulate_blocked_artifact(self, tmp_path):
+        out = tmp_path / "run"
+        (out / "mode.svg").mkdir(parents=True)
+        proc = run_module("simulate", "--preset", "chua", "--T", "0.01", "--out", str(out))
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        assert f"output error: cannot write {out / 'mode.svg'}" in proc.stderr
+
+    def test_verify_blocked_report(self, tmp_path):
+        # Exit 1 would mean a failed check: the checks ran and passed.
+        out = tmp_path / "report"
+        (out / "verify_report.json").mkdir(parents=True)
+        proc = run_module("verify", "--preset", "chua", "--T", "0.5", "--out", str(out))
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        assert f"output error: cannot write {out / 'verify_report.json'}" in proc.stderr
+        assert "all checks passed" not in proc.stdout
+
+    def test_plot_blocked_panel(self, tmp_path):
+        run_out = tmp_path / "run"
+        assert run_cli(
+            "simulate", "--preset", "chua", "--out", str(run_out), "--T", "0.01", "--no-plots"
+        ) == EXIT_OK
+        out = tmp_path / "plots"
+        (out / "state2.svg").mkdir(parents=True)
+        proc = run_module("plot", "--trace", str(run_out / "trace.csv"), "--out", str(out))
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        assert f"output error: cannot write {out / 'state2.svg'}" in proc.stderr
         assert proc.stdout == ""

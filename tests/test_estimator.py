@@ -204,6 +204,14 @@ class TestPeCheck:
         with pytest.raises(ConfigurationError):
             excitation_window_means(trace, window=2.0)
 
+    @pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -1.0])
+    def test_window_must_be_positive_and_finite(self, window):
+        # NaN used to raise a raw ValueError from int(round(nan)).
+        t = np.arange(0.0, 1.0 + 1e-9, 0.01)
+        trace = synthetic_trace(t, np.ones(t.size), np.ones(t.size))
+        with pytest.raises(ConfigurationError, match="window must be a positive finite number"):
+            excitation_window_means(trace, window=window)
+
     def test_reports_empirical_floor_on_real_run(self, short_ideal_run):
         means = excitation_window_means(short_ideal_run.trace, window=2.0)
         assert means.shape[0] == 3

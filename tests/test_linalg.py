@@ -158,6 +158,10 @@ class TestFastPath:
         assert adjs.shape == (8, 5, 5)
         for k in range(8):
             np.testing.assert_allclose(adjs[k], adjugate(ms[k]), atol=1e-12)
+            # A member's bits do not depend on the stack it sits in.
+            one_det, one_adj = det_adjugate_batch(ms[k : k + 1])
+            assert one_det.tobytes() == dets[k : k + 1].tobytes()
+            assert one_adj.tobytes() == adjs[k : k + 1].tobytes()
 
     def test_batched_det_small_matches_lapack(self):
         # LAPACK serves only as an oracle here; the library never calls it.

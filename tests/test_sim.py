@@ -21,6 +21,7 @@ from dremobs.plant import (
     chua_preset,
     chua_robust_noise,
     make_sinusoid_disturbance,
+    sample_noise,
 )
 from dremobs.sim import StepConfig, run_experiment
 from dremobs.trace import trace_to_string
@@ -86,6 +87,12 @@ class TestStepConfig:
             StepConfig(step_size=0.0, end_time=1.0)
         with pytest.raises(ConfigurationError):
             StepConfig(step_size=0.1, end_time=-1.0)
+        # A non-finite time is blamed on its own field, not on the row limit.
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError, match=r"^start_time: must be finite"):
+                StepConfig(1e-3, 1.0, start_time=bad)
+            with pytest.raises(ConfigurationError, match=r"^end_time: must be finite"):
+                StepConfig(1e-3, bad)
 
     def test_trace_row_limit(self):
         # Rows count the start row: 10^7 - 1 steps are the most allowed.
@@ -456,31 +463,51 @@ class TestLoopMatchesPublicOperations:
             dbar = reference.residual(delta, zbar, theta_bar[q])
             np.testing.assert_allclose(res.diagnostics.dbar[q], dbar, atol=1e-12)
 
-    def test_trace_delta_is_the_law_determinant(self, monkeypatch):
-        """The trace's delta and pre_reset_delta are bit-equal to the
-        determinant the kernel's adaptation law uses at those grid states."""
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.deferred(lambda: small_switched_cases()))
+    def test_trace_delta_is_the_law_determinant(self, case):
+        """On random small plants, whose output row is general, the trace
+        records what the kernel computed, bit for bit: delta and
+        pre_reset_delta are the determinant the adaptation law uses at
+        those grid states, z the stage-1 regressions the mixing used, y the
+        output c x the plant used and ybar = y + v."""
+        model, noise, inputs, row = case["model"], case["noise"], case["inputs"], case["switch_row"]
+        h, steps = TestKernelMatchesReference.H, TestKernelMatchesReference.STEPS
         seen = []
-        law = sim.adaptation_rates
+        mix = sim._Cascade.mix
 
-        def spy(gamma, delta, *rest):
-            seen.append(delta[:, 0].copy())  # the first stage sits on the grid
-            return law(gamma, delta, *rest)
+        def spy(cascade, rows, ybar):
+            delta, zf, zbar = mix(cascade, rows, ybar)
+            if rows.shape[2] == 4:  # the law mixes four stages, a grid row the first alone
+                seen.append((delta[:, 0].copy(), zf[:, 0].copy()))
+            return delta, zf, zbar
 
-        monkeypatch.setattr(sim, "adaptation_rates", spy)
         def run(schedule, steps):
             seen.clear()
-            out = run_experiment(experiment(pinned_chua(*schedule), StepConfig(1e-3, steps * 1e-3)))
-            return out, np.concatenate(seen)
+            switched_model = replace(model, switching_rule=TimeScheduleRule(schedule))
+            cfg = experiment(switched_model, StepConfig(h, steps * h), noise, **inputs)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sim._Cascade, "mix", spy)
+                patch.setattr(sim, "CHUNK", case["chunk"])
+                out = run_experiment(cfg)
+            law_delta, law_z = (np.concatenate(part) for part in zip(*seen))
+            return out.trace, law_delta, law_z
 
-        switched, law_switched = run(((0.0, 1), (0.0095, 2)), 20)
-        longer, law_longer = run(((0.0, 1), (0.0095, 2)), 21)
-        pinned, law_pinned = run(((0.0, 1),), 11)
-        assert switched.trace.delta[:-1].tobytes() == law_switched.tobytes()
-        assert switched.trace.delta[-1:].tobytes() == law_longer[20:].tobytes()
-        assert switched.trace.delta[10] == 0.0  # restarted filters
-        pre = np.array(switched.trace.pre_reset_delta[1:])
-        assert pre.tobytes() == law_pinned[10:].tobytes()
-        assert pre[0] != 0.0
+        switch = ((0.0, 1), ((row - 0.5) * h, model.s))
+        switched, law_delta, law_z = run(switch, steps)
+        _, longer_delta, longer_z = run(switch, steps + 1)
+        _, pinned_delta, _ = run(((0.0, 1),), row + 1)
+        assert switched.delta[:-1].tobytes() == law_delta.tobytes()
+        assert switched.delta[-1:].tobytes() == longer_delta[steps:].tobytes()
+        assert switched.delta[row] == 0.0  # restarted filters
+        pre = np.array(switched.pre_reset_delta[1:])
+        assert pre.tobytes() == pinned_delta[row:].tobytes()
+        assert switched.z[:-1].tobytes() == law_z.tobytes()
+        assert switched.z[-1:].tobytes() == longer_z[steps:].tobytes()
+        y = np.array([float(model.c.dot(x)) for x in switched.x])
+        assert switched.y.tobytes() == y.tobytes()
+        v = sample_noise(noise, np.arange(steps + 1)) if noise is not None else 0.0
+        assert switched.ybar.tobytes() == (y + v).tobytes()
 
 
 def _uniform(draw, lo, hi, shape):
