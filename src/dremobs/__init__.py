@@ -24,7 +24,6 @@ from .plant import (
     chua_preset,
     chua_robust_noise,
     sample_noise,
-    stable_closed_loop,
 )
 from .sim import (
     Diagnostics,
@@ -59,7 +58,6 @@ __all__ = [
     "chua_preset",
     "chua_robust_noise",
     "sample_noise",
-    "stable_closed_loop",
     "Diagnostics",
     "ExperimentConfig",
     "RunResult",

@@ -300,9 +300,11 @@ def load_config(path) -> ExperimentConfig:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{p}: not UTF-8 text ({exc})") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise ConfigurationError(f"{p}: invalid JSON ({exc})") from exc
     return config_from_dict(raw)
 

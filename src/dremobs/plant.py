@@ -16,8 +16,8 @@ from typing import Any, Callable, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, GainStabilityError
-from .linalg import MAX_SIDE, hurwitz_verdict
+from .errors import ConfigurationError
+from .linalg import MAX_SIDE
 
 MASK64 = (1 << 64) - 1
 XORSHIFT_MULTIPLIER = 0x2545F4914F6CDD1D  # xorshift64* output multiplier
@@ -283,23 +283,6 @@ def _check_psi(psi, n: int, m: int, y0: float) -> None:
         raise ConfigurationError(f"{contract}; at K = 2 it returned shape {rows.shape}")
     if not np.array_equal(rows, single, equal_nan=True):
         raise ConfigurationError(f"{contract}; at K = 2 its rows differ from the scalar calls")
-
-
-def stable_closed_loop(model: PlantModel, gain, label: str = "gain") -> np.ndarray:
-    """Closed-loop matrix A - gain C of an output-injection gain, screened
-    by the Routh test: marginal or unstable loops raise GainStabilityError,
-    and every error names ``label`` first."""
-    gain = checked_array(label, gain, (model.n,))
-    # A loop beyond the float range is indeterminate, an expected outcome.
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_closed = model.a - np.outer(gain, model.c)
-    verdict = hurwitz_verdict(a_closed)
-    if not verdict.stable:
-        kind = "unstable"
-        if verdict.indeterminate:
-            kind = "indeterminate (marginal or out of float range)"
-        raise GainStabilityError(f"{label}: {gain.tolist()} gives an {kind} closed-loop matrix")
-    return a_closed
 
 
 @dataclass(frozen=True)

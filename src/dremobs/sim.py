@@ -45,6 +45,14 @@ applied block by block in cascade order, so the integrator is split:
   - excitation accumulators: a masked cumulative sum;
   - observer: xhat_{k+1} = P(h Acl_o) xhat_k + D_k.
 
+  The filters and the observer are the same kind of loop, A - g c with
+  another gain, so their closed loops and RK4 stage and step polynomials
+  are built as one stack of m+n+1 gains (``_injection_loops``), which
+  ``ExperimentConfig`` screens gain by gain and the cascade slices.  The
+  bank and the observer advance through one [P | I] matrix each
+  (``_step_matrix``), one product per step in one loop (``_recur``): a
+  gemm on the bank's panels, a gemv on the observer's state.
+
 The run state is chunk-resident: the trace (with each row's active subsystem
 and held noise) is the only store with a row per grid point, and the block
 that computes a column's values writes them into it, the plant x and y, the
@@ -71,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, GainStabilityError, SimulationAbort
-from .linalg import Cofactors, det_adjugate_batch, unit_disc_verdict
+from .linalg import Cofactors, det_adjugate_batch, hurwitz_verdict, unit_disc_verdict
 from .plant import (
     NoiseSpec,
     PlantModel,
@@ -79,7 +87,6 @@ from .plant import (
     checked_array,
     disturbance_rows,
     sample_noise,
-    stable_closed_loop,
 )
 from .trace import SimulationTrace, column_names
 
@@ -191,9 +198,31 @@ class ExperimentConfig:
             object.__setattr__(self, name, array)
         if not (self.gamma > 0.0).all():
             raise ConfigurationError("gamma: entries must be positive")
-        labelled = [(f"filter_gains[{j}]", gain) for j, gain in enumerate(self.filter_gains)]
-        for label, gain in labelled + [("observer_gain", self.observer_gain)]:
-            _stable_step(stable_closed_loop(model, gain, label), step.step_size, gain, label)
+        # Each gain in turn, filters first: a filter gain equal to an earlier
+        # one repeats its regressor row, so the mixing determinant stays
+        # zero; the closed loop A - g c must be Hurwitz, and the RK4 step
+        # polynomial P(h Acl) that advances the discretised filter or
+        # observer must have every eigenvalue inside the unit circle.
+        gains, acl, _, step_off = _injection_loops(self)
+        for k, label in enumerate([f"filter_gains[{j}]" for j in range(m + n)] + ["observer_gain"]):
+            gain, earlier = gains[k].tolist(), gains[:k].tolist() if k < m + n else []
+            if gain in earlier:
+                raise ConfigurationError(
+                    f"{label}: equal to filter_gains[{earlier.index(gain)}], so the two filters "
+                    f"give the same regressor row and the mixing determinant stays zero"
+                )
+            verdict = hurwitz_verdict(acl[k])
+            if not verdict.stable:
+                kind = "indeterminate (marginal or out of float range)" if verdict.indeterminate else "unstable"
+                raise GainStabilityError(f"{label}: {gain} gives an {kind} closed-loop matrix")
+            verdict = unit_disc_verdict(step_off[k])
+            if not verdict.stable:
+                kind = "beyond the float range" if verdict.indeterminate else "of spectral radius 1 or more"
+                raise GainStabilityError(
+                    f"{label}: {gain} at step_size {step.step_size:.6g} gives an RK4 step "
+                    f"polynomial P(h Acl) {kind}, so the discretised loop diverges; a smaller "
+                    f"step is needed"
+                )
         probe_times = [step.start_time, step.start_time + step.step_size]
         if self.noise is not None and self.noise.omega is not None:
             try:
@@ -218,23 +247,6 @@ class ExperimentConfig:
                 f"plant.switching.entries[0][0]: the schedule starts at "
                 f"t={rule.entries[0][0]:.6g}, after start_time {step.start_time:.6g}"
             )
-
-
-def _stable_step(acl: np.ndarray, h: float, gain: np.ndarray, label: str) -> None:
-    """Raise GainStabilityError naming ``label`` and the step unless the RK4
-    step polynomial P(h Acl) of the closed loop ``acl``, which advances its
-    discretised filter or observer, has every eigenvalue inside the unit
-    circle."""
-    # A polynomial beyond the float range is indeterminate, an expected outcome.
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, step_off = _rk4_offsets(h, lambda s, z: acl @ z, (acl,) * 4)
-    verdict = unit_disc_verdict(step_off)
-    if not verdict.stable:
-        kind = "beyond the float range" if verdict.indeterminate else "of spectral radius 1 or more"
-        raise GainStabilityError(
-            f"{label}: {gain.tolist()} at step_size {h:.6g} gives an RK4 step polynomial "
-            f"P(h Acl) {kind}, so the discretised loop diverges; a smaller step is needed"
-        )
 
 
 class StateLayout:
@@ -329,6 +341,48 @@ def _rk4_offsets(h: float, apply, forcing):
     g4 = h * w3
     w4 = apply(3, g4) + forcing[3]
     return (g2, g3, g4), (h / 6.0) * (w1 + 2.0 * (w2 + w3) + w4)
+
+
+def _injection_loops(cfg: ExperimentConfig):
+    """The output-injection loops of a run, filters and observer alike: the
+    stack of its m+n filter gains and then its observer gain (m+n+1, n),
+    their closed loops A - g c, and the offsets M_s - I of their RK4 stage
+    polynomials (stages 2-4) and P - I of their step polynomials at the
+    run's step, each (m+n+1, n, n).  A loop or polynomial beyond the float
+    range is an expected outcome for a gain not yet screened."""
+    gains = np.vstack([cfg.filter_gains, cfg.observer_gain])
+    with np.errstate(over="ignore", invalid="ignore"):
+        acl = cfg.model.a - gains[:, :, None] * cfg.model.c
+        stage_off, step_off = _rk4_offsets(cfg.step.step_size, lambda s, z: acl @ z, (acl,) * 4)
+    return gains, acl, stage_off, step_off
+
+
+def _step_matrix(step_off: np.ndarray) -> np.ndarray:
+    """[P | I] for J loops of side n with step polynomial offsets
+    ``step_off`` (J, n, n), each P_j = I + offset_j a block of the diagonal
+    of P: one product with the loops' states stacked over their drives
+    advances every recurrence z <- P_j z + d."""
+    loops, n = step_off.shape[:2]
+    matrix = np.zeros((loops, n, 2, loops, n))
+    for j, poly in enumerate(np.eye(n) + step_off):
+        matrix[j, :, 0, j], matrix[j, :, 1, j] = poly, np.eye(n)
+    return matrix.reshape(loops * n, 2 * loops * n)
+
+
+def _recur(step_matrix: np.ndarray, buffer: np.ndarray, resets=(), restart=None) -> dict:
+    """Advance z_{k+1} = [P | I] [z_k; d_k] through ``buffer`` (K+1, 2 units
+    or (K+1, 2 units, columns)), whose row k holds z_k over the drive d_k,
+    writing z_{k+1} over the first half of row k+1.  A row counted in
+    ``resets`` restarts at ``restart`` after its step; returns the states
+    those rows had before, by row, in the shape of ``restart``."""
+    units, advance, pre_reset = len(step_matrix), step_matrix.dot, {}
+    for k in range(len(buffer) - 1):
+        nxt = buffer[k + 1, :units]
+        advance(buffer[k], nxt)
+        if k + 1 in resets:
+            pre_reset[k + 1] = nxt.reshape(restart.shape).copy()
+            nxt[...] = restart.reshape(nxt.shape)
+    return pre_reset
 
 
 def _step_loop_source(n: int, has_b: bool, has_omega: bool) -> str:
@@ -528,11 +582,12 @@ class _Cascade:
     def __init__(self, cfg: ExperimentConfig, layout: StateLayout):
         model, h = cfg.model, cfg.step.step_size
         n, m, mn = layout.n, layout.m, layout.mn
-        # Unit j's closed loop A - g_j c and the observer's, as the config
-        # screened them.
-        self.acl = acl = model.a - cfg.filter_gains[:, :, None] * model.c
-        self.observer_acl = acl_o = model.a - cfg.observer_gain[:, None] * model.c
-        self.gains, self.observer_gain = cfg.filter_gains, cfg.observer_gain
+        # Unit j's closed loop A - g_j c and the observer's, with their
+        # stage polynomials M_s - I and step polynomials P - I, as the
+        # config screened them.
+        gains, acl, stage_off, step_off = _injection_loops(cfg)
+        self.acl, self.observer_acl = acl[:mn], acl[mn]
+        self.gains, self.observer_gain = gains[:mn], gains[mn]
         self.layout = layout
         self.h = h
         self.b = model.b
@@ -540,24 +595,12 @@ class _Cascade:
         self.gamma = cfg.gamma
         self.template = layout.filter_reset_template()
         self.panels = self.template.reshape(mn * n, layout.panel)
-        # Stage polynomials M_s - I and step polynomials P - I of h * Acl_j
-        # and h * Acl_o.
-        stage_off, step_off = _rk4_offsets(h, lambda s, z: acl @ z, (acl,) * 4)
-        _, observer_off = _rk4_offsets(h, lambda s, z: acl_o @ z, (acl_o,) * 4)
-        # One product per step advances a recurrence z <- P z + d: the
-        # augmented matrix [P | I] acts on z stacked over d.  The bank's
-        # units sit on the block diagonal.
-        units = mn * n
-        self.bank_step = np.zeros((units, 2 * units))
-        for j, poly in enumerate(np.eye(n) + step_off):
-            self.bank_step[j * n : (j + 1) * n, j * n : (j + 1) * n] = poly
-        self.bank_step[:, units:] = np.eye(units)
-        self.observer_step = np.hstack([np.eye(n) + observer_off, np.eye(n)])
+        self.bank_step, self.observer_step = _step_matrix(step_off[:mn]), _step_matrix(step_off[mn:])
         # Regressor rows c M_s of the four stage values; stage 1 is c itself.
         self.crow_stages = np.empty((mn, 4, n))
         self.crow_stages[:, 0] = model.c
         for s, off in enumerate(stage_off, start=1):
-            self.crow_stages[:, s] = model.c + model.c @ off
+            self.crow_stages[:, s] = model.c + model.c @ off[:mn]
         self.crow = model.c[None]
         # All (i, j) with j < m laid out row-major, then (0, j) for j >= m.
         self.cofactors = Cofactors(
@@ -618,15 +661,7 @@ class _Cascade:
         bank = np.zeros((steps + 1, 2 * units, lay.panel))
         bank[:steps, units:, :c1] = step_off.reshape(units, steps, c1).transpose(1, 0, 2)
         bank[0, :units] = self.panels
-        template = self.template.reshape(units, lay.panel)
-        pre_reset = {}
-        bank_dot = self.bank_step.dot
-        for k in range(steps):
-            nxt = bank[k + 1, :units]
-            bank_dot(bank[k], nxt)
-            if k + 1 in resets:
-                pre_reset[k + 1] = nxt.reshape(mn, n, lay.panel).copy()
-                nxt[...] = template
+        pre_reset = _recur(self.bank_step, bank, resets, self.template)
         self.panels = bank[steps, :units]
         fs = bank[:, :units].reshape(steps + 1, mn, n, lay.panel)
 
@@ -681,9 +716,7 @@ class _Cascade:
         observer = np.empty((steps + 1, 2 * n))
         observer[0, :n] = trace.xhat[lo]
         observer[:steps, n:] = obs_step.T
-        observer_dot = self.observer_step.dot
-        for k in range(steps):
-            observer_dot(observer[k], observer[k + 1, :n])
+        _recur(self.observer_step, observer)
         trace.xhat[lo + 1 : hi + 1] = observer[1:, :n]
         return fs, pre_reset, peak_step
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,14 +58,22 @@ class SimulationTrace:
         for key in ("n", "m", "s"):
             if key not in self.meta:
                 raise TraceFormatError(f"trace meta is missing '{key}'")
-        if self.data.shape[1] != len(self.columns):
+            value = self.meta[key]
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise TraceFormatError(f"trace meta '{key}' must be an integer >= 1, got {value!r}")
+        # The width column_names gives, compared before any name is built.
+        n, m, s = self.n, self.m, self.num_subsystems
+        width = 6 + 3 * n + m + s * m + 2 * s
+        if self.data.shape[1] != width:
             raise TraceFormatError(
                 f"trace has {self.data.shape[1]} columns, "
-                f"expected {len(self.columns)} for the declared dimensions"
+                f"expected {width} for the declared dimensions"
             )
         if len(self.pre_reset_delta) != len(self.switch_times):
             raise TraceFormatError("pre_reset_delta must align with switch_times")
         t = self.data[:, 0]
+        if not np.isfinite(t).all():
+            raise TraceFormatError("time column must be finite")
         if t.shape[0] > 1 and np.any(np.diff(t) <= 0):
             raise TraceFormatError("time column must be strictly increasing")
 
@@ -254,7 +263,7 @@ def _parse_rows(path, lines, width: int) -> np.ndarray:
 def _header_value(path, content: str, key: str, parse):
     try:
         return parse(content[len(key) :])
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise TraceFormatError(f"{path}: malformed '{key}' header line: {exc}") from None
 
 

@@ -375,6 +375,19 @@ class TestRunDescription:
         assert names in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "content", [b'{"plant": "\xffchua"}', b"[" * 100_000], ids=["not-utf8", "deep-nesting"]
+    )
+    def test_undecodable_config_exits_2(self, tmp_path, content):
+        # Both used to end in a traceback with exit code 1.
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        proc = run_module("simulate", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"config error: {path}: ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestOutputDirectory:
     """An --out that cannot be a directory exits 2 before any work, and an

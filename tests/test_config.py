@@ -90,6 +90,14 @@ class TestValidation:
         with pytest.raises(GainStabilityError, match=r"config\.filter_gains\[0\]: .*out of float range"):
             config_from_dict(raw)
 
+    def test_duplicate_filter_gain_rejected(self):
+        # Two equal gains give two equal regressor rows, so the mixing
+        # determinant stays zero and no estimate adapts; it used to run.
+        gains = CHUA_FILTER_GAINS.tolist()
+        gains[3] = gains[1]
+        with pytest.raises(ConfigurationError, match=r"^config\.filter_gains\[3\]: equal to filter_gains\[1\]"):
+            config_from_dict({"plant": "chua", "filter_gains": gains})
+
     def test_noise_only_in_robust_mode(self):
         with pytest.raises(ConfigurationError, match="config.noise"):
             config_from_dict({"plant": "chua", "mode": "ideal", "noise": {"v0": 0.1}})
@@ -297,6 +305,23 @@ class TestFileLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b'{"plant": "chua", "name": "\xff"}', "not UTF-8"),
+            (b"[" * 100_000, "invalid JSON"),
+            (b'{"plant": "chua", "end_time": ' + b"1" * 5000 + b"}", "invalid JSON"),
+        ],
+        ids=["not-utf8", "deep-nesting", "long-integer"],
+    )
+    def test_undecodable_file_reports_path(self, tmp_path, content, reason):
+        # A UnicodeDecodeError, a RecursionError or the ValueError of an
+        # integer beyond Python's digit limit used to escape load_config.
+        path = tmp_path / "odd.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigurationError, match=f"odd.json: .*{reason}"):
+            load_config(path)
 
 
 CHUA_CONFIG = {

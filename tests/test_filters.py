@@ -7,7 +7,7 @@ from scipy.linalg import expm
 import reference
 from conftest import experiment
 from dremobs.errors import GainStabilityError
-from dremobs.plant import CHUA_FILTER_GAINS, TimeScheduleRule, chua_preset, stable_closed_loop
+from dremobs.plant import CHUA_FILTER_GAINS, TimeScheduleRule, chua_preset
 from dremobs.sim import StateLayout, StepConfig, run_experiment
 
 
@@ -35,8 +35,10 @@ class TestFilterUnit:
 
     def test_unstable_gain_rejected(self, model):
         # Positive injection into the first state destabilises the loop.
-        with pytest.raises(GainStabilityError):
-            stable_closed_loop(model, np.array([-100.0, 0.0, 0.0]))
+        gains = CHUA_FILTER_GAINS.copy()
+        gains[2] = [-100.0, 0.0, 0.0]
+        with pytest.raises(GainStabilityError, match=r"^filter_gains\[2\]: .* unstable closed-loop"):
+            experiment(model, StepConfig(1e-3, 1.0), filter_gains=gains)
 
     def test_reset_is_idempotent(self, model):
         # Runs ending on a restart: every restart lands on the same state.
@@ -56,7 +58,7 @@ class TestFilterDerivative:
         )
         np.testing.assert_allclose(dxu, model.b * u + gain * y)
         np.testing.assert_allclose(dups, model.psi(y, u))
-        np.testing.assert_allclose(dphi, stable_closed_loop(model, gain))
+        np.testing.assert_allclose(dphi, model.a - np.outer(gain, model.c))
 
     def test_unforced_states_decay(self, model):
         # At rest in the middle branch the output stays exactly zero, so the
@@ -70,7 +72,7 @@ class TestFilterDerivative:
     def test_phi_matches_matrix_exponential_oracle(self, model):
         # Constant-coefficient case: phi(1) must equal expm(a_closed).
         phi = final_panels(model, 1.0, schedule=((0.0, 1),))[1, :, 3:]
-        oracle = expm(stable_closed_loop(model, CHUA_FILTER_GAINS[1]) * 1.0)
+        oracle = expm(model.a - np.outer(CHUA_FILTER_GAINS[1], model.c))
         assert np.abs(phi - oracle).max() <= 1e-8
 
 

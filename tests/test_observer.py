@@ -3,7 +3,7 @@ import pytest
 
 import dremobs as d
 from dremobs.errors import GainStabilityError
-from dremobs.plant import CHUA_OBSERVER_GAIN, chua_preset, stable_closed_loop
+from dremobs.plant import CHUA_OBSERVER_GAIN, chua_preset
 
 import reference
 from conftest import chua_experiment
@@ -22,8 +22,13 @@ class TestObserverState:
         np.testing.assert_array_equal(chua_experiment(1.0).observer_init, np.zeros(3))
 
     def test_destabilising_gain_rejected(self):
-        with pytest.raises(GainStabilityError, match="observer_gain"):
+        # Positive injection into the first state: an unstable closed loop.
+        with pytest.raises(GainStabilityError, match="^observer_gain: .* unstable closed-loop"):
             chua_experiment(1.0, observer_gain=np.array([-50.0, 0.0, 0.0]))
+        # A Hurwitz loop whose slowest eigenvalue, -3010, puts h lambda = -3.01
+        # past RK4's real-axis limit at h = 1e-3: the discretised loop diverges.
+        with pytest.raises(GainStabilityError, match="^observer_gain: .* spectral radius 1 or more"):
+            chua_experiment(1.0, observer_gain=np.array([3000.0, 0.0, 0.0]))
 
 
 class TestObserverDerivative:
@@ -37,7 +42,7 @@ class TestObserverDerivative:
 
     def test_error_rate_is_injected_linear_flow_when_parameters_true(self, model):
         rng = np.random.default_rng(8)
-        a_closed = stable_closed_loop(model, CHUA_OBSERVER_GAIN)
+        a_closed = model.a - np.outer(CHUA_OBSERVER_GAIN, model.c)
         for _ in range(25):
             x = rng.uniform(-2, 2, 3)
             xhat = rng.uniform(-2, 2, 3)

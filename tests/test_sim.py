@@ -518,11 +518,11 @@ def _uniform(draw, lo, hi, shape):
 
 @st.composite
 def small_switched_cases(draw, sides=st.integers(1, 3), zero_b=st.just(False)):
-    """A random small plant whose every injection gain is Hurwitz by
-    construction: in observable canonical form (superdiagonal ones, c = e1)
-    the gain a + p places the closed-loop characteristic polynomial at p,
-    whose roots are drawn negative; a diagonally dominant similarity then
-    hides the structure.
+    """A random small plant with distinct filter gains, every injection
+    gain Hurwitz by construction: in observable canonical form
+    (superdiagonal ones, c = e1) the gain a + p places the closed-loop
+    characteristic polynomial at p, whose roots are drawn negative; a
+    diagonally dominant similarity then hides the structure.
 
     ``sides`` draws n (m is 1 or 2, at most MAX_SIDE - n) and ``zero_b``
     whether B is zero."""
@@ -541,6 +541,8 @@ def small_switched_cases(draw, sides=st.integers(1, 3), zero_b=st.just(False)):
             for _ in range(m + n + 1)
         ]
     )
+    # Equal filter gains repeat a regressor row, and the config rejects them.
+    assume(len({tuple(gain) for gain in gains[:-1].tolist()}) == m + n)
     const, out_gain, in_gain = (_uniform(draw, -1.0, 1.0, (n, m)) for _ in range(3))
     frequency = draw(st.floats(0.5, 5.0))
     model = d.PlantModel(
@@ -591,6 +593,11 @@ def switching_at_row(model, y, row):
     return StateRegionRule(regions + extra)
 
 
+# Plant sides whose m + n loops reach the supported limit: n = 5..7 gives
+# m + n = 6..8.
+WIDE_SIDES = st.integers(5, MAX_SIDE - 1)
+
+
 class TestKernelMatchesReference:
     H, STEPS = 0.01, 8
 
@@ -610,11 +617,16 @@ class TestKernelMatchesReference:
             return cfg, run_experiment(cfg, collect_diagnostics)
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(small_switched_cases())
-    def test_random_small_plants(self, case):
+    @given(small_switched_cases(), small_switched_cases(sides=WIDE_SIDES))
+    def test_random_small_plants(self, case, wide_case):
         """The chunked kernel against the reference on random small
         (n, m, s), with noise on and off, a time schedule or output regions,
-        a reset mid-run and chunk boundaries between the grid points."""
+        a reset mid-run and chunk boundaries between the grid points; each
+        example also runs a plant with m + n = 6..8 loops."""
+        for drawn in (case, wide_case):
+            self.check_against_reference(drawn)
+
+    def check_against_reference(self, case):
         steps, row = self.STEPS, case["switch_row"]
         cfg, res = self.switched_run(case, case["noise"])
         model = cfg.model
@@ -633,19 +645,20 @@ class TestKernelMatchesReference:
             assert res.trace.delta[q] == pytest.approx(delta, rel=1e-9, abs=1e-13)
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(small_switched_cases())
-    def test_oracles_pass_on_random_small_plants(self, case):
+    @given(small_switched_cases(), small_switched_cases(sides=WIDE_SIDES))
+    def test_oracles_pass_on_random_small_plants(self, case, wide_case):
         """The same plants in ideal mode pass the decomposition, regression,
         mixing, freeze and elementwise-decay oracles at their thresholds.
         Excitation consistency is left out: eight steps from a restart leave
         determinants near 1e-14 and excitation integrals near 1e-30, where
         its relative tolerance compares rounding with rounding."""
-        _, res = self.switched_run(case, None, collect_diagnostics=True)
-        assert res.trace.sigma[case["switch_row"]] != res.trace.sigma[0]
         checks = (check_decomposition, check_lre, check_mixing, check_freeze, check_monotone_decay)
-        for check in checks:
-            outcome = check(res)
-            assert outcome.passed, outcome.line()
+        for drawn in (case, wide_case):
+            _, res = self.switched_run(drawn, None, collect_diagnostics=True)
+            assert res.trace.sigma[drawn["switch_row"]] != res.trace.sigma[0]
+            for check in checks:
+                outcome = check(res)
+                assert outcome.passed, outcome.line()
 
 
 class TestLayout:

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,16 +86,37 @@ class TestSchema:
         assert trace.data.shape[1] == 29
 
     def test_misdeclared_dimensions_rejected(self):
-        res = tiny_run()
-        bad_meta = dict(res.trace.meta)
-        bad_meta["n"] = 4
-        with pytest.raises(TraceFormatError):
-            SimulationTrace(
-                meta=bad_meta,
-                data=res.trace.data,
-                switch_times=res.trace.switch_times,
-                pre_reset_delta=res.trace.pre_reset_delta,
-            )
+        trace, hand = tiny_run().trace, hand_built_trace(3)
+        # (trace, key, value, data columns kept): a width other than the
+        # dimensions give, or a value that is not an integer >= 1 with the
+        # width that reading it with int() gives; s = 0 made ``dremobs
+        # plot`` fail with a raw ValueError.
+        cases = [
+            (trace, "n", 4, 29),
+            (trace, "n", 2.9, 26),
+            (trace, "m", "2", 29),
+            (trace, "s", 0, 17),
+            (hand, "n", True, hand.data.shape[1]),
+        ]
+        for base, key, value, width in cases:
+            reason = "29 columns" if value == 4 else f"'{key}' must be an integer >= 1"
+            with pytest.raises(TraceFormatError, match=reason):
+                SimulationTrace(
+                    meta=dict(base.meta, **{key: value}),
+                    data=base.data[:, :width],
+                    switch_times=base.switch_times,
+                    pre_reset_delta=base.pre_reset_delta,
+                )
+        # The width is compared before any name is built: declaring n = 100000
+        # against two columns used to build the 300k column names first.
+        tracemalloc.start()
+        try:
+            with pytest.raises(TraceFormatError, match="expected 300010"):
+                SimulationTrace(meta={"n": 100_000, "m": 1, "s": 1}, data=np.zeros((1, 2)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestRoundTrip:
@@ -230,7 +252,11 @@ class TestFormatErrors:
         def edit(lines):
             lines[1] = lines[1][:-5]
 
-        assert "meta" in self._corrupt(tmp_path, edit)
+        def nest(lines):  # used to raise a raw RecursionError
+            lines[1] = "# meta: " + "[" * 100_000
+
+        for broken in (edit, nest):
+            assert "meta" in self._corrupt(tmp_path, broken)
 
     def test_bad_switch_times_list_rejected(self, tmp_path):
         def edit(lines):
@@ -316,15 +342,18 @@ class TestStringForm:
 
     def test_time_column_strictly_increasing_enforced(self):
         res = tiny_run(end_time=0.01)
-        data = res.trace.data.copy()
-        data[1, 0] = data[0, 0]
-        with pytest.raises(TraceFormatError):
-            SimulationTrace(
-                meta=res.trace.meta,
-                data=data,
-                switch_times=res.trace.switch_times,
-                pre_reset_delta=res.trace.pre_reset_delta,
-            )
+        # A repeated time, and a NaN or infinite one, which passed the
+        # comparison of neighbours and put nan into every plot.
+        for row, value in ((1, res.trace.data[0, 0]), (1, math.nan), (-1, math.inf), (0, math.nan)):
+            data = res.trace.data.copy()
+            data[row, 0] = value
+            with pytest.raises(TraceFormatError, match="time column"):
+                SimulationTrace(
+                    meta=res.trace.meta,
+                    data=data[: 1 if row == 0 else None],
+                    switch_times=res.trace.switch_times,
+                    pre_reset_delta=res.trace.pre_reset_delta,
+                )
 
 
 def seed_header(trace: SimulationTrace) -> str:
