@@ -204,7 +204,7 @@ def _cmd_plot(args) -> int:
     try:
         trace = read_trace(args.trace)
     except (OSError, TraceFormatError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = _output_dir(args.out)
     if out is None:

@@ -18,7 +18,7 @@ applied block by block in cascade order, so the integrator is split:
   Switching is detected on the grid: when the rule's output changes at a
   grid point, that grid time is the switching instant, the filter bank
   restarts (zero filters, identity transition factor) before the next step,
-  and the event is recorded.  The plant's rounding is part of its
+  and the row is recorded.  The plant's rounding is part of its
   behaviour, so its loop keeps every floating-point operation and their
   order: rate ((A x + psi(y, u) theta) + B u) + omega (the B u term only
   when B has a nonzero entry, omega only with a disturbance), stages
@@ -28,8 +28,9 @@ applied block by block in cascade order, so the integrator is split:
   expression per state component in a step loop generated and compiled
   once per model shape (n, whether B has a nonzero entry, whether there is
   a disturbance); a step's stage-1 output is the C x its predecessor
-  computed for the switch check; the disturbance is evaluated once per
-  chunk at the steps' start, middle and end times.
+  computed for the switch check, the trace's y of its row; the
+  disturbance is evaluated once per chunk at the steps' start, middle and
+  end times.
 * Every ``CHUNK`` steps the downstream blocks advance over the whole chunk.
   Each is affine in its own state, so one RK4 step is an exact affine
   recurrence whose coefficients are computed from the recorded signals for
@@ -53,19 +54,23 @@ applied block by block in cascade order, so the integrator is split:
   (``_step_matrix``), one product per step in one loop (``_recur``): a
   gemm on the bank's panels, a gemv on the observer's state.
 
-The run state is chunk-resident: the trace (with each row's active subsystem
-and held noise) is the only store with a row per grid point, and the block
-that computes a column's values writes them into it, the plant x and y, the
-run ybar, the cascade z, delta and its estimates, accumulators and observer
-states.  The error norms and the diagnostics are computed from the trace, a
-chunk at a time, with the chunk's filter panels.
+The run state is chunk-resident: the trace is the only store with a row per
+grid point, and its row lo is the state each chunk starts from.  The block
+that computes a column's values writes them into it: the plant x, y and the
+active subsystem sigma, the run ybar, the cascade z, delta and its
+estimates, accumulators and observer states.  The error norms and the
+diagnostics are computed from the trace, a chunk at a time, with the
+chunk's filter panels.  The run keeps only the rows where the filter bank
+restarted and the determinants just before; the switch instants and the
+events are read from the trace at those rows.
 
-Measurement noise is sampled once per grid step and held constant across the
-four stages of that step, so identical configurations and seeds reproduce
-bit-identical runs.  A non-finite grid state aborts the run at the earliest
-such grid row, naming its first non-finite component and the chunk's largest
-adaptation step h * gamma_i * delta^2 against RK4's real-axis stability
-limit.
+Measurement noise is a pure function of (seed, grid step), sampled where the
+measured outputs are formed and held constant across the four stages of
+that step, so identical configurations and seeds reproduce bit-identical
+runs; the plant never reads it.  A non-finite grid state aborts the run at
+the earliest such grid row, naming its first non-finite component and the
+chunk's largest adaptation step h * gamma_i * delta^2 against RK4's
+real-axis stability limit.
 """
 
 from __future__ import annotations
@@ -444,16 +449,16 @@ def _step_loop_source(n: int, has_b: bool, has_omega: bool) -> str:
         "    break",
         "target = rule_for(y, t0 + (q + 1) * h)",
         "if target != active:",
-        "    switches.append((q + 1, target, x))",
+        "    switches.append(q + 1)",
         "    active, theta = target, params[target - 1]",
         "actives.append(active)",
     ]
     lines = [
-        f"def steps(plant, x, lo, hi{omegas}):",
+        f"def steps(plant, x, y, active, lo, hi{omegas}):",
         "    h, t0, u_fn, psi = plant.h, plant.t0, plant.u_fn, plant.psi",
         "    dot_a, dot_c, rule_for, params = plant.dot_a, plant.dot_c, plant.rule_for, plant.params",
         "    half, sixth = 0.5 * h, h / 6.0",
-        "    y, active, theta = plant.y, plant.active, plant.theta",
+        "    theta = params[active - 1]",
         *([f"    ({each('b{i}')},) = plant.b"] if has_b else []),
         "    outputs, inputs, states, actives, switches = [], [], [], [], []",
         f"    z = array({[0.0] * n})",
@@ -461,8 +466,7 @@ def _step_loop_source(n: int, has_b: bool, has_omega: bool) -> str:
         "    reached = hi",
         "    for k in range(hi - lo):",
         *("        " + line for line in body),
-        "    plant.y, plant.active, plant.theta = y, active, theta",
-        "    return reached, states, outputs, inputs, actives, switches",
+        "    return reached, y, states, outputs, inputs, actives, switches",
     ]
     return "\n".join(lines) + "\n"
 
@@ -471,15 +475,15 @@ def _step_loop_source(n: int, has_b: bool, has_omega: bool) -> str:
 def _step_loop(n: int, has_b: bool, has_omega: bool):
     """The plant's step loop for one model shape, compiled once.
 
-    ``steps(plant, x, lo, hi[, omega_start, omega_half, omega_end])`` steps
-    grid rows lo..hi-1 from the state ``x`` of row lo, with the disturbance
-    rows of each step's start, middle and end times when there is a
-    disturbance.  It stops after a row whose state is non-finite, leaves
-    the plant's output, active subsystem and parameter at the last row
-    reached, and returns that row, the states of the rows stepped, the true
-    outputs and inputs of every stage, the active subsystem of each row
-    (the non-finite row has none) and the switches as (row, new subsystem,
-    state).
+    ``steps(plant, x, y, active, lo, hi[, omega_start, omega_half,
+    omega_end])`` steps grid rows lo..hi-1 from the state ``x``, output
+    ``y`` and subsystem ``active`` of row lo, with the disturbance rows of
+    each step's start, middle and end times when there is a disturbance.
+    It stops after a row whose state is non-finite, and returns that row,
+    the output of the last row reached, the states of the rows stepped, the
+    true outputs and inputs of every stage, the active subsystem of each
+    row (the non-finite row has none) and the rows where the subsystem
+    switched.
     """
     namespace = {"array": np.array, "isfinite": math.isfinite}
     code = compile(_step_loop_source(n, has_b, has_omega), f"<plant step loop n={n}>", "exec")
@@ -490,10 +494,12 @@ def _step_loop(n: int, has_b: bool, has_omega: bool):
 class _Plant:
     """The plant, stepped stage by stage with grid-point switch detection.
 
-    Each stage also records the true output and the input, from which the
-    downstream blocks' measured outputs and nonlinearity are formed per
-    chunk.  ``y`` is the output at the last grid row reached, ``active`` its
-    subsystem.  The step loop is compiled per model shape (``_step_loop``):
+    It keeps no run state: each chunk starts from the state, output and
+    subsystem of the trace's row, and it writes those of every row it
+    reaches back into the trace.  Each stage also records the true output
+    and the input, from which the downstream blocks' measured outputs and
+    nonlinearity are formed per chunk.  Of the noise it reads only the
+    disturbance.  The step loop is compiled per model shape (``_step_loop``):
     n, whether B has a nonzero entry, and whether there is a disturbance.
     The module docstring states which operations the loop must keep.
     """
@@ -507,12 +513,15 @@ class _Plant:
         self.b = model.b.tolist()
         self.dot_c, self.dot_a, self.psi = model.c.dot, model.a.dot, model.psi
         self.u_fn, self.rule_for = model.input_signal, model.switching_rule.subsystem_for
-        self.y = float(self.dot_c(model.initial_state))
-        self.active = self.rule_for(self.y, self.t0)
         self.params = model.true_params
-        self.theta = model.true_params[self.active - 1]
         self.has_omega = noise is not None and noise.omega is not None
         self.steps = _step_loop(model.n, has_b, self.has_omega)
+
+    def start(self, trace: SimulationTrace) -> None:
+        """Write row 0: the initial state, its output and its subsystem."""
+        x0 = self.model.initial_state
+        y = float(self.dot_c(x0))
+        trace.x[0], trace.y[0], trace.data[0, 1] = x0, y, self.rule_for(y, self.t0)
 
     def disturbance(self, lo: int, hi: int) -> tuple:
         """Disturbance rows of steps lo..hi-1 at their start, middle and end
@@ -525,28 +534,24 @@ class _Plant:
             disturbance_rows(self.noise, n, times).tolist() for times in (t, t + 0.5 * h, t + h)
         )
 
-    def advance(self, trace: SimulationTrace, lo: int, hi: int, sigmas: np.ndarray, vs: np.ndarray):
-        """Step grid rows lo..hi-1 from the trace's state at row lo; write
-        the states and true outputs of the rows after them into the trace,
-        and their subsystems and held noise into ``sigmas`` and ``vs``.
+    def advance(self, trace: SimulationTrace, lo: int, hi: int):
+        """Step grid rows lo..hi-1 from the trace's row lo, and write the
+        states, true outputs and subsystems of the rows after them into the
+        trace.
 
         Stops after a row whose state is non-finite.  Returns the last row
         reached, the true outputs and the inputs of every stage of the steps
-        taken, each (steps, 4), and the switches as (row, new subsystem,
-        state).
+        taken, each (steps, 4), and the rows where the subsystem switched.
         """
-        if self.noise is not None:
-            vs[lo + 1 : hi + 1] = sample_noise(self.noise, np.arange(lo + 1, hi + 1))
-        xs = trace.x
-        reached, states, outputs, inputs, actives, switches = self.steps(
-            self, xs[lo], lo, hi, *self.disturbance(lo, hi)
+        xs, ys, sigmas = trace.x, trace.y, trace.data[:, 1]
+        reached, y, states, outputs, inputs, actives, switches = self.steps(
+            self, xs[lo], float(ys[lo]), int(sigmas[lo]), lo, hi, *self.disturbance(lo, hi)
         )
         xs[lo + 1 : lo + 1 + len(states)] = states
         sigmas[lo + 1 : lo + 1 + len(actives)] = actives
         shape = (reached - lo, 4)
         outputs = np.array(outputs).reshape(shape)
-        ys = trace.y
-        ys[lo + 1 : reached], ys[reached] = outputs[1:, 0], self.y
+        ys[lo + 1 : reached], ys[reached] = outputs[1:, 0], y
         return reached, outputs, np.array(inputs, dtype=float).reshape(shape), switches
 
 
@@ -760,11 +765,12 @@ def _first_non_finite(blocks, pre_reset, m) -> tuple[int, str] | None:
     return row, _component(name, index, m)
 
 
-def _fill_errors(trace, model, lo, panels, sigma, events, event_rows, diagnostics) -> None:
+def _fill_errors(trace, model, lo, panels, switch_rows, diagnostics) -> None:
     """Fill the error norms, and the diagnostics when collected, of the R
-    grid rows from lo, from their recorded values, active subsystems
-    ``sigma`` and (R, m+n, n, panel) filter bank ``panels``.  Every value is
-    computed row by row, so its bits do not depend on the rows filled with it.
+    grid rows from lo, from their recorded values and (R, m+n, n, panel)
+    filter bank ``panels``; x(t_k) is the trace's state at the last of the
+    ``switch_rows`` at or before each row.  Every value is computed row by
+    row, so its bits do not depend on the rows filled with it.
     """
     m = model.m
     rows = slice(lo, lo + len(panels))
@@ -774,9 +780,10 @@ def _fill_errors(trace, model, lo, panels, sigma, events, event_rows, diagnostic
     if diagnostics is None:
         return
     z, xu = trace.z[rows], panels[..., 0]
-    event_of = np.searchsorted(event_rows, np.arange(rows.start, rows.stop), side="right") - 1
-    x_tk = np.stack([e.state for e in events])[event_of]
-    theta_sigma = model.true_params[sigma[rows] - 1]
+    starts = np.asarray(switch_rows)
+    last = np.searchsorted(starts, np.arange(rows.start, rows.stop), side="right") - 1
+    x_tk = trace.x[starts[last]]
+    theta_sigma = model.true_params[trace.data[rows, 1].astype(np.int64) - 1]
     theta_bar = np.concatenate([theta_sigma, x_tk], axis=1)
     recon = (
         np.einsum("tuij,tj->tui", panels[..., 1 + m :], x_tk)
@@ -824,21 +831,22 @@ def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> 
     data = np.empty((steps + 1, len(column_names(n, m, s))))
     data[:, 0] = t0 + h * np.arange(steps + 1)
     trace = SimulationTrace(meta=meta, data=data)
-    # Each row's active subsystem and held noise.
-    sigma, v = np.empty(steps + 1, dtype=np.int64), np.zeros(steps + 1)
+    sigma = data[:, 1]
     diagnostics = None
     if collect_diagnostics:
         rows = steps + 1
         diagnostics = Diagnostics(np.empty(rows), np.empty(rows), np.empty((rows, m + n)))
 
-    plant = _Plant(model, noise, step)
-    trace.x[0], trace.y[0], trace.xhat[0] = model.initial_state, plant.y, cfg.observer_init
-    trace.theta_hat[0], trace.excitation[0], sigma[0] = cfg.theta_init, 0.0, plant.active
-    if noise is not None:
-        v[0] = sample_noise(noise, 0)
+    def held_noise(rows):
+        # The measurement noise held over the steps from grid rows ``rows``.
+        return np.zeros(np.shape(rows)) if noise is None else sample_noise(noise, rows)
 
-    events = [SwitchEvent(t0, plant.active, model.initial_state.copy(), math.nan)]
-    event_rows = [0]
+    plant = _Plant(model, noise, step)
+    plant.start(trace)
+    trace.xhat[0], trace.theta_hat[0], trace.excitation[0] = cfg.observer_init, cfg.theta_init, 0.0
+    # The rows where the filter bank restarts and the determinants just
+    # before each restart; the start row has no prior state.
+    switch_rows, pre_deltas = [0], [math.nan]
 
     # The config screened every step polynomial, so building the cascade
     # stays in the float range.  Overflow before the finiteness check just
@@ -847,13 +855,13 @@ def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         lo = 0
         while lo < steps:
-            hi, y, u, switches = plant.advance(trace, lo, min(lo + CHUNK, steps), sigma, v)
+            hi, y, u, switches = plant.advance(trace, lo, min(lo + CHUNK, steps))
             # Measured outputs of the steps reached, noise held per step.
-            ybar = y + v[lo:hi, None]
+            ybar = y + held_noise(np.arange(lo, hi))[:, None]
             trace.ybar[lo:hi] = ybar[:, 0]
             psi = model.psi(ybar.ravel(), u.ravel()).reshape(hi - lo, 4, n, m)
             panels, pre_reset, peak_step = cascade.advance(
-                trace, lo, sigma[lo:hi], ybar, u, psi, {row - lo for row, _, _ in switches}
+                trace, lo, sigma[lo:hi].astype(np.int64), ybar, u, psi, {row - lo for row in switches}
             )
             new = slice(lo + 1, hi + 1)
             blocks = (
@@ -865,20 +873,21 @@ def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> 
                 raise SimulationAbort(at, bad[1], peak_step, RK4_STABILITY_LIMIT)
             if switches:
                 pre_resets = np.stack(list(pre_reset.values()))
-                pre_deltas, _ = cascade.grid_row(pre_resets, np.zeros(len(switches)))
-                for (row, target, state), pre in zip(switches, pre_deltas.tolist()):
-                    events.append(SwitchEvent(t0 + row * h, target, state, pre))
-                    event_rows.append(row)
-            _fill_errors(trace, model, lo, panels[:-1], sigma, events, event_rows, diagnostics)
+                switch_rows += switches
+                pre_deltas += cascade.grid_row(pre_resets, np.zeros(len(switches)))[0].tolist()
+            _fill_errors(trace, model, lo, panels[:-1], switch_rows, diagnostics)
             lo = hi
         final_panels = cascade.panels.reshape(layout.mn, n, layout.panel).copy()
-        trace.ybar[steps] = trace.y[steps] + v[steps]
+        trace.ybar[steps] = trace.y[steps] + held_noise(steps)
         delta, z = cascade.grid_row(final_panels[None], trace.ybar[steps:])
         trace.delta[steps], trace.z[steps] = delta[0], z[0]
-        _fill_errors(trace, model, steps, final_panels[None], sigma, events, event_rows, diagnostics)
-    data[:, 1] = sigma
-    trace.switch_times = [e.time for e in events]
-    trace.pre_reset_delta = [e.delta_before for e in events]
+        _fill_errors(trace, model, steps, final_panels[None], switch_rows, diagnostics)
+    trace.switch_times = trace.t[switch_rows].tolist()
+    trace.pre_reset_delta = pre_deltas
+    events = [
+        SwitchEvent(t, int(sigma[row]), trace.x[row].copy(), pre)
+        for t, row, pre in zip(trace.switch_times, switch_rows, pre_deltas)
+    ]
     return RunResult(
         trace=trace,
         events=events,

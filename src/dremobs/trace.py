@@ -296,7 +296,8 @@ def _read_lines(path, lines):
 
 def read_trace(path) -> SimulationTrace:
     """Parse a trace CSV back into an equal SimulationTrace.  The file is
-    streamed: only one block of data rows is held as text at a time."""
+    streamed: only one block of data rows is held as text at a time.  Every
+    row's ``sigma`` must be a subsystem index, an integer in 1..s."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             meta, switch_times, pre_reset, header, data = _read_lines(path, iter(fh))
@@ -312,4 +313,11 @@ def read_trace(path) -> SimulationTrace:
         raise TraceFormatError(f"{path}: {exc}") from None
     if header != trace.columns:
         raise TraceFormatError(f"{path}: column header does not match the declared dimensions")
+    sigma, s = trace.data[:, 1], trace.num_subsystems
+    bad = np.flatnonzero(~np.isin(sigma, np.arange(1, s + 1)))
+    if bad.size:
+        raise TraceFormatError(
+            f"{path}: row {bad[0]} has sigma {float(sigma[bad[0]])!r}, "
+            f"expected an integer in 1..{s}"
+        )
     return trace

@@ -264,11 +264,13 @@ class TestPlotCommand:
         )
         assert proc.returncode == EXIT_CONFIG
         assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("trace error: ")
         assert str(path) in proc.stderr
 
-    def test_missing_trace_exits_2(self, tmp_path):
+    def test_missing_trace_exits_2(self, tmp_path, capsys):
         code = run_cli("plot", "--trace", str(tmp_path / "nope.csv"), "--out", str(tmp_path))
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("trace error: cannot read trace from ")
 
 
 class TestEntryPoint:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import dremobs as d
@@ -35,6 +35,12 @@ from dremobs.verification import (
 
 import reference
 from conftest import chua_experiment, experiment
+
+
+# Hypothesis phases of the tests over ``small_switched_cases``: no shrink
+# phase, so a failure reports its falsifying example, unshrunk, in seconds;
+# shrinking one of these runs took minutes and hundreds of MiB.
+UNSHRUNK = [Phase.explicit, Phase.reuse, Phase.generate]
 
 
 def pinned_chua(*schedule):
@@ -283,9 +289,9 @@ class TestRunSimulation:
             assert ours.tobytes() == theirs.tobytes(), field.name
 
     def test_run_state_is_chunk_resident(self):
-        # Only the trace (29 columns for Chua) and the per-row active
-        # subsystem, held noise and time grow with the horizon; a store of
-        # the whole run state per row (105 floats) would not fit the budget.
+        # Only the trace (29 columns for Chua) and the time grid grow with
+        # the horizon; a store of the whole run state per row (105 floats)
+        # would not fit the budget.
         def peak(end_time):
             cfg = chua_experiment(end_time, chua_robust_noise(seed=2))
             tracemalloc.start()
@@ -299,9 +305,19 @@ class TestRunSimulation:
         assert growth / 3000 < 64 * 8
 
     def test_different_seeds_differ(self):
-        a = run_experiment(chua_experiment(1.0, chua_robust_noise(seed=1)))
-        b = run_experiment(chua_experiment(1.0, chua_robust_noise(seed=2)))
+        # The seed drives only the measurement noise, which the plant never
+        # reads: the time, subsystem, state and true output columns and the
+        # switch instants are byte-identical across seeds, and every column
+        # downstream of ybar differs.
+        a = run_experiment(chua_experiment(10.0, chua_robust_noise(seed=1)))
+        b = run_experiment(chua_experiment(10.0, chua_robust_noise(seed=2)))
         assert not np.array_equal(a.trace.data, b.trace.data)
+        plant_columns = ["t", "sigma", "x1", "x2", "x3", "y"]
+        for k, name in enumerate(a.trace.columns):
+            same = a.trace.data[:, k].tobytes() == b.trace.data[:, k].tobytes()
+            assert same == (name in plant_columns), name
+        assert len(a.trace.switch_times) > 1
+        assert a.trace.switch_times == b.trace.switch_times
 
     def test_plant_overflow_stops_before_the_rule_sees_it(self, monkeypatch):
         # The plant runs ahead of the downstream blocks within a chunk.  A
@@ -463,7 +479,10 @@ class TestLoopMatchesPublicOperations:
             dbar = reference.residual(delta, zbar, theta_bar[q])
             np.testing.assert_allclose(res.diagnostics.dbar[q], dbar, atol=1e-12)
 
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+        phases=UNSHRUNK,
+    )
     @given(st.deferred(lambda: small_switched_cases()))
     def test_trace_delta_is_the_law_determinant(self, case):
         """On random small plants, whose output row is general, the trace
@@ -616,7 +635,10 @@ class TestKernelMatchesReference:
             patch.setattr(sim, "CHUNK", case["chunk"])
             return cfg, run_experiment(cfg, collect_diagnostics)
 
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+        phases=UNSHRUNK,
+    )
     @given(small_switched_cases(), small_switched_cases(sides=WIDE_SIDES))
     def test_random_small_plants(self, case, wide_case):
         """The chunked kernel against the reference on random small
@@ -644,7 +666,10 @@ class TestKernelMatchesReference:
             delta, _ = reference.mix(*reference.regressor_stack(model, fs, 0.0))
             assert res.trace.delta[q] == pytest.approx(delta, rel=1e-9, abs=1e-13)
 
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+        phases=UNSHRUNK,
+    )
     @given(small_switched_cases(), small_switched_cases(sides=WIDE_SIDES))
     def test_oracles_pass_on_random_small_plants(self, case, wide_case):
         """The same plants in ideal mode pass the decomposition, regression,
@@ -777,7 +802,10 @@ class TestPlantMatchesReference:
 
     # Enough examples to meet many of the 28 shapes the step loop is
     # compiled for (n up to MAX_SIDE - 1, B zero or not, disturbance or not).
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+        phases=UNSHRUNK,
+    )
     @given(small_switched_cases(sides=st.integers(1, MAX_SIDE - 1), zero_b=st.booleans()))
     def test_random_small_plants(self, case):
         model, noise, inputs = case["model"], case["noise"], case["inputs"]

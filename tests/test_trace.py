@@ -283,6 +283,18 @@ class TestFormatErrors:
 
         assert "row 2" in self._corrupt(tmp_path, edit)
 
+    @pytest.mark.parametrize("value", ["99", "1.5", "0", "nan"])
+    def test_sigma_outside_the_subsystems_names_row(self, tmp_path, value):
+        # sigma is a subsystem index in 1..s; these used to read back, and
+        # the 1.5 trace wrote back as 1, so the cycle was not equal.
+        def edit(lines):
+            fields = lines[8].split(",")
+            fields[1] = value
+            lines[8] = ",".join(fields)
+
+        message = self._corrupt(tmp_path, edit)
+        assert "row 2" in message and "sigma" in message
+
 
 @functools.lru_cache(maxsize=None)
 def twenty_row_trace() -> tuple[SimulationTrace, str, tuple[str, ...]]:
