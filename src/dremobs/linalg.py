@@ -1,15 +1,19 @@
-"""Small dense real matrix kernel: division-free cofactors, stability test.
+"""Small dense real matrix kernel: division-free mixing, stability test.
 
 Every matrix in the estimation pipeline is tiny (side <= MAX_SIDE), so the
 routines here favour exactness and well-definedness over asymptotic speed.
 The adjugate is built entry by entry from signed minors, which keeps it
 meaningful for singular inputs: the mixing step multiplies by the adjugate
 precisely because no division ever takes place, and the regressor
-determinant routinely passes through zero.
+determinant routinely passes through zero.  One routine,
+``det_adjugate_rows``, computes the determinant and the adjugate rows for
+every caller: the adaptation law, the trace's grid rows, the diagnostics
+and ``det_adjugate_batch``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -79,10 +83,11 @@ class Cofactors:
     """Signed cofactors (-1)^(i+j) * det(M without row i and column j) of
     k x k matrices at a fixed list of (i, j) cells.
 
-    This is the package's only determinant route: the simulation kernel
-    asks for the cofactors its adaptation law needs, ``det_adjugate_batch``
-    for all of them.  Singular inputs are fine; identical rows give exact
-    zeros.
+    This is the package's only cofactor route, behind its one mixing
+    routine ``det_adjugate_rows``.  Each cofactor is formed by the same
+    expansion whichever other cells are asked for, so its bits do not
+    depend on the cell list.  Singular inputs are fine; identical rows
+    give exact zeros.
     """
 
     def __init__(self, k: int, cells: list[tuple[int, int]]):
@@ -116,29 +121,50 @@ class Cofactors:
         return np.moveaxis(buf[self._out], 0, -1) * self._signs
 
 
-_ALL_CELLS: dict[int, Cofactors] = {}
+def _sum_last(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, term by term in index order."""
+    total = terms[..., 0].copy()
+    for j in range(1, terms.shape[-1]):
+        total += terms[..., j]
+    return total
+
+
+@functools.cache
+def _mixing_cofactors(k: int, rows: int) -> Cofactors:
+    """The cofactors of k x k matrices that ``det_adjugate_rows`` reads:
+    those of the first ``rows`` columns, column by column, then the rest of
+    the first row."""
+    return Cofactors(k, [(i, j) for j in range(rows) for i in range(k)] + [(0, j) for j in range(rows, k)])
+
+
+def det_adjugate_rows(matrices: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants (...,) and the first ``rows`` rows of the adjugates
+    (..., rows, k) of a (..., k, k) stack, division-free.
+
+    This is the package's one mixing routine: the adaptation law asks for
+    the m rows it adapts, every other caller for all k.  Only the
+    cofactors of the first ``rows`` columns and of the first row are
+    formed, and the determinant is the first-row expansion over them, its
+    terms summed in index order, so adj(M) @ M - det(M) * I stays at
+    rounding level even for singular members, and a member's bits depend
+    neither on its stack nor on ``rows``.
+    """
+    k = matrices.shape[-1]
+    cof = _mixing_cofactors(k, rows)(matrices)
+    adjugate = cof[..., : rows * k].reshape(cof.shape[:-1] + (rows, k))
+    first_row = np.concatenate((adjugate[..., 0], cof[..., rows * k :]), axis=-1)
+    return _sum_last(matrices[..., 0, :] * first_row), adjugate
 
 
 def det_adjugate_batch(matrices) -> tuple[np.ndarray, np.ndarray]:
-    """Determinants and adjugates of a (batch, k, k) stack, division-free.
-
-    The determinant is the first-row cofactor expansion over the same
-    cofactors that populate the adjugate, so adj(M) @ M - det(M) * I stays
-    at rounding level even for ill-conditioned or singular members.  Its
-    terms are summed one by one, so a member's bits do not depend on its stack.
-    """
+    """Determinants and adjugates of a (batch, k, k) stack, division-free:
+    the checked stack through ``det_adjugate_rows`` with all k rows."""
     ms = np.asarray(matrices, dtype=float)
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise ValueError(f"expected a (batch, k, k) stack, got shape {ms.shape}")
     if not np.isfinite(ms).all():
         raise ValueError("matrix stack contains non-finite entries")
-    b, k, _ = ms.shape
-    route = _ALL_CELLS.get(k)
-    if route is None:
-        route = _ALL_CELLS[k] = Cofactors(k, [(i, j) for i in range(k) for j in range(k)])
-    cof = route(ms).reshape(b, k, k)
-    dets = sum(ms[:, 0, j] * cof[:, 0, j] for j in range(k))
-    return dets, np.swapaxes(cof, 1, 2)
+    return det_adjugate_rows(ms, ms.shape[1])
 
 
 def characteristic_polynomial(matrix) -> np.ndarray:

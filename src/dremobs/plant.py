@@ -31,11 +31,16 @@ def zero_input(t: float) -> float:
 def checked_array(name: str, value, shape: tuple, rule: str | None = None) -> np.ndarray:
     """``value`` as a read-only float copy, so a checked input cannot change
     afterwards, of ``shape`` (``None`` is any nonzero length) with finite
-    entries; else ConfigurationError ``<name>: <reason>``, the reason for a
-    wrong shape being ``rule`` when given."""
+    real entries, none of them a string or a bool; else ConfigurationError
+    ``<name>: <reason>``, the reason for a wrong shape being ``rule`` when
+    given."""
     try:
-        array = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        entries = np.array(value, dtype=object)
+        for entry in entries.flat:
+            if isinstance(entry, bool) or not isinstance(entry, numbers.Real):
+                raise TypeError(f"entry {entry!r} is not a real number")
+        array = entries.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{name}: expected an array of numbers ({exc})") from exc
     array.setflags(write=False)
     if array.ndim != len(shape) or any(

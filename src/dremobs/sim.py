@@ -39,8 +39,8 @@ applied block by block in cascade order, so the integrator is split:
   - filter bank: F_{k+1} = P(h Acl_j) F_k + D_k with stage values
     M_s F_k + G_{k,s}; the transition factor has D = 0, so it advances by
     the RK4 polynomial alone;
-  - mixing: the signed cofactors of every stage's regressor stack, in one
-    call;
+  - mixing: the determinant and the m adapted adjugate rows of every
+    stage's regressor stack, in one call to ``det_adjugate_rows``;
   - adaptation: theta_{k+1} = theta_k + (g_k theta_k + beta_k) on the active
     row only, so inactive rows keep their bits;
   - excitation accumulators: a masked cumulative sum;
@@ -60,7 +60,10 @@ that computes a column's values writes them into it: the plant x, y and the
 active subsystem sigma, the run ybar, the cascade z, delta and its
 estimates, accumulators and observer states.  The error norms and the
 diagnostics are computed from the trace, a chunk at a time, with the
-chunk's filter panels.  The run keeps only the rows where the filter bank
+chunk's filter panels; the diagnostics, the last row and the pre-reset
+determinants mix each grid row through the law's own mixing with all m+n
+adjugate rows (``_Cascade.grid_row``), so the mixing oracle checks what
+the law computed.  The run keeps only the rows where the filter bank
 restarted and the determinants just before; the switch instants and the
 events are read from the trace at those rows.
 
@@ -84,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, GainStabilityError, SimulationAbort
-from .linalg import Cofactors, det_adjugate_batch, hurwitz_verdict, unit_disc_verdict
+from .linalg import _sum_last, det_adjugate_rows, hurwitz_verdict, unit_disc_verdict
 from .plant import (
     NoiseSpec,
     PlantModel,
@@ -122,6 +125,10 @@ class StepConfig:
 
     def __post_init__(self):
         """Errors name the field at fault first, as ``<field>: <reason>``."""
+        for name in ("step_size", "end_time", "start_time"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(f"{name}: must be a real number, got {value!r}")
         if not (self.step_size > 0.0 and math.isfinite(self.step_size)):
             raise ConfigurationError("step_size: must be positive and finite")
         for name in ("start_time", "end_time"):
@@ -319,14 +326,6 @@ def _matmul_ew(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     for i in range(1, a.shape[-1]):
         out += a[..., :, i, None] * x[..., None, i, :]
     return out
-
-
-def _sum_last(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, term by term in index order."""
-    total = terms[..., 0].copy()
-    for j in range(1, terms.shape[-1]):
-        total += terms[..., j]
-    return total
 
 
 def _rk4_offsets(h: float, apply, forcing):
@@ -586,7 +585,7 @@ class _Cascade:
 
     def __init__(self, cfg: ExperimentConfig, layout: StateLayout):
         model, h = cfg.model, cfg.step.step_size
-        n, m, mn = layout.n, layout.m, layout.mn
+        n, mn = layout.n, layout.mn
         # Unit j's closed loop A - g_j c and the observer's, with their
         # stage polynomials M_s - I and step polynomials P - I, as the
         # config screened them.
@@ -607,32 +606,27 @@ class _Cascade:
         for s, off in enumerate(stage_off, start=1):
             self.crow_stages[:, s] = model.c + model.c @ off[:mn]
         self.crow = model.c[None]
-        # All (i, j) with j < m laid out row-major, then (0, j) for j >= m.
-        self.cofactors = Cofactors(
-            mn, [(i, j) for i in range(mn) for j in range(m)] + [(0, j) for j in range(m, mn)]
-        )
 
-    def mix(self, rows: np.ndarray, ybar: np.ndarray):
+    def mix(self, rows: np.ndarray, ybar: np.ndarray, mixed: int | None = None):
         """Mix S stages' regressor stacks, rows c M_s F (R, m+n, S, panel),
         at measured outputs ``ybar`` (R, S): the determinant (R, S), the
-        regressions ybar - c M_s xu (R, S, m+n) and the adapted mixed
-        components (R, S, m)."""
-        m, mn = self.layout.m, self.layout.mn
+        regressions ybar - c M_s xu (R, S, m+n) and the first ``mixed``
+        components of adj(N) z (R, S, mixed), by default the m the law
+        adapts."""
         nt = rows[..., 1:].transpose(0, 2, 1, 3)
         zf = ybar[:, :, None] - rows[..., 0].transpose(0, 2, 1)
-        cof = self.cofactors(nt)
-        cof_jm = cof[..., : mn * m].reshape(cof.shape[:2] + (mn, m))
-        first_row = np.concatenate((cof_jm[..., 0, :], cof[..., mn * m :]), axis=-1)
-        delta = _sum_last(nt[..., 0, :] * first_row)
-        zbar = _sum_last(np.swapaxes(zf[..., None] * cof_jm, -1, -2))
-        return delta, zf, zbar
+        delta, adjugate = det_adjugate_rows(nt, mixed or self.layout.m)
+        return delta, zf, _sum_last(adjugate * zf[..., None, :])
 
     def grid_row(self, panels: np.ndarray, ybar: np.ndarray):
-        """The determinant (R,) and regressions (R, m+n) the law uses at
-        (R, m+n, n, panel) grid panels and measured outputs (R,), computed
-        as ``advance`` computes a step's first stage."""
-        delta, zf, _ = self.mix(_matmul_ew(self.crow_stages[:, :1], panels), ybar[:, None])
-        return delta[:, 0], zf[:, 0]
+        """The regressor stack N (R, m+n, m+n), the determinant (R,), the
+        regressions z (R, m+n) and all of adj(N) z (R, m+n) at (R, m+n, n,
+        panel) grid panels and measured outputs (R,), mixed as ``advance``
+        mixes a step's first stage, so delta, z and the first m mixed
+        components carry the law's bits."""
+        rows = _matmul_ew(self.crow_stages[:, :1], panels)
+        delta, zf, zbar = self.mix(rows, ybar[:, None], self.layout.mn)
+        return rows[:, :, 0, 1:], delta[:, 0], zf[:, 0], zbar[:, 0]
 
     def advance(self, trace: SimulationTrace, lo: int, active, ybar, u, psi, resets):
         """Advance every block over the K steps from the last row reached,
@@ -765,36 +759,33 @@ def _first_non_finite(blocks, pre_reset, m) -> tuple[int, str] | None:
     return row, _component(name, index, m)
 
 
-def _fill_errors(trace, model, lo, panels, switch_rows, diagnostics) -> None:
+def _fill_errors(trace, model, cascade, lo, panels, switch_rows, diagnostics) -> None:
     """Fill the error norms, and the diagnostics when collected, of the R
     grid rows from lo, from their recorded values and (R, m+n, n, panel)
     filter bank ``panels``; x(t_k) is the trace's state at the last of the
-    ``switch_rows`` at or before each row.  Every value is computed row by
-    row, so its bits do not depend on the rows filled with it.
+    ``switch_rows`` at or before each row.  The diagnostics read delta, z
+    and adj(N) z from the cascade's own mixing (``grid_row``), so the
+    mixing oracle checks what the law computed.  Every value is summed in
+    a fixed order row by row, so its bits do not depend on the rows filled
+    with it.
     """
-    m = model.m
     rows = slice(lo, lo + len(panels))
     x, theta = trace.x[rows], trace.theta_hat[rows]
     trace.theta_error[rows] = np.linalg.norm(theta - model.true_params[None], axis=2)
     trace.x_error[rows] = np.linalg.norm(trace.xhat[rows] - x, axis=1)
     if diagnostics is None:
         return
-    z, xu = trace.z[rows], panels[..., 0]
     starts = np.asarray(switch_rows)
     last = np.searchsorted(starts, np.arange(rows.start, rows.stop), side="right") - 1
-    x_tk = trace.x[starts[last]]
     theta_sigma = model.true_params[trace.data[rows, 1].astype(np.int64) - 1]
-    theta_bar = np.concatenate([theta_sigma, x_tk], axis=1)
-    recon = (
-        np.einsum("tuij,tj->tui", panels[..., 1 + m :], x_tk)
-        + xu
-        + np.einsum("tuij,tj->tui", panels[..., 1 : 1 + m], theta_sigma)
-    )
-    nt = np.einsum("k,tukj->tuj", model.c, panels[..., 1:])
-    dets, adjs = det_adjugate_batch(nt)
+    theta_bar = np.concatenate([theta_sigma, trace.x[starts[last]]], axis=1)
+    # The panels [xu | upsilon | phi] against [1; theta_sigma; x(t_k)].
+    weights = np.concatenate([np.ones((len(theta_bar), 1)), theta_bar], axis=1)
+    recon = _matmul_ew(panels, weights[:, None, :, None])[..., 0]
+    nt, delta, z, zbar = cascade.grid_row(panels, trace.ybar[rows])
     diagnostics.decomposition_residual[rows] = np.linalg.norm(x[:, None] - recon, axis=2).max(axis=1)
-    diagnostics.lre_residual_max[rows] = np.abs(z - np.einsum("tuj,tj->tu", nt, theta_bar)).max(axis=1)
-    diagnostics.dbar[rows] = np.einsum("tij,tj->ti", adjs, z) - dets[:, None] * theta_bar
+    diagnostics.lre_residual_max[rows] = np.abs(z - _sum_last(nt * theta_bar[:, None])).max(axis=1)
+    diagnostics.dbar[rows] = zbar - delta[:, None] * theta_bar
 
 
 def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> RunResult:
@@ -874,14 +865,14 @@ def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> 
             if switches:
                 pre_resets = np.stack(list(pre_reset.values()))
                 switch_rows += switches
-                pre_deltas += cascade.grid_row(pre_resets, np.zeros(len(switches)))[0].tolist()
-            _fill_errors(trace, model, lo, panels[:-1], switch_rows, diagnostics)
+                pre_deltas += cascade.grid_row(pre_resets, np.zeros(len(switches)))[1].tolist()
+            _fill_errors(trace, model, cascade, lo, panels[:-1], switch_rows, diagnostics)
             lo = hi
         final_panels = cascade.panels.reshape(layout.mn, n, layout.panel).copy()
         trace.ybar[steps] = trace.y[steps] + held_noise(steps)
-        delta, z = cascade.grid_row(final_panels[None], trace.ybar[steps:])
+        _, delta, z, _ = cascade.grid_row(final_panels[None], trace.ybar[steps:])
         trace.delta[steps], trace.z[steps] = delta[0], z[0]
-        _fill_errors(trace, model, steps, final_panels[None], switch_rows, diagnostics)
+        _fill_errors(trace, model, cascade, steps, final_panels[None], switch_rows, diagnostics)
     trace.switch_times = trace.t[switch_rows].tolist()
     trace.pre_reset_delta = pre_deltas
     events = [

@@ -11,6 +11,7 @@ from dremobs.linalg import (
     Cofactors,
     characteristic_polynomial,
     det_adjugate_batch,
+    det_adjugate_rows,
     hurwitz_verdict,
     routh_verdict,
     unit_disc_verdict,
@@ -162,6 +163,20 @@ class TestFastPath:
             one_det, one_adj = det_adjugate_batch(ms[k : k + 1])
             assert one_det.tobytes() == dets[k : k + 1].tobytes()
             assert one_adj.tobytes() == adjs[k : k + 1].tobytes()
+
+    def test_fewer_rows_carry_the_full_adjugate_bits(self):
+        # The law mixes with m adjugate rows of an (R, S, k, k) stack, every
+        # other caller with all k: the determinant and the shared rows keep
+        # their bits whatever the row count and the stack's shape.
+        rng = np.random.default_rng(23)
+        for k in range(1, 9):
+            ms = rng.normal(size=(3, 4, k, k))
+            dets, adjs = det_adjugate_batch(ms.reshape(12, k, k))
+            for rows in range(1, k + 1):
+                det_rows, adj_rows = det_adjugate_rows(ms, rows)
+                assert adj_rows.shape == (3, 4, rows, k)
+                assert det_rows.reshape(12).tobytes() == dets.tobytes()
+                assert adj_rows.reshape(12, rows, k).tobytes() == adjs[:, :rows].tobytes()
 
     def test_batched_det_small_matches_lapack(self):
         # LAPACK serves only as an oracle here; the library never calls it.

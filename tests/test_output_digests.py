@@ -55,6 +55,27 @@ class TestCompare:
         ]
 
 
+class TestLeafChanges:
+    def test_each_differing_leaf_by_its_path(self):
+        parent = {"checks": [{"name": "a", "value": 3.4817e-13}, {"name": "b", "value": 1.0}], "ok": True}
+        change = {"checks": [{"name": "a", "value": 3.5527e-13}, {"name": "b", "value": 1.0}], "ok": True}
+        assert output_digests.leaf_changes(parent, change) == ["checks[0].value: 3.4817e-13 -> 3.5527e-13"]
+
+    def test_keys_and_entries_on_one_side_show_missing(self):
+        parent = {"a": [1, 2], "b": {"c": "x"}}
+        change = {"a": [1], "d": None}
+        assert output_digests.leaf_changes(parent, change) == [
+            "a[1]: 2 -> <missing>",
+            'b: {"c": "x"} -> <missing>',
+            "d: <missing> -> null",
+        ]
+
+    def test_leaves_compare_by_their_json_text(self):
+        # 1 and 1.0 print differently; NaN equals NaN in the file's text.
+        changes = output_digests.leaf_changes({"n": 1, "v": float("nan")}, {"n": 1.0, "v": float("nan")})
+        assert changes == ["n: 1 -> 1.0"]
+
+
 class TestMain:
     """``main`` with the export and the CLI runs replaced by fakes."""
 
@@ -73,7 +94,9 @@ class TestMain:
                     text += " altered"
                 (out / name).write_text(text)
             report = "verify_report.json" if args[0] == "verify" else "summary.json"
-            write_json(out / report, {"elapsed_seconds": len(calls), "run": out.name})
+            value = 0.5 if side == "change" and f"{out.name}/{report}" == changed else 0.25
+            checks = [{"name": "a", "value": 1.0}, {"name": "b", "value": value}]
+            write_json(out / report, {"elapsed_seconds": len(calls), "run": out.name, "checks": checks})
 
         monkeypatch.setattr(output_digests, "export_tree", lambda rev, dest: None)
         monkeypatch.setattr(output_digests, "run_cli", fake_run)
@@ -96,4 +119,12 @@ class TestMain:
         assert code == 1
         assert [line for line in lines if not line.endswith(": same")] == [
             "robust-seed1/mode.svg: DIFFERS"
+        ]
+
+    def test_an_altered_report_lists_its_differing_leaves(self, monkeypatch, capsys):
+        code, _, lines = self.run_main(monkeypatch, capsys, changed="verify/verify_report.json")
+        assert code == 1
+        assert [line for line in lines if not line.endswith(": same")] == [
+            "verify/verify_report.json: DIFFERS",
+            "  checks[1].value: 0.25 -> 0.5",
         ]

@@ -251,13 +251,15 @@ class TestChuaPreset:
             ({"true_params": np.zeros((3, 6))}, r"^true_params: m \+ n = 9 exceeds"),
             ({"true_params": np.zeros((2, 2))}, r"^switching\.regions: 3 regions for 2 parameter"),
             ({"psi": lambda y, u: np.zeros((3, 3))}, r"^psi: must map floats"),
+            ({"c": ["1", "0", "0"]}, r"^c: expected an array of numbers"),
+            ({"c": [True, False, False]}, r"^c: expected an array of numbers"),
         ],
         ids=["a-not-square", "a-ragged", "b-length", "c-nan", "x0-shape", "params-flat",
-             "m+n-9", "regions-count", "psi-shape"],
+             "m+n-9", "regions-count", "psi-shape", "c-strings", "c-bools"],
     )
     def test_field_errors_name_the_field(self, fields, match):
         # A wrong shape used to raise DimensionError, a ragged or non-finite
-        # array a bare ValueError.
+        # array a bare ValueError; strings and bools used to load as numbers.
         with pytest.raises(ConfigurationError, match=match):
             replace(chua_preset(), **fields)
 

@@ -26,6 +26,7 @@ from dremobs.plant import (
 from dremobs.sim import StepConfig, run_experiment
 from dremobs.trace import trace_to_string
 from dremobs.verification import (
+    MIXING_REL_TOL,
     check_decomposition,
     check_freeze,
     check_lre,
@@ -99,6 +100,16 @@ class TestStepConfig:
                 StepConfig(1e-3, 1.0, start_time=bad)
             with pytest.raises(ConfigurationError, match=r"^end_time: must be finite"):
                 StepConfig(1e-3, bad)
+        # A field that is not a real number, a bool included, is named.
+        for fields, field in (
+            ({"step_size": "0.1", "end_time": 1.0}, "step_size"),
+            ({"step_size": 0.1, "end_time": None}, "end_time"),
+            ({"step_size": True, "end_time": 0.01}, "step_size"),
+            ({"step_size": 0.1, "end_time": 1.0, "start_time": False}, "start_time"),
+            ({"step_size": 0.1, "end_time": np.bool_(True)}, "end_time"),
+        ):
+            with pytest.raises(ConfigurationError, match=rf"^{field}: must be a real number, got "):
+                StepConfig(**fields)
 
     def test_trace_row_limit(self):
         # Rows count the start row: 10^7 - 1 steps are the most allowed.
@@ -236,6 +247,12 @@ class TestRunSimulation:
     def test_wrong_gain_count_rejected(self):
         with pytest.raises(ConfigurationError, match="filter_gains: .*m \\+ n = 5"):
             chua_experiment(1.0, filter_gains=CHUA_FILTER_GAINS[:4])
+
+    @pytest.mark.parametrize("gamma", [["10", "10", "10"], [True, True, True]], ids=["strings", "bools"])
+    def test_gamma_of_strings_or_bools_rejected(self, gamma):
+        # Such entries used to load as 10.0 and 1.0.
+        with pytest.raises(ConfigurationError, match=r"^gamma: expected an array of numbers"):
+            chua_experiment(1.0, gamma=gamma)
 
     def test_sigma_constant_between_events(self, short_ideal_run):
         trace = short_ideal_run.trace
@@ -495,8 +512,8 @@ class TestLoopMatchesPublicOperations:
         seen = []
         mix = sim._Cascade.mix
 
-        def spy(cascade, rows, ybar):
-            delta, zf, zbar = mix(cascade, rows, ybar)
+        def spy(cascade, rows, ybar, *mixed):
+            delta, zf, zbar = mix(cascade, rows, ybar, *mixed)
             if rows.shape[2] == 4:  # the law mixes four stages, a grid row the first alone
                 seen.append((delta[:, 0].copy(), zf[:, 0].copy()))
             return delta, zf, zbar
@@ -762,6 +779,22 @@ class TestRegressionBank:
 
         monkeypatch.setattr(sim, "_Cascade", Perturbed)
         assert not check_decomposition(run_experiment(cfg, collect_diagnostics=True)).passed
+
+    def test_mixing_oracle_reads_the_law_mixing(self, monkeypatch):
+        # The diagnostics mix through the cascade's own ``mix``, so a mixed
+        # vector offset there breaks adj(N) z = delta theta_bar.  The offset
+        # is ten times the oracle's tolerance: while delta is near zero, an
+        # offset of the tolerance itself scores the tolerance, up to rounding.
+        cfg = chua_experiment(0.05)
+        assert check_mixing(run_experiment(cfg, collect_diagnostics=True)).passed
+
+        class Perturbed(sim._Cascade):
+            def mix(self, rows, ybar, *mixed):
+                delta, zf, zbar = super().mix(rows, ybar, *mixed)
+                return delta, zf, zbar + 10.0 * MIXING_REL_TOL
+
+        monkeypatch.setattr(sim, "_Cascade", Perturbed)
+        assert not check_mixing(run_experiment(cfg, collect_diagnostics=True)).passed
 
 
 def assert_plant_columns_equal(res, model, noise, h, steps, t0=0.0):

@@ -14,15 +14,19 @@ In that tree and in this checkout it runs, each into a directory of its own:
 It then compares the sha256 of every artifact the runs wrote (``trace.csv``,
 every SVG, ``summary.json`` and ``verify_report.json``), with the run's
 ``elapsed_seconds`` removed from the JSON files, and prints one line per
-artifact: ``same``, ``DIFFERS`` or ``MISSING`` on one side.  The exit code is
-1 when any artifact differs or is missing on one side, else 0.  The export
-is removed when the script ends.
+artifact: ``same``, ``DIFFERS`` or ``MISSING`` on one side.  Under a JSON
+artifact that differs it prints each differing leaf as
+``path: parent -> change``, for example
+``checks[1].value: 3.4817e-13 -> 3.5527e-13``.  The exit code is 1 when any
+artifact differs or is missing on one side, else 0.  The export is removed
+when the script ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -32,6 +36,9 @@ import tempfile
 from pathlib import Path
 
 from bench_pairs import ROOT, export_tree
+
+# Stands for a key or list entry that one side of a comparison lacks.
+_MISSING = object()
 
 # Output directory name and CLI arguments of every run.
 RUNS = {
@@ -66,14 +73,42 @@ def _without_elapsed(value):
     return value
 
 
+def _canonical(path: Path):
+    """A JSON file's value without ``elapsed_seconds``."""
+    return _without_elapsed(json.loads(path.read_bytes()))
+
+
 def digest(path: Path) -> str:
     """sha256 of a file's bytes; of a JSON file, of its canonical text
     without ``elapsed_seconds``."""
     data = path.read_bytes()
     if path.suffix == ".json":
-        canonical = _without_elapsed(json.loads(data))
-        data = json.dumps(canonical, indent=2, sort_keys=True).encode("ascii")
+        data = json.dumps(_canonical(path), indent=2, sort_keys=True).encode("ascii")
     return hashlib.sha256(data).hexdigest()
+
+
+def _shown(value) -> str:
+    """A JSON leaf as its text, or ``<missing>``."""
+    return "<missing>" if value is _MISSING else json.dumps(value)
+
+
+def leaf_changes(parent, change, path: str = "") -> list[str]:
+    """``path: parent -> change`` for every leaf whose JSON text differs
+    between two JSON values, in key and index order; a leaf on one side
+    only shows ``<missing>`` on the other."""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        children = [
+            (f"{path}.{key}" if path else key, parent.get(key, _MISSING), change.get(key, _MISSING))
+            for key in sorted(parent.keys() | change.keys())
+        ]
+    elif isinstance(parent, list) and isinstance(change, list):
+        pairs = itertools.zip_longest(parent, change, fillvalue=_MISSING)
+        children = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(pairs)]
+    elif _shown(parent) == _shown(change):
+        return []
+    else:
+        return [f"{path}: {_shown(parent)} -> {_shown(change)}"]
+    return [line for child, a, b in children for line in leaf_changes(a, b, child)]
 
 
 def tree_digests(tree: Path, out: Path) -> dict[str, str]:
@@ -107,16 +142,18 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     args = parser.parse_args(argv)
     scratch = Path(tempfile.mkdtemp(prefix="output-digests-"))
+    parent_out, change_out = scratch / "parent-out", scratch / "change-out"
     try:
         parent_tree = scratch / "parent"
         export_tree(args.parent, parent_tree)
-        parent = tree_digests(parent_tree, scratch / "parent-out")
-        change = tree_digests(ROOT, scratch / "change-out")
+        lines = compare(tree_digests(parent_tree, parent_out), tree_digests(ROOT, change_out))
+        for name, verdict in lines:
+            print(f"{name}: {verdict}")
+            if verdict == "DIFFERS" and name.endswith(".json"):
+                for leaf in leaf_changes(_canonical(parent_out / name), _canonical(change_out / name)):
+                    print(f"  {leaf}")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    lines = compare(parent, change)
-    for name, verdict in lines:
-        print(f"{name}: {verdict}")
     return 0 if all(verdict == "same" for _, verdict in lines) else 1
 
 
