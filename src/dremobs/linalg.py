@@ -9,6 +9,12 @@ determinant routinely passes through zero.  One routine,
 ``det_adjugate_rows``, computes the determinant and the adjugate rows for
 every caller: the adaptation law, the trace's grid rows, the diagnostics
 and ``det_adjugate_batch``.
+
+The mixing evaluates into storage its caller owns: a caller that mixes
+chunk after chunk allocates it once (``mixing_storage``) and passes it to
+every call, and a one-shot call gets fresh storage from the same code.
+The module keeps no buffer of its own, so two runs never share storage and
+a run's storage goes with it.
 """
 
 from __future__ import annotations
@@ -88,6 +94,11 @@ class Cofactors:
     expansion whichever other cells are asked for, so its bits do not
     depend on the cell list.  Singular inputs are fine; identical rows
     give exact zeros.
+
+    An evaluation works in one flat float64 array: the slot buffer, then
+    the scratch of the left factors, which also receives the products, and
+    that of the right factors.  ``floats(count)`` is its length for a stack
+    of ``count`` matrices; a longer array serves any smaller stack.
     """
 
     def __init__(self, k: int, cells: list[tuple[int, int]]):
@@ -95,29 +106,49 @@ class Cofactors:
             raise ValueError(f"matrix side {k} outside the supported range 1..{MAX_SIDE}")
         self.k = k
         self._size, self._levels, self._out, self._signs = _minor_tables(k, cells)
+        # Minors of the largest level: the rows of each operand scratch.
+        self._widest = max((left.shape[1] for _, _, left, _, _ in self._levels), default=0)
 
-    def __call__(self, matrices: np.ndarray) -> np.ndarray:
+    def floats(self, count: int) -> int:
+        """Length of the storage that evaluates a stack of ``count``
+        matrices."""
+        return (self._size + 2 * self._widest) * count
+
+    def __call__(self, matrices: np.ndarray, storage: np.ndarray | None = None) -> np.ndarray:
         """Cofactors of a (k, k) matrix or a (..., k, k) stack, shape
-        (..., len(cells))."""
+        (..., len(cells)), evaluated in ``storage`` (a contiguous float64
+        array of at least ``floats(count)`` entries) or in fresh storage."""
         k = self.k
         batch = matrices.shape[:-2]
+        count = math.prod(batch)
+        if storage is None:
+            storage = np.empty(self.floats(count))
+        elif storage.size < self.floats(count):
+            raise ValueError(f"storage of {storage.size} floats, {self.floats(count)} needed")
+        size, widest = self._size * count, self._widest * count
         # Minors along the first axis, so every gather copies whole rows.
-        buf = np.empty((self._size,) + batch)
+        buf = storage[:size].reshape((self._size,) + batch)
         buf[0] = 1.0
-        buf[1 : 1 + k * k] = np.moveaxis(matrices.reshape(batch + (k * k,)), -1, 0)
+        buf[1 : 1 + k * k].reshape((k, k) + batch)[...] = np.moveaxis(matrices, (-2, -1), (0, 1))
         for start, stop, left, right, signs in self._levels:
+            # A term's factors are gathered into the scratch (mode "raise"
+            # would copy them first) and its product overwrites the left ones.
+            used = left.shape[1] * count
+            lhs = storage[size : size + used].reshape(left.shape[1:] + batch)
+            rhs = storage[size + widest : size + widest + used].reshape(lhs.shape)
+            level = buf[start:stop]
             # Term by term, so every member of a stack is summed in the same
             # order whatever the stack's shape.
-            level = buf[start:stop]
-            np.multiply(buf[left[0]], buf[right[0]], out=level)
-            if signs[0] < 0.0:
-                np.negative(level, out=level)
-            for term in range(1, len(signs)):
-                prod = buf[left[term]] * buf[right[term]]
-                if signs[term] > 0.0:
-                    level += prod
+            for term, sign in enumerate(signs):
+                np.take(buf, left[term], axis=0, out=lhs, mode="clip")
+                np.take(buf, right[term], axis=0, out=rhs, mode="clip")
+                if term == 0:
+                    np.multiply(lhs, rhs, out=level)
+                    if sign < 0.0:
+                        np.negative(level, out=level)
                 else:
-                    level -= prod
+                    np.multiply(lhs, rhs, out=lhs)
+                    (np.add if sign > 0.0 else np.subtract)(level, lhs, out=level)
         return np.moveaxis(buf[self._out], 0, -1) * self._signs
 
 
@@ -133,11 +164,19 @@ def _sum_last(terms: np.ndarray) -> np.ndarray:
 def _mixing_cofactors(k: int, rows: int) -> Cofactors:
     """The cofactors of k x k matrices that ``det_adjugate_rows`` reads:
     those of the first ``rows`` columns, column by column, then the rest of
-    the first row."""
+    the first row.  Only the tables are cached, never storage."""
     return Cofactors(k, [(i, j) for j in range(rows) for i in range(k)] + [(0, j) for j in range(rows, k)])
 
 
-def det_adjugate_rows(matrices: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+def mixing_storage(k: int, rows: int, count: int) -> np.ndarray:
+    """Fresh storage for ``det_adjugate_rows`` with ``rows`` rows on stacks
+    of up to ``count`` k x k matrices."""
+    return np.empty(_mixing_cofactors(k, rows).floats(count))
+
+
+def det_adjugate_rows(
+    matrices: np.ndarray, rows: int, storage: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Determinants (...,) and the first ``rows`` rows of the adjugates
     (..., rows, k) of a (..., k, k) stack, division-free.
 
@@ -148,9 +187,14 @@ def det_adjugate_rows(matrices: np.ndarray, rows: int) -> tuple[np.ndarray, np.n
     terms summed in index order, so adj(M) @ M - det(M) * I stays at
     rounding level even for singular members, and a member's bits depend
     neither on its stack nor on ``rows``.
+
+    The evaluation runs in ``storage`` from ``mixing_storage(k, rows,
+    count)`` for some count at least the stack's size, or in fresh storage
+    without it; the bits are the same either way, and the results never
+    share memory with the storage.
     """
     k = matrices.shape[-1]
-    cof = _mixing_cofactors(k, rows)(matrices)
+    cof = _mixing_cofactors(k, rows)(matrices, storage)
     adjugate = cof[..., : rows * k].reshape(cof.shape[:-1] + (rows, k))
     first_row = np.concatenate((adjugate[..., 0], cof[..., rows * k :]), axis=-1)
     return _sum_last(matrices[..., 0, :] * first_row), adjugate

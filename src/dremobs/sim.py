@@ -87,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, GainStabilityError, SimulationAbort
-from .linalg import _sum_last, det_adjugate_rows, hurwitz_verdict, unit_disc_verdict
+from .linalg import _sum_last, det_adjugate_rows, hurwitz_verdict, mixing_storage, unit_disc_verdict
 from .plant import (
     NoiseSpec,
     PlantModel,
@@ -129,6 +129,10 @@ class StepConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigurationError(f"{name}: must be a real number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigurationError(f"{name}: must be finite, got a number beyond the float range") from None
         if not (self.step_size > 0.0 and math.isfinite(self.step_size)):
             raise ConfigurationError("step_size: must be positive and finite")
         for name in ("start_time", "end_time"):
@@ -581,11 +585,19 @@ class _Cascade:
     and only the recurrences themselves run step by step.  The filter bank
     at the last grid row reached is kept between chunks; the estimates,
     accumulators and observer state start each chunk from the trace's row.
+
+    The chunk workspace is allocated once per run, for chunks of up to
+    ``chunk`` = min(CHUNK, steps) steps, and every chunk writes into views
+    of it: the bank's [z; d] buffer, whose drive columns beyond xu and
+    upsilon are written once, as zeros; the stage forcings; and the
+    mixing's storage.  Under an allocator that maps every large block,
+    buffers allocated afresh each chunk would be new mappings, and
+    page-fault again wherever they are first written.
     """
 
     def __init__(self, cfg: ExperimentConfig, layout: StateLayout):
         model, h = cfg.model, cfg.step.step_size
-        n, mn = layout.n, layout.mn
+        n, m, mn = layout.n, layout.m, layout.mn
         # Unit j's closed loop A - g_j c and the observer's, with their
         # stage polynomials M_s - I and step polynomials P - I, as the
         # config screened them.
@@ -606,16 +618,21 @@ class _Cascade:
         for s, off in enumerate(stage_off, start=1):
             self.crow_stages[:, s] = model.c + model.c @ off[:mn]
         self.crow = model.c[None]
+        self.chunk = chunk = min(CHUNK, cfg.step.num_steps)
+        self.bank = np.zeros((chunk + 1, 2 * mn * n, layout.panel))
+        # Flat, so a shorter last chunk views a contiguous prefix.
+        self.forcing = np.empty(4 * mn * n * chunk * (1 + m))
+        self.mixing = mixing_storage(mn, m, 4 * chunk)
 
-    def mix(self, rows: np.ndarray, ybar: np.ndarray, mixed: int | None = None):
+    def mix(self, rows: np.ndarray, ybar: np.ndarray, mixed: int, storage: np.ndarray | None = None):
         """Mix S stages' regressor stacks, rows c M_s F (R, m+n, S, panel),
         at measured outputs ``ybar`` (R, S): the determinant (R, S), the
         regressions ybar - c M_s xu (R, S, m+n) and the first ``mixed``
-        components of adj(N) z (R, S, mixed), by default the m the law
-        adapts."""
+        components of adj(N) z (R, S, mixed), in the mixing ``storage`` or
+        in fresh storage."""
         nt = rows[..., 1:].transpose(0, 2, 1, 3)
         zf = ybar[:, :, None] - rows[..., 0].transpose(0, 2, 1)
-        delta, adjugate = det_adjugate_rows(nt, mixed or self.layout.m)
+        delta, adjugate = det_adjugate_rows(nt, mixed, storage)
         return delta, zf, _sum_last(adjugate * zf[..., None, :])
 
     def grid_row(self, panels: np.ndarray, ybar: np.ndarray):
@@ -648,8 +665,8 @@ class _Cascade:
         hi = lo + steps
 
         # Filter bank: stage forcings of the xu and upsilon columns.
-        forcing = np.empty((4, mn, n, steps, c1))
-        forcing[..., 0] = self.gains[None, :, :, None] * ybar.T[:, None, None, :]
+        forcing = self.forcing[: 4 * mn * n * steps * c1].reshape(4, mn, n, steps, c1)
+        np.multiply(self.gains[None, :, :, None], ybar.T[:, None, None, :], out=forcing[..., 0])
         if self.has_b:
             forcing[..., 0] += (self.b[:, None] * u.T[:, None, :])[:, None]
         forcing[..., 1:] = psi.transpose(1, 2, 0, 3)[:, None]
@@ -657,7 +674,7 @@ class _Cascade:
             h, lambda s, z: _matmul_ew(self.acl, z), forcing.reshape(4, mn, n, steps * c1)
         )
         units = mn * n
-        bank = np.zeros((steps + 1, 2 * units, lay.panel))
+        bank = self.bank[: steps + 1]
         bank[:steps, units:, :c1] = step_off.reshape(units, steps, c1).transpose(1, 0, 2)
         bank[0, :units] = self.panels
         pre_reset = _recur(self.bank_step, bank, resets, self.template)
@@ -666,9 +683,9 @@ class _Cascade:
 
         # Mixing over every stage of every step.
         rows = _matmul_ew(self.crow_stages, fs[:steps])
-        coff = _matmul_ew(self.crow, np.stack(offsets))
-        rows[:, :, 1:, :c1] += coff.reshape(3, mn, steps, c1).transpose(2, 1, 0, 3)
-        delta, zf, zbar = self.mix(rows, ybar)
+        for s, off in enumerate(offsets, start=1):
+            rows[:, :, s, :c1] += _matmul_ew(self.crow, off).reshape(mn, steps, c1).transpose(1, 0, 2)
+        delta, zf, zbar = self.mix(rows, ybar, m, self.mixing)
         trace.z[lo:hi], trace.delta[lo:hi] = zf[:, 0], delta[:, 0]
 
         # Gated adaptation: theta_i <- theta_i + (g theta_i + beta) on the
@@ -846,7 +863,7 @@ def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         lo = 0
         while lo < steps:
-            hi, y, u, switches = plant.advance(trace, lo, min(lo + CHUNK, steps))
+            hi, y, u, switches = plant.advance(trace, lo, min(lo + cascade.chunk, steps))
             # Measured outputs of the steps reached, noise held per step.
             ybar = y + held_noise(np.arange(lo, hi))[:, None]
             trace.ybar[lo:hi] = ybar[:, 0]

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dremobs.linalg import (
+    MAX_SIDE,
     Cofactors,
     characteristic_polynomial,
     det_adjugate_batch,
     det_adjugate_rows,
     hurwitz_verdict,
+    mixing_storage,
     routh_verdict,
     unit_disc_verdict,
 )
@@ -191,6 +193,81 @@ class TestFastPath:
         row = np.array([0.0, 0.0, 1.0, 0.0])
         m = np.tile(row, (4, 1))
         assert det_adjugate_batch(m[None])[0][0] == 0.0
+
+
+def special_values(rng, shape):
+    """Normal entries with NaN, infinities and zeros of both signs mixed in."""
+    ms = rng.normal(size=shape)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    picked = rng.random(shape) < 0.2
+    ms[picked] = rng.choice(specials, size=int(picked.sum()))
+    return ms
+
+
+class TestStorage:
+    """Mixing into storage the caller owns and reuses, against fresh
+    evaluations of the same stacks."""
+
+    def fresh_and_reused(self, ms, rows, storage):
+        fresh = det_adjugate_rows(ms, rows)
+        reused = det_adjugate_rows(ms, rows, storage)
+        for array in reused:
+            assert not np.shares_memory(array, storage)
+        return fresh, reused
+
+    def assert_same_bits(self, fresh, reused):
+        for a, b in zip(fresh, reused):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_successive_shapes_and_row_counts_share_one_storage(self):
+        # One array, sized for the largest call, serves every batch shape
+        # and row count in turn; each call starts over whatever the last
+        # one left in it.
+        rng = np.random.default_rng(29)
+        k = 5
+        storage = np.full(max(mixing_storage(k, rows, 24).size for rows in range(1, k + 1)), np.nan)
+        for shape in [(24,), (2, 3), (4, 1, 6), (1,), (3, 8), (12,)]:
+            for rows in (2, k, 1, 3):
+                ms = rng.normal(size=shape + (k, k))
+                self.assert_same_bits(*self.fresh_and_reused(ms, rows, storage))
+
+    def test_a_batch_smaller_than_the_storage(self):
+        rng = np.random.default_rng(31)
+        for k in range(1, MAX_SIDE + 1):
+            storage = mixing_storage(k, 2 if k > 1 else 1, 40)
+            for count in (1, 7, 40):
+                ms = rng.normal(size=(count, k, k))
+                self.assert_same_bits(*self.fresh_and_reused(ms, min(2, k), storage))
+
+    def test_nan_inf_and_signed_zeros(self):
+        rng = np.random.default_rng(37)
+        storage = mixing_storage(5, 2, 4 * 16)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for _ in range(5):
+                ms = special_values(rng, (16, 4, 5, 5))
+                fresh, reused = self.fresh_and_reused(ms, 2, storage)
+                self.assert_same_bits(fresh, reused)
+        assert not np.isfinite(fresh[0]).all()
+        # A matrix of signed zeros keeps the signs of its fresh evaluation.
+        zeros = np.where(rng.random((3, 5, 5)) < 0.5, -0.0, 0.0)
+        self.assert_same_bits(*self.fresh_and_reused(zeros, 2, storage))
+
+    def test_a_call_after_a_non_finite_batch_is_unaffected(self):
+        rng = np.random.default_rng(41)
+        ms = rng.normal(size=(8, 4, 5, 5))
+        storage = mixing_storage(5, 2, ms.shape[0] * ms.shape[1])
+        clean = det_adjugate_rows(ms, 2, storage)
+        with np.errstate(invalid="ignore", over="ignore"):
+            det_adjugate_rows(np.full(ms.shape, np.nan), 2, storage)
+            det_adjugate_rows(special_values(rng, ms.shape), 2, storage)
+        self.assert_same_bits(clean, det_adjugate_rows(ms, 2, storage))
+        self.assert_same_bits(clean, det_adjugate_rows(ms, 2))
+
+    def test_too_small_a_storage_is_rejected(self):
+        ms = np.eye(4)[None].repeat(3, axis=0)
+        with pytest.raises(ValueError, match="needed"):
+            det_adjugate_rows(ms, 4, mixing_storage(4, 4, 2))
 
 
 def bracket_real_root(coeffs, lo=-1e4, hi=0.0, iters=200):

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -79,28 +80,36 @@ class TestLeafChanges:
 class TestMain:
     """``main`` with the export and the CLI runs replaced by fakes."""
 
-    def run_main(self, monkeypatch, capsys, changed=None):
+    def run_main(self, monkeypatch, capsys, changed=None, cores=None, kernel_calls=None):
         calls = []
 
-        def fake_run(tree, args, out):
+        def fake_run(tree, args, out, kernel=None):
             # Every run writes a trace, a panel and its JSON with a fresh
-            # elapsed time; ``changed`` names an artifact the change alters.
+            # elapsed time; ``changed`` names an artifact the change alters,
+            # under a forced kernel prefixed with the kernel's name.
             calls.append((tree == output_digests.ROOT, args[0]))
+            if kernel_calls is not None:
+                kernel_calls.append(kernel)
             out.mkdir(parents=True)
             side = "change" if tree == output_digests.ROOT else "parent"
+            label = "" if kernel is None else f"{kernel}/"
             for name in ("trace.csv", "mode.svg"):
                 text = f"{name} of {out.name}"
-                if side == "change" and f"{out.name}/{name}" == changed:
+                if side == "change" and f"{label}{out.name}/{name}" == changed:
                     text += " altered"
                 (out / name).write_text(text)
             report = "verify_report.json" if args[0] == "verify" else "summary.json"
-            value = 0.5 if side == "change" and f"{out.name}/{report}" == changed else 0.25
+            value = 0.5 if side == "change" and f"{label}{out.name}/{report}" == changed else 0.25
             checks = [{"name": "a", "value": 1.0}, {"name": "b", "value": value}]
             write_json(out / report, {"elapsed_seconds": len(calls), "run": out.name, "checks": checks})
 
         monkeypatch.setattr(output_digests, "export_tree", lambda rev, dest: None)
         monkeypatch.setattr(output_digests, "run_cli", fake_run)
-        code = output_digests.main(["--parent", "HEAD"])
+        argv = ["--parent", "HEAD"]
+        if cores is not None:
+            monkeypatch.setattr(output_digests, "kernel_core", cores.get)
+            argv.append("--kernels")
+        code = output_digests.main(argv)
         return code, calls, capsys.readouterr().out.splitlines()
 
     def test_identical_artifacts_exit_0(self, monkeypatch, capsys):
@@ -128,3 +137,64 @@ class TestMain:
             "verify/verify_report.json: DIFFERS",
             "  checks[1].value: 0.25 -> 0.5",
         ]
+
+
+class TestKernels:
+    """``main --kernels`` with the kernel probe replaced by a table of the
+    core names a host reports."""
+
+    # Every kernel runs; Prescott reports the Katmai core.
+    ALL = {"SkylakeX": "SkylakeX", "Haswell": "Haswell", "Sandybridge": "Sandybridge",
+           "Nehalem": "Nehalem", "Prescott": "Katmai"}
+
+    def test_every_kernel_is_compared_under_its_name(self, monkeypatch, capsys):
+        kernels = []
+        code, _, lines = TestMain().run_main(monkeypatch, capsys, cores=self.ALL, kernel_calls=kernels)
+        assert code == 0
+        runs = len(output_digests.RUNS)
+        # The host's own kernel first, then each forced one, on both sides.
+        assert kernels == [k for k in [None, *output_digests.KERNELS] for _ in range(2 * runs)]
+        assert len(lines) == 3 * runs * 6 and all(line.endswith(": same") for line in lines)
+        assert "ideal/trace.csv: same" in lines
+        assert "Prescott/verify/verify_report.json: same" in lines
+
+    def test_a_kernel_the_host_cannot_run_is_unavailable(self, monkeypatch, capsys):
+        # The probe failed under SkylakeX, and under Haswell OpenBLAS fell
+        # back to another core: neither kernel is compared.
+        cores = dict(self.ALL, Haswell="Sandybridge")
+        del cores["SkylakeX"]
+        kernels = []
+        code, _, lines = TestMain().run_main(monkeypatch, capsys, cores=cores, kernel_calls=kernels)
+        assert code == 0
+        assert "SkylakeX: unavailable" in lines and "Haswell: unavailable" in lines
+        assert "SkylakeX" not in kernels and "Haswell" not in kernels
+        assert not any(line.startswith(("SkylakeX/", "Haswell/")) for line in lines)
+        assert any(line.startswith("Nehalem/") for line in lines)
+
+    def test_an_artifact_differing_under_one_kernel_exits_1(self, monkeypatch, capsys):
+        code, _, lines = TestMain().run_main(
+            monkeypatch, capsys, changed="Nehalem/robust-seed7/summary.json", cores=self.ALL
+        )
+        assert code == 1
+        assert [line for line in lines if not line.endswith(": same")] == [
+            "Nehalem/robust-seed7/summary.json: DIFFERS",
+            "  checks[1].value: 0.25 -> 0.5",
+        ]
+
+    def test_the_probe_reads_the_forced_core(self, monkeypatch):
+        # The probe runs with OPENBLAS_CORETYPE set; a failed probe (a
+        # kernel whose instructions the CPU lacks) or one without a core
+        # name reports none.
+        seen = []
+
+        def fake_run(cmd, env, **kwargs):
+            seen.append(env["OPENBLAS_CORETYPE"])
+            outcome = {"Prescott": (0, "Katmai\n"), "SkylakeX": (-4, ""), "Nehalem": (0, "")}
+            code, out = outcome[env["OPENBLAS_CORETYPE"]]
+            return SimpleNamespace(returncode=code, stdout=out)
+
+        monkeypatch.setattr(output_digests.subprocess, "run", fake_run)
+        assert output_digests.kernel_core("Prescott") == "Katmai"
+        assert output_digests.kernel_core("SkylakeX") is None
+        assert output_digests.kernel_core("Nehalem") is None
+        assert seen == ["Prescott", "SkylakeX", "Nehalem"]

@@ -1,6 +1,11 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +41,8 @@ from dremobs.verification import (
 
 import reference
 from conftest import chua_experiment, experiment
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # Hypothesis phases of the tests over ``small_switched_cases``: no shrink
@@ -100,6 +107,15 @@ class TestStepConfig:
                 StepConfig(1e-3, 1.0, start_time=bad)
             with pytest.raises(ConfigurationError, match=r"^end_time: must be finite"):
                 StepConfig(1e-3, bad)
+        # So is an integer beyond the float range, which math.isfinite
+        # cannot convert.
+        for fields, field in (
+            ((1e-3, 10**400), "end_time"),
+            ((10**400, 1.0), "step_size"),
+            ((1e-3, 1.0, -(10**400)), "start_time"),
+        ):
+            with pytest.raises(ConfigurationError, match=rf"^{field}: must be finite"):
+                StepConfig(*fields)
         # A field that is not a real number, a bool included, is named.
         for fields, field in (
             ({"step_size": "0.1", "end_time": 1.0}, "step_size"),
@@ -320,6 +336,41 @@ class TestRunSimulation:
 
         growth = peak(4.0) - peak(1.0)
         assert growth / 3000 < 64 * 8
+
+    def test_chunks_write_into_one_workspace(self):
+        # perfbench's bootstrap fixes glibc's mmap threshold at 128 KiB, so
+        # every block that large is a new mapping whose pages fault when
+        # first written.  Chunk buffers allocated afresh every chunk (the
+        # bank, the forcings, the mixing) took about 3.2 minor faults a
+        # grid step; one workspace per run leaves the trace's own pages
+        # (0.06 a step) and the workspace's, paid once.
+        try:
+            import resource  # noqa: F401  (Unix only)
+
+            ctypes.CDLL(None).mallopt
+        except (ImportError, OSError, TypeError, AttributeError):
+            pytest.skip("no glibc mallopt")
+        probe = f"""
+import ctypes, resource, sys
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import bootstrap
+mallopt = ctypes.CDLL(None).mallopt
+mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+mallopt(bootstrap.M_MMAP_THRESHOLD, bootstrap.MMAP_THRESHOLD_BYTES)  # before numpy loads
+import dremobs as d
+from dremobs.plant import CHUA_FILTER_GAINS, CHUA_OBSERVER_GAIN
+cfg = d.ExperimentConfig(
+    model=d.chua_preset(), filter_gains=CHUA_FILTER_GAINS, observer_gain=CHUA_OBSERVER_GAIN,
+    step=d.StepConfig(1e-3, 2.0), noise=d.chua_robust_noise(seed=7),
+)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+d.run_experiment(cfg)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cfg.step.num_steps)
+"""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert float(proc.stdout) <= 0.5
 
     def test_different_seeds_differ(self):
         # The seed drives only the measurement noise, which the plant never

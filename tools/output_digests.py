@@ -2,7 +2,7 @@
 checkout.
 
 Usage:
-    python3 tools/output_digests.py --parent REV
+    python3 tools/output_digests.py --parent REV [--kernels]
 
 Exports ``REV`` with ``bench_pairs.export_tree`` into a temporary directory.
 In that tree and in this checkout it runs, each into a directory of its own:
@@ -17,9 +17,18 @@ every SVG, ``summary.json`` and ``verify_report.json``), with the run's
 artifact: ``same``, ``DIFFERS`` or ``MISSING`` on one side.  Under a JSON
 artifact that differs it prints each differing leaf as
 ``path: parent -> change``, for example
-``checks[1].value: 3.4817e-13 -> 3.5527e-13``.  The exit code is 1 when any
-artifact differs or is missing on one side, else 0.  The export is removed
-when the script ends.
+``checks[1].value: 3.4817e-13 -> 3.5527e-13``.
+
+With ``--kernels`` it then repeats the comparison under each OpenBLAS kernel
+of ``KERNELS``, forced with ``OPENBLAS_CORETYPE`` on both sides, and prints
+those artifacts under the kernel's name, as ``Haswell/ideal/trace.csv:
+same``.  A probe process first reads OpenBLAS's core name under the forced
+kernel; a kernel the host cannot run (the probe fails, or does not report
+that kernel's core) is printed as ``<kernel>: unavailable`` and not
+compared.
+
+The exit code is 1 when any compared artifact differs or is missing on one
+side, else 0.  The export is removed when the script ends.
 """
 
 from __future__ import annotations
@@ -40,6 +49,29 @@ from bench_pairs import ROOT, export_tree
 # Stands for a key or list entry that one side of a comparison lacks.
 _MISSING = object()
 
+# OPENBLAS_CORETYPE values, each with the core name OpenBLAS reports while
+# it runs that kernel: FMA kernels first, then the non-FMA ones.
+KERNELS = {
+    "SkylakeX": "SkylakeX",
+    "Haswell": "Haswell",
+    "Sandybridge": "Sandybridge",
+    "Nehalem": "Nehalem",
+    "Prescott": "Katmai",
+}
+
+# Prints the core name of the OpenBLAS that numpy loaded, after a matrix
+# product, so a kernel the CPU cannot run fails here.
+CORE_PROBE = """
+import ctypes, pathlib, numpy as np
+np.ones((64, 64)) @ np.ones((64, 64))
+libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+for lib in sorted(libs.glob("*openblas*")):
+    name = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+    if name is not None:
+        name.restype = ctypes.c_char_p
+        print(name().decode())
+"""
+
 # Output directory name and CLI arguments of every run.
 RUNS = {
     "ideal": ["simulate", "--preset", "chua", "--T", "100"],
@@ -49,11 +81,28 @@ RUNS = {
 }
 
 
-def run_cli(tree: Path, args: list[str], out: Path) -> None:
-    """Run ``dremobs ARGS --out OUT`` on the package source of ``tree``.
-    Exit codes 0 and 1 (a check failed) leave artifacts to compare; any
-    other raises RuntimeError."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+def _kernel_env(kernel: str | None) -> dict:
+    """This process's environment, with OpenBLAS forced to ``kernel``."""
+    return dict(os.environ) if kernel is None else dict(os.environ, OPENBLAS_CORETYPE=kernel)
+
+
+def kernel_core(kernel: str) -> str | None:
+    """The core name OpenBLAS reports in a process forced to ``kernel``, or
+    None when that process fails or finds no core name."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CORE_PROBE], env=_kernel_env(kernel), capture_output=True, text=True
+    )
+    if proc.returncode != 0:
+        return None
+    return proc.stdout.strip() or None
+
+
+def run_cli(tree: Path, args: list[str], out: Path, kernel: str | None = None) -> None:
+    """Run ``dremobs ARGS --out OUT`` on the package source of ``tree``,
+    under the OpenBLAS ``kernel`` when one is given.  Exit codes 0 and 1 (a
+    check failed) leave artifacts to compare; any other raises
+    RuntimeError."""
+    env = dict(_kernel_env(kernel), PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "dremobs.cli", *args, "--out", str(out)],
         cwd=tree, env=env, capture_output=True, text=True,
@@ -111,11 +160,12 @@ def leaf_changes(parent, change, path: str = "") -> list[str]:
     return [line for child, a, b in children for line in leaf_changes(a, b, child)]
 
 
-def tree_digests(tree: Path, out: Path) -> dict[str, str]:
-    """Run every run of ``RUNS`` on ``tree`` into ``out``, and return the
-    digest of each artifact by its path relative to ``out``."""
+def tree_digests(tree: Path, out: Path, kernel: str | None = None) -> dict[str, str]:
+    """Run every run of ``RUNS`` on ``tree`` into ``out``, under the
+    OpenBLAS ``kernel`` when one is given, and return the digest of each
+    artifact by its path relative to ``out``."""
     for name, args in RUNS.items():
-        run_cli(tree, args, out / name)
+        run_cli(tree, args, out / name, kernel)
     return {
         path.relative_to(out).as_posix(): digest(path)
         for path in sorted(out.rglob("*"))
@@ -140,21 +190,35 @@ def compare(parent: dict[str, str], change: dict[str, str]) -> list[tuple[str, s
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument(
+        "--kernels", action="store_true", help="repeat the comparison under each OpenBLAS kernel"
+    )
     args = parser.parse_args(argv)
     scratch = Path(tempfile.mkdtemp(prefix="output-digests-"))
-    parent_out, change_out = scratch / "parent-out", scratch / "change-out"
+    verdicts = []
     try:
         parent_tree = scratch / "parent"
         export_tree(args.parent, parent_tree)
-        lines = compare(tree_digests(parent_tree, parent_out), tree_digests(ROOT, change_out))
-        for name, verdict in lines:
-            print(f"{name}: {verdict}")
-            if verdict == "DIFFERS" and name.endswith(".json"):
-                for leaf in leaf_changes(_canonical(parent_out / name), _canonical(change_out / name)):
-                    print(f"  {leaf}")
+        for kernel in [None, *(KERNELS if args.kernels else ())]:
+            if kernel is not None and kernel_core(kernel) != KERNELS[kernel]:
+                print(f"{kernel}: unavailable")
+                continue
+            # Artifacts under a forced kernel are named under the kernel's.
+            label = "" if kernel is None else f"{kernel}/"
+            parent_out = scratch / "parent-out" / (kernel or "default")
+            change_out = scratch / "change-out" / (kernel or "default")
+            lines = compare(
+                tree_digests(parent_tree, parent_out, kernel), tree_digests(ROOT, change_out, kernel)
+            )
+            for name, verdict in lines:
+                print(f"{label}{name}: {verdict}")
+                if verdict == "DIFFERS" and name.endswith(".json"):
+                    for leaf in leaf_changes(_canonical(parent_out / name), _canonical(change_out / name)):
+                        print(f"  {leaf}")
+            verdicts += [verdict for _, verdict in lines]
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    return 0 if all(verdict == "same" for _, verdict in lines) else 1
+    return 0 if all(verdict == "same" for verdict in verdicts) else 1
 
 
 if __name__ == "__main__":
