@@ -125,79 +125,78 @@ def _output_error(exc: OSError, out: Path) -> int:
     return EXIT_CONFIG
 
 
-def _cmd_simulate(args) -> int:
+def _write_json(path: Path, value) -> None:
+    """Write a JSON artifact: indented, keys sorted, one final newline."""
+    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="ascii")
+
+
+def _run(config, out_arg, report, collect_diagnostics: bool = False) -> int:
+    """The path ``simulate`` and ``verify`` share: build the run's config
+    with ``config()``, create the output directory ``out_arg`` unless it is
+    None, run, and return the exit code of ``report(result, out)``, which
+    writes the artifacts and prints.  A config error, an output directory
+    that cannot be created, a runtime abort and an artifact that cannot be
+    written are each printed and end the command with their exit code."""
     try:
-        cfg = _resolve_config(args)
+        cfg = config()
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = _output_dir(args.out)
-    if out is None:
+    out = None if out_arg is None else _output_dir(out_arg)
+    if out_arg is not None and out is None:
         return EXIT_CONFIG
     try:
-        result = run_experiment(cfg)
+        result = run_experiment(cfg, collect_diagnostics=collect_diagnostics)
     except SimulationAbort as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
-    trace_path = out / "trace.csv"
-    summary = summarize(result)
     try:
-        write_trace(result.trace, trace_path)
-        (out / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="ascii"
-        )
-        if not args.no_plots:
-            render_trace_plots(result.trace, out)
+        return report(result, out)
     except OSError as exc:
         return _output_error(exc, out)
-    print(f"trace: {trace_path}")
-    print(f"mode: {summary['mode']}  seed: {summary['seed']}  switches: {summary['switch_count']}")
-    print(f"final parameter error norms: {summary['final_theta_error']}")
-    print(f"final state error norm: {summary['final_x_error']:.6g}")
-    print(f"determinant range: [{summary['delta_min']:.6g}, {summary['delta_max']:.6g}]")
-    print(f"excitation integrals: {summary['excitation_integrals']}")
-    if "pe_min_window_means" in summary:
-        print(
-            f"min excitation window means (window {summary['pe_window']:g} s): "
-            f"{summary['pe_min_window_means']}"
-        )
-    return EXIT_OK
+
+
+def _cmd_simulate(args) -> int:
+    def report(result, out):
+        trace_path = out / "trace.csv"
+        summary = summarize(result)
+        write_trace(result.trace, trace_path)
+        _write_json(out / "summary.json", summary)
+        if not args.no_plots:
+            render_trace_plots(result.trace, out)
+        print(f"trace: {trace_path}")
+        print(f"mode: {summary['mode']}  seed: {summary['seed']}  switches: {summary['switch_count']}")
+        print(f"final parameter error norms: {summary['final_theta_error']}")
+        print(f"final state error norm: {summary['final_x_error']:.6g}")
+        print(f"determinant range: [{summary['delta_min']:.6g}, {summary['delta_max']:.6g}]")
+        print(f"excitation integrals: {summary['excitation_integrals']}")
+        if "pe_min_window_means" in summary:
+            print(
+                f"min excitation window means (window {summary['pe_window']:g} s): "
+                f"{summary['pe_min_window_means']}"
+            )
+        return EXIT_OK
+
+    return _run(lambda: _resolve_config(args), args.out, report)
 
 
 def _cmd_verify(args) -> int:
-    try:
-        cfg = config_from_dict(
-            {"plant": args.preset, "mode": "verify", "step_size": args.h, "end_time": args.T}
-        )
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out = _output_dir(args.out) if args.out else None
-    if args.out and out is None:
-        return EXIT_CONFIG
-    try:
-        result = run_experiment(cfg, collect_diagnostics=True)
-    except SimulationAbort as exc:
-        print(f"runtime abort: {exc}", file=sys.stderr)
-        return EXIT_ABORT
-    checks = oracle_checks(result)
-    for check in checks:
-        print(check.line())
-    all_passed = all(c.passed for c in checks)
-    if out is not None:
-        report = {
-            "all_passed": all_passed,
-            "checks": [asdict(c) for c in checks],
-            "summary": summarize(result),
-        }
-        try:
-            (out / "verify_report.json").write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="ascii"
+    def report(result, out):
+        checks = oracle_checks(result)
+        for check in checks:
+            print(check.line())
+        all_passed = all(c.passed for c in checks)
+        if out is not None:
+            checked = [asdict(c) for c in checks]
+            _write_json(
+                out / "verify_report.json",
+                {"all_passed": all_passed, "checks": checked, "summary": summarize(result)},
             )
-        except OSError as exc:
-            return _output_error(exc, out)
-    print("all checks passed" if all_passed else "some checks FAILED")
-    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+        print("all checks passed" if all_passed else "some checks FAILED")
+        return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+
+    raw = {"plant": args.preset, "mode": "verify", "step_size": args.h, "end_time": args.T}
+    return _run(lambda: config_from_dict(raw), args.out or None, report, collect_diagnostics=True)
 
 
 def _cmd_plot(args) -> int:

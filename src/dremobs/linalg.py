@@ -11,8 +11,9 @@ every caller: the adaptation law, the trace's grid rows, the diagnostics
 and ``det_adjugate_batch``.
 
 The mixing evaluates into storage its caller owns: a caller that mixes
-chunk after chunk allocates it once (``mixing_storage``) and passes it to
-every call, and a one-shot call gets fresh storage from the same code.
+chunk after chunk allocates it once (``mixing_storage``, or sized by
+``Cofactors.floats`` for the largest of its stacks) and passes it to every
+call, and a one-shot call gets fresh storage from the same code.
 The module keeps no buffer of its own, so two runs never share storage and
 a run's storage goes with it.
 """

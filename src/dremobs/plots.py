@@ -146,50 +146,30 @@ def _staircase(times: np.ndarray, values: np.ndarray, switch_times: list[float])
 
 
 def render_trace_plots(trace, out_dir) -> list[Path]:
-    """All panels for one trace; returns the written paths."""
+    """All panels for one trace, written in this order: the subsystem
+    staircase, the excitation integrals, the parameter error norms, each
+    state component against its estimate and the state error norm.
+    Returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     t = trace.t
-    s = trace.num_subsystems
 
-    mode_path = out / "mode.svg"
-    st, sv = _staircase(t, trace.sigma.astype(float), trace.switch_times)
-    render_line_plot(mode_path, "Active subsystem", st, [("sigma", sv)])
-    written.append(mode_path)
+    def per_subsystem(values):
+        return [(f"subsystem {i + 1}", values[:, i]) for i in range(trace.num_subsystems)]
 
-    exc_path = out / "excitation.svg"
-    render_line_plot(
-        exc_path,
-        "Gated excitation integrals",
-        t,
-        [(f"subsystem {i + 1}", trace.excitation[:, i]) for i in range(s)],
-    )
-    written.append(exc_path)
-
-    theta_path = out / "theta_error.svg"
-    render_line_plot(
-        theta_path,
-        "Parameter estimation error norms",
-        t,
-        [(f"subsystem {i + 1}", trace.theta_error[:, i]) for i in range(s)],
-    )
-    written.append(theta_path)
-
-    for comp in range(trace.n):
-        p = out / f"state{comp + 1}.svg"
-        render_line_plot(
-            p,
-            f"State component {comp + 1}: true vs estimate",
-            t,
-            [
-                (f"x{comp + 1}", trace.x[:, comp]),
-                (f"xhat{comp + 1}", trace.xhat[:, comp]),
-            ],
-        )
-        written.append(p)
-
-    xerr_path = out / "x_error.svg"
-    render_line_plot(xerr_path, "State estimation error norm", t, [("|x_err|", trace.x_error)])
-    written.append(xerr_path)
+    steps, sigma = _staircase(t, trace.sigma.astype(float), trace.switch_times)
+    # (file stem, title, abscissa, series) of every panel.
+    panels = [
+        ("mode", "Active subsystem", steps, [("sigma", sigma)]),
+        ("excitation", "Gated excitation integrals", t, per_subsystem(trace.excitation)),
+        ("theta_error", "Parameter estimation error norms", t, per_subsystem(trace.theta_error)),
+    ]
+    for k in range(1, trace.n + 1):
+        series = [(f"x{k}", trace.x[:, k - 1]), (f"xhat{k}", trace.xhat[:, k - 1])]
+        panels.append((f"state{k}", f"State component {k}: true vs estimate", t, series))
+    panels.append(("x_error", "State estimation error norm", t, [("|x_err|", trace.x_error)]))
+    written = []
+    for stem, title, x, series in panels:
+        written.append(out / f"{stem}.svg")
+        render_line_plot(written[-1], title, x, series)
     return written

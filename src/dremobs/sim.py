@@ -61,11 +61,11 @@ active subsystem sigma, the run ybar, the cascade z, delta and its
 estimates, accumulators and observer states.  The error norms and the
 diagnostics are computed from the trace, a chunk at a time, with the
 chunk's filter panels; the diagnostics, the last row and the pre-reset
-determinants mix each grid row through the law's own mixing with all m+n
-adjugate rows (``_Cascade.grid_row``), so the mixing oracle checks what
-the law computed.  The run keeps only the rows where the filter bank
-restarted and the determinants just before; the switch instants and the
-events are read from the trace at those rows.
+determinants mix each grid row through the law's own mixing, in its
+storage, with all m+n adjugate rows (``_Cascade.grid_row``), so the mixing
+oracle checks what the law computed.  The run keeps only the rows where the
+filter bank restarted and the determinants just before; the switch instants
+and the events are read from the trace at those rows.
 
 Measurement noise is a pure function of (seed, grid step), sampled where the
 measured outputs are formed and held constant across the four stages of
@@ -87,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, GainStabilityError, SimulationAbort
-from .linalg import _sum_last, det_adjugate_rows, hurwitz_verdict, mixing_storage, unit_disc_verdict
+from .linalg import _mixing_cofactors, _sum_last, det_adjugate_rows, hurwitz_verdict, unit_disc_verdict
 from .plant import (
     NoiseSpec,
     PlantModel,
@@ -590,7 +590,8 @@ class _Cascade:
     ``chunk`` = min(CHUNK, steps) steps, and every chunk writes into views
     of it: the bank's [z; d] buffer, whose drive columns beyond xu and
     upsilon are written once, as zeros; the stage forcings; and the
-    mixing's storage.  Under an allocator that maps every large block,
+    mixing's storage, which serves both the law's stacks and the grid
+    rows' (``grid_row``).  Under an allocator that maps every large block,
     buffers allocated afresh each chunk would be new mappings, and
     page-fault again wherever they are first written.
     """
@@ -622,17 +623,20 @@ class _Cascade:
         self.bank = np.zeros((chunk + 1, 2 * mn * n, layout.panel))
         # Flat, so a shorter last chunk views a contiguous prefix.
         self.forcing = np.empty(4 * mn * n * chunk * (1 + m))
-        self.mixing = mixing_storage(mn, m, 4 * chunk)
+        # One mixing storage for the law's stacks, m adjugate rows of four
+        # stages a step, and the grid rows', all m+n rows of a step, a
+        # switch or the last row each; a zero-step run still mixes its last.
+        law, grid = _mixing_cofactors(mn, m), _mixing_cofactors(mn, mn)
+        self.mixing = np.empty(max(law.floats(4 * chunk), grid.floats(max(chunk, 1))))
 
-    def mix(self, rows: np.ndarray, ybar: np.ndarray, mixed: int, storage: np.ndarray | None = None):
+    def mix(self, rows: np.ndarray, ybar: np.ndarray, mixed: int):
         """Mix S stages' regressor stacks, rows c M_s F (R, m+n, S, panel),
-        at measured outputs ``ybar`` (R, S): the determinant (R, S), the
-        regressions ybar - c M_s xu (R, S, m+n) and the first ``mixed``
-        components of adj(N) z (R, S, mixed), in the mixing ``storage`` or
-        in fresh storage."""
+        at measured outputs ``ybar`` (R, S), in the run's mixing storage:
+        the determinant (R, S), the regressions ybar - c M_s xu (R, S, m+n)
+        and the first ``mixed`` components of adj(N) z (R, S, mixed)."""
         nt = rows[..., 1:].transpose(0, 2, 1, 3)
         zf = ybar[:, :, None] - rows[..., 0].transpose(0, 2, 1)
-        delta, adjugate = det_adjugate_rows(nt, mixed, storage)
+        delta, adjugate = det_adjugate_rows(nt, mixed, self.mixing)
         return delta, zf, _sum_last(adjugate * zf[..., None, :])
 
     def grid_row(self, panels: np.ndarray, ybar: np.ndarray):
@@ -685,7 +689,7 @@ class _Cascade:
         rows = _matmul_ew(self.crow_stages, fs[:steps])
         for s, off in enumerate(offsets, start=1):
             rows[:, :, s, :c1] += _matmul_ew(self.crow, off).reshape(mn, steps, c1).transpose(1, 0, 2)
-        delta, zf, zbar = self.mix(rows, ybar, m, self.mixing)
+        delta, zf, zbar = self.mix(rows, ybar, m)
         trace.z[lo:hi], trace.delta[lo:hi] = zf[:, 0], delta[:, 0]
 
         # Gated adaptation: theta_i <- theta_i + (g theta_i + beta) on the

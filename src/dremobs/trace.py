@@ -297,7 +297,9 @@ def _read_lines(path, lines):
 def read_trace(path) -> SimulationTrace:
     """Parse a trace CSV back into an equal SimulationTrace.  The file is
     streamed: only one block of data rows is held as text at a time.  Every
-    row's ``sigma`` must be a subsystem index, an integer in 1..s."""
+    row's ``sigma`` must be a subsystem index, an integer in 1..s, and every
+    data value must be finite, so no panel drawn from the trace plots
+    ``nan``."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             meta, switch_times, pre_reset, header, data = _read_lines(path, iter(fh))
@@ -319,5 +321,12 @@ def read_trace(path) -> SimulationTrace:
         raise TraceFormatError(
             f"{path}: row {bad[0]} has sigma {float(sigma[bad[0]])!r}, "
             f"expected an integer in 1..{s}"
+        )
+    bad = np.argwhere(~np.isfinite(trace.data))
+    if bad.size:
+        row, col = bad[0]
+        raise TraceFormatError(
+            f"{path}: row {row} has {trace.columns[col]} {float(trace.data[row, col])!r}, "
+            "expected a finite number"
         )
     return trace

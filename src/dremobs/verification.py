@@ -52,47 +52,40 @@ def _theta_errors(result: RunResult) -> np.ndarray:
     return result.trace.theta_hat - result.model.true_params[None, :, :]
 
 
+def _diagnostic_check(result: RunResult, name: str, tol: float, label: str, worst_of) -> CheckResult:
+    """The check ``name`` of a diagnostic run: its worst value is
+    ``worst_of(result.diagnostics)``, which passes at most ``tol``, and its
+    detail names that value with ``label``."""
+    if result.diagnostics is None:
+        raise ConfigurationError("run was made without diagnostics")
+    worst = float(worst_of(result.diagnostics))
+    return CheckResult(name, worst <= tol, worst, tol, f"max {label} {worst:.3e} (tol {tol:.1e})")
+
+
 def check_decomposition(result: RunResult) -> CheckResult:
     """State equals zero-input response plus both filtered responses, for
     every filter of the bank."""
-    if result.diagnostics is None:
-        raise ConfigurationError("run was made without diagnostics")
-    worst = float(result.diagnostics.decomposition_residual.max())
-    return CheckResult(
-        name="decomposition_identity",
-        passed=worst <= DECOMPOSITION_TOL,
-        value=worst,
-        threshold=DECOMPOSITION_TOL,
-        detail=f"max residual {worst:.3e} (tol {DECOMPOSITION_TOL:.1e})",
+    return _diagnostic_check(
+        result, "decomposition_identity", DECOMPOSITION_TOL, "residual",
+        lambda diagnostics: diagnostics.decomposition_residual.max(),
     )
 
 
 def check_lre(result: RunResult) -> CheckResult:
     """Every scalar regression matches the ground-truth augmented parameter."""
-    if result.diagnostics is None:
-        raise ConfigurationError("run was made without diagnostics")
-    worst = float(result.diagnostics.lre_residual_max.max())
-    return CheckResult(
-        name="regression_residual",
-        passed=worst <= LRE_TOL,
-        value=worst,
-        threshold=LRE_TOL,
-        detail=f"max residual {worst:.3e} (tol {LRE_TOL:.1e})",
+    return _diagnostic_check(
+        result, "regression_residual", LRE_TOL, "residual",
+        lambda diagnostics: diagnostics.lre_residual_max.max(),
     )
 
 
 def check_mixing(result: RunResult) -> CheckResult:
-    """Mixed vector equals determinant times the augmented parameter."""
-    if result.diagnostics is None:
-        raise ConfigurationError("run was made without diagnostics")
+    """Mixed vector equals determinant times the augmented parameter, scaled
+    by max(1, |delta|)."""
     scale = np.maximum(1.0, np.abs(result.trace.delta))
-    worst = float((np.abs(result.diagnostics.dbar).max(axis=1) / scale).max())
-    return CheckResult(
-        name="mixing_identity",
-        passed=worst <= MIXING_REL_TOL,
-        value=worst,
-        threshold=MIXING_REL_TOL,
-        detail=f"max scaled residual {worst:.3e} (tol {MIXING_REL_TOL:.1e})",
+    return _diagnostic_check(
+        result, "mixing_identity", MIXING_REL_TOL, "scaled residual",
+        lambda diagnostics: (np.abs(diagnostics.dbar).max(axis=1) / scale).max(),
     )
 
 

@@ -10,6 +10,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def set_field(row, k, value):
+    """A trace data row with its field ``k`` set to ``value``."""
+    fields = row.split(",")
+    fields[k] = value
+    return ",".join(fields)
+
+
 class TestSimulateCommand:
     def test_preset_run_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -240,6 +247,9 @@ class TestPlotCommand:
             pytest.param(8, lambda text: text.replace(",1,", ",abc,", 1), id="data-field"),
             pytest.param(1, lambda text: text[:-3], id="meta-json"),
             pytest.param(3, lambda text: "# switch_times: [0,zero]", id="switch-times"),
+            # These two used to plot, with nan coordinates in state1.svg.
+            pytest.param(8, lambda text: set_field(text, 2, "nan"), id="nan-x1"),
+            pytest.param(8, lambda text: set_field(text, 2, "inf"), id="inf-x1"),
         ],
     )
     def test_malformed_trace_exits_2_without_traceback(self, tmp_path, line, edit):
@@ -266,6 +276,7 @@ class TestPlotCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("trace error: ")
         assert str(path) in proc.stderr
+        assert not list((tmp_path / "p").glob("*.svg"))
 
     def test_missing_trace_exits_2(self, tmp_path, capsys):
         code = run_cli("plot", "--trace", str(tmp_path / "nope.csv"), "--out", str(tmp_path))

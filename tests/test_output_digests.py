@@ -44,6 +44,18 @@ class TestDigest:
         assert output_digests.digest(a) != output_digests.digest(b)
 
 
+class TestConsoleRecord:
+    def test_exit_code_stdout_and_stderr_with_the_directories_replaced(self, tmp_path):
+        tree, out = tmp_path / "tree", tmp_path / "tree-out" / "ideal"
+        proc = SimpleNamespace(
+            returncode=1, stdout=f"trace: {out}/trace.csv\n", stderr=f"{tree}/src/x.py: warning\n"
+        )
+        assert output_digests.console_record(proc, out, tree) == (
+            "exit code: 1\n--- stdout ---\ntrace: <out>/trace.csv\n"
+            "--- stderr ---\n<tree>/src/x.py: warning\n"
+        )
+
+
 class TestCompare:
     def test_verdict_per_artifact_in_name_order(self):
         parent = {"b/trace.csv": "1", "a/mode.svg": "2", "c/summary.json": "3"}
@@ -85,8 +97,9 @@ class TestMain:
 
         def fake_run(tree, args, out, kernel=None):
             # Every run writes a trace, a panel and its JSON with a fresh
-            # elapsed time; ``changed`` names an artifact the change alters,
-            # under a forced kernel prefixed with the kernel's name.
+            # elapsed time, and prints its own output directory and tree;
+            # ``changed`` names an artifact the change alters, under a
+            # forced kernel prefixed with the kernel's name.
             calls.append((tree == output_digests.ROOT, args[0]))
             if kernel_calls is not None:
                 kernel_calls.append(kernel)
@@ -102,6 +115,10 @@ class TestMain:
             value = 0.5 if side == "change" and f"{label}{out.name}/{report}" == changed else 0.25
             checks = [{"name": "a", "value": 1.0}, {"name": "b", "value": value}]
             write_json(out / report, {"elapsed_seconds": len(calls), "run": out.name, "checks": checks})
+            stdout = f"trace: {out / 'trace.csv'}\n"
+            if side == "change" and f"{label}{out.name}/console.txt" == changed:
+                stdout += "one more line\n"
+            return SimpleNamespace(returncode=0, stdout=stdout, stderr=f"{tree}/src/dremobs/cli.py\n")
 
         monkeypatch.setattr(output_digests, "export_tree", lambda rev, dest: None)
         monkeypatch.setattr(output_digests, "run_cli", fake_run)
@@ -119,9 +136,18 @@ class TestMain:
         assert calls == [(False, a[0]) for a in output_digests.RUNS.values()] + [
             (True, a[0]) for a in output_digests.RUNS.values()
         ]
-        assert len(lines) == 3 * runs and all(line.endswith(": same") for line in lines)
+        assert len(lines) == 4 * runs and all(line.endswith(": same") for line in lines)
         assert "verify/verify_report.json: same" in lines
         assert "robust-seed7/summary.json: same" in lines
+        # Each side printed its own directories, which the record replaces.
+        assert "ideal/console.txt: same" in lines
+
+    def test_an_altered_console_record_exits_1(self, monkeypatch, capsys):
+        code, _, lines = self.run_main(monkeypatch, capsys, changed="verify/console.txt")
+        assert code == 1
+        assert [line for line in lines if not line.endswith(": same")] == [
+            "verify/console.txt: DIFFERS"
+        ]
 
     def test_one_altered_artifact_exits_1(self, monkeypatch, capsys):
         code, _, lines = self.run_main(monkeypatch, capsys, changed="robust-seed1/mode.svg")
@@ -154,7 +180,7 @@ class TestKernels:
         runs = len(output_digests.RUNS)
         # The host's own kernel first, then each forced one, on both sides.
         assert kernels == [k for k in [None, *output_digests.KERNELS] for _ in range(2 * runs)]
-        assert len(lines) == 3 * runs * 6 and all(line.endswith(": same") for line in lines)
+        assert len(lines) == 4 * runs * 6 and all(line.endswith(": same") for line in lines)
         assert "ideal/trace.csv: same" in lines
         assert "Prescott/verify/verify_report.json: same" in lines
 

@@ -343,7 +343,9 @@ class TestRunSimulation:
         # first written.  Chunk buffers allocated afresh every chunk (the
         # bank, the forcings, the mixing) took about 3.2 minor faults a
         # grid step; one workspace per run leaves the trace's own pages
-        # (0.06 a step) and the workspace's, paid once.
+        # (0.06 a step) and the workspace's, paid once.  With diagnostics the
+        # grid rows mix in the same storage; fresh storage for them took
+        # 0.6-0.8 faults a step.
         try:
             import resource  # noqa: F401  (Unix only)
 
@@ -364,13 +366,16 @@ cfg = d.ExperimentConfig(
     step=d.StepConfig(1e-3, 2.0), noise=d.chua_robust_noise(seed=7),
 )
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-d.run_experiment(cfg)
+d.run_experiment(cfg, collect_diagnostics=sys.argv[1] == "diagnostics")
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cfg.step.num_steps)
 """
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert float(proc.stdout) <= 0.5
+        for run in ("plain", "diagnostics"):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe, run], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            assert float(proc.stdout) <= 0.5, run
 
     def test_different_seeds_differ(self):
         # The seed drives only the measurement noise, which the plant never
@@ -846,6 +851,13 @@ class TestRegressionBank:
 
         monkeypatch.setattr(sim, "_Cascade", Perturbed)
         assert not check_mixing(run_experiment(cfg, collect_diagnostics=True)).passed
+
+    @pytest.mark.parametrize("check", [check_decomposition, check_lre, check_mixing])
+    def test_oracles_need_diagnostics(self, check):
+        # The three oracles read the diagnostics; a run without them is an
+        # error, not a pass.
+        with pytest.raises(ConfigurationError, match="run was made without diagnostics"):
+            check(run_experiment(chua_experiment(0.01)))
 
 
 def assert_plant_columns_equal(res, model, noise, h, steps, t0=0.0):

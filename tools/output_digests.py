@@ -11,10 +11,13 @@ In that tree and in this checkout it runs, each into a directory of its own:
   ``--seed 1`` and with ``--seed 7``;
 * ``dremobs verify --out``.
 
-It then compares the sha256 of every artifact the runs wrote (``trace.csv``,
-every SVG, ``summary.json`` and ``verify_report.json``), with the run's
-``elapsed_seconds`` removed from the JSON files, and prints one line per
-artifact: ``same``, ``DIFFERS`` or ``MISSING`` on one side.  Under a JSON
+Beside each run's artifacts it writes ``console.txt``: the run's exit code,
+stdout and stderr, with the run's output directory written as ``<out>`` and
+the tree's own directory as ``<tree>``, since ``simulate`` prints the trace's
+path.  It then compares the sha256 of every artifact (``trace.csv``, every
+SVG, ``summary.json``, ``verify_report.json`` and ``console.txt``), with the
+run's ``elapsed_seconds`` removed from the JSON files, and prints one line
+per artifact: ``same``, ``DIFFERS`` or ``MISSING`` on one side.  Under a JSON
 artifact that differs it prints each differing leaf as
 ``path: parent -> change``, for example
 ``checks[1].value: 3.4817e-13 -> 3.5527e-13``.
@@ -72,6 +75,9 @@ for lib in sorted(libs.glob("*openblas*")):
         print(name().decode())
 """
 
+# Each run's exit code, stdout and stderr, written beside its artifacts.
+CONSOLE = "console.txt"
+
 # Output directory name and CLI arguments of every run.
 RUNS = {
     "ideal": ["simulate", "--preset", "chua", "--T", "100"],
@@ -97,11 +103,13 @@ def kernel_core(kernel: str) -> str | None:
     return proc.stdout.strip() or None
 
 
-def run_cli(tree: Path, args: list[str], out: Path, kernel: str | None = None) -> None:
+def run_cli(
+    tree: Path, args: list[str], out: Path, kernel: str | None = None
+) -> subprocess.CompletedProcess:
     """Run ``dremobs ARGS --out OUT`` on the package source of ``tree``,
-    under the OpenBLAS ``kernel`` when one is given.  Exit codes 0 and 1 (a
-    check failed) leave artifacts to compare; any other raises
-    RuntimeError."""
+    under the OpenBLAS ``kernel`` when one is given, and return the finished
+    process, its output captured as text.  Exit codes 0 and 1 (a check
+    failed) leave artifacts to compare; any other raises RuntimeError."""
     env = dict(_kernel_env(kernel), PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "dremobs.cli", *args, "--out", str(out)],
@@ -111,6 +119,15 @@ def run_cli(tree: Path, args: list[str], out: Path, kernel: str | None = None) -
         raise RuntimeError(
             f"dremobs {' '.join(args)} in {tree} exited {proc.returncode}: {proc.stderr[-2000:]}"
         )
+    return proc
+
+
+def console_record(proc, out: Path, tree: Path) -> str:
+    """A finished run's exit code, stdout and stderr as one text, with its
+    output directory ``out`` written as ``<out>``, then its source tree
+    ``tree`` as ``<tree>``."""
+    text = f"exit code: {proc.returncode}\n--- stdout ---\n{proc.stdout}--- stderr ---\n{proc.stderr}"
+    return text.replace(str(out), "<out>").replace(str(tree), "<tree>")
 
 
 def _without_elapsed(value):
@@ -163,9 +180,11 @@ def leaf_changes(parent, change, path: str = "") -> list[str]:
 def tree_digests(tree: Path, out: Path, kernel: str | None = None) -> dict[str, str]:
     """Run every run of ``RUNS`` on ``tree`` into ``out``, under the
     OpenBLAS ``kernel`` when one is given, and return the digest of each
-    artifact by its path relative to ``out``."""
+    artifact, the runs' console records among them, by its path relative to
+    ``out``."""
     for name, args in RUNS.items():
-        run_cli(tree, args, out / name, kernel)
+        proc = run_cli(tree, args, out / name, kernel)
+        (out / name / CONSOLE).write_text(console_record(proc, out / name, tree), encoding="utf-8")
     return {
         path.relative_to(out).as_posix(): digest(path)
         for path in sorted(out.rglob("*"))
