@@ -4,16 +4,21 @@
 A configuration is a single JSON object.  The only required key is
 ``plant`` (a preset name or a full plant description); everything else
 defaults to the built-in values of the named preset.  See the README for
-the full schema.  This module parses JSON types and fills in defaults; the
-checks on the run inputs themselves are made once, by ``PlantModel``,
-``NoiseSpec`` and ``ExperimentConfig``, and reported here under the path of
-the object that failed (``config.plant.``, ``config.noise.``, ``config.``).
+the full schema.  This module reads the JSON structure: objects, lists,
+known keys, the preset, defaults, the mode, the noise and the seed.  It
+hands the values as they are to ``PlantModel``, ``StepConfig``,
+``NoiseSpec`` and ``ExperimentConfig``, which check every input number once,
+through ``plant.checked_number``, and their errors are reported here under
+the path of the object that failed (``config.plant.``, ``config.noise.``,
+``config.``).  Three checks stay here, through the same rules: the region
+bounds, whose JSON keys are not the field names; the affine psi blocks,
+which this module builds into a callable; and the seed of a run without
+noise.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -28,6 +33,8 @@ from .plant import (
     PlantModel,
     StateRegionRule,
     TimeScheduleRule,
+    checked_array,
+    checked_number,
     chua_preset,
     chua_robust_noise,
     make_sinusoid_disturbance,
@@ -55,65 +62,27 @@ def _under(path: str):
         raise type(exc)(f"{path}.{exc}") from exc
 
 
-def _as_float(value, path: str) -> float:
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    _expect(math.isfinite(number), path, f"expected a finite number, got {number}")
-    return number
-
-
 def _as_bool(value, path: str) -> bool:
     _expect(isinstance(value, bool), path, "expected true or false")
     return value
 
 
-def _as_int(value, path: str) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
-    return int(value)
-
-
-def _as_float_list(value, path: str) -> np.ndarray:
-    _expect(isinstance(value, list), path, "expected a list of numbers")
-    return np.array([_as_float(v, f"{path}[{k}]") for k, v in enumerate(value)])
-
-
-def _as_matrix(value, path: str, rows: int | None = None) -> np.ndarray:
-    _expect(isinstance(value, list) and value, path, "expected a non-empty list of rows")
-    mat = [_as_float_list(row, f"{path}[{k}]") for k, row in enumerate(value)]
-    widths = {r.size for r in mat}
-    _expect(len(widths) == 1, path, "rows have inconsistent lengths")
-    arr = np.vstack(mat)
-    if rows is not None:
-        _expect(arr.shape[0] == rows, path, f"expected {rows} rows, got {arr.shape[0]}")
-    return arr
-
-
-def _build_affine_psi(spec: dict, path: str, n: int):
-    """Nonlinearity of the form constant + y * output_gain + u * input_gain."""
+def _build_affine_psi(spec: dict, path: str):
+    """Nonlinearity of the form constant + y * output_gain + u * input_gain.
+    The blocks are matrices of one shape, which ``PlantModel`` checks is
+    (n, m)."""
     _expect(isinstance(spec, dict), path, "expected an object")
-    known = {"constant", "output_gain", "input_gain"}
-    for key in spec:
-        _expect(key in known, f"{path}.{key}", "unknown key")
-    parts = {}
-    width = None
-    for key in known:
-        if key in spec:
-            mat = _as_matrix(spec[key], f"{path}.{key}", rows=n)
-            if width is None:
-                width = mat.shape[1]
-            _expect(
-                mat.shape[1] == width,
-                f"{path}.{key}",
-                "all blocks must have the same number of columns",
-            )
-            parts[key] = mat
-    _expect(width is not None, path, "at least one block is required")
-    const = parts.get("constant", np.zeros((n, width)))
-    ygain = parts.get("output_gain")
-    ugain = parts.get("input_gain")
+    blocks = {}
+    for key, value in spec.items():
+        _expect(key in ("constant", "output_gain", "input_gain"), f"{path}.{key}", "unknown key")
+        with _under(path):
+            block = blocks[key] = checked_array(key, value, (None, None), "expected a matrix")
+        shape = next(iter(blocks.values())).shape
+        _expect(block.shape == shape, f"{path}.{key}", f"expected the first block's shape {shape}, got {block.shape}")
+    _expect(blocks, path, "at least one block is required")
+    const = blocks.get("constant", np.zeros(shape))
+    ygain = blocks.get("output_gain")
+    ugain = blocks.get("input_gain")
 
     def psi(y, u):
         """(n, m) at float (y, u); (K, n, m) at (K,) arrays, row by row the
@@ -149,8 +118,8 @@ def _build_switching(spec: dict, path: str):
                     f"{rpath}.{key}",
                     "unknown key",
                 )
-            lower = _as_float(r["min"], f"{rpath}.min") if "min" in r else None
-            upper = _as_float(r["max"], f"{rpath}.max") if "max" in r else None
+            lower = checked_number(f"{rpath}.min", r["min"]) if "min" in r else None
+            upper = checked_number(f"{rpath}.max", r["max"]) if "max" in r else None
             regions.append(
                 OutputRegion(
                     lower=lower,
@@ -163,13 +132,10 @@ def _build_switching(spec: dict, path: str):
             return StateRegionRule(tuple(regions))
     entries_spec = spec.get("entries")
     _expect(isinstance(entries_spec, list) and entries_spec, f"{path}.entries", "expected a non-empty list")
-    entries = []
     for k, e in enumerate(entries_spec):
-        epath = f"{path}.entries[{k}]"
-        _expect(isinstance(e, list) and len(e) == 2, epath, "expected a [start_time, subsystem] pair")
-        entries.append((_as_float(e[0], f"{epath}[0]"), _as_int(e[1], f"{epath}[1]")))
+        _expect(isinstance(e, list) and len(e) == 2, f"{path}.entries[{k}]", "expected a [start_time, subsystem] pair")
     with _under(path):
-        return TimeScheduleRule(tuple(entries))
+        return TimeScheduleRule(tuple(map(tuple, entries_spec)))
 
 
 def _build_custom_plant(spec: dict, path: str) -> PlantModel:
@@ -179,24 +145,19 @@ def _build_custom_plant(spec: dict, path: str) -> PlantModel:
     known = set(required) | {"name"}
     for key in spec:
         _expect(key in known, f"{path}.{key}", "unknown key")
-    a = _as_matrix(spec["a"], f"{path}.a")
-    b = _as_float_list(spec["b"], f"{path}.b")
-    c = _as_float_list(spec["c"], f"{path}.c")
-    params = _as_matrix(spec["true_params"], f"{path}.true_params")
-    psi = _build_affine_psi(spec["psi"], f"{path}.psi", len(a))
+    psi = _build_affine_psi(spec["psi"], f"{path}.psi")
     rule = _build_switching(spec["switching"], f"{path}.switching")
-    x0 = _as_float_list(spec["initial_state"], f"{path}.initial_state")
     name = spec.get("name", "custom")
     _expect(isinstance(name, str), f"{path}.name", "expected a string")
     with _under(path):
         return PlantModel(
-            a=a,
-            b=b,
-            c=c,
+            a=spec["a"],
+            b=spec["b"],
+            c=spec["c"],
             psi=psi,
-            true_params=params,
+            true_params=spec["true_params"],
             switching_rule=rule,
-            initial_state=x0,
+            initial_state=spec["initial_state"],
             name=name,
         )
 
@@ -205,21 +166,16 @@ def _build_noise(spec, path: str, seed: int) -> NoiseSpec:
     _expect(isinstance(spec, dict), path, "expected an object")
     for key in spec:
         _expect(key in ("v0", "seed", "omega"), f"{path}.{key}", "unknown key")
-    v0 = _as_float(spec.get("v0", 0.0), f"{path}.v0")
     omega = None
     if spec.get("omega") is not None:
         ospec = spec["omega"]
         _expect(isinstance(ospec, dict), f"{path}.omega", "expected an object")
         for key in ospec:
             _expect(key in ("amplitudes", "frequencies"), f"{path}.omega.{key}", "unknown key")
-        amps = _as_float_list(ospec.get("amplitudes", []), f"{path}.omega.amplitudes")
-        freqs = _as_float_list(ospec.get("frequencies", []), f"{path}.omega.frequencies")
         with _under(f"{path}.omega"):
-            omega = make_sinusoid_disturbance(amps, freqs)
-    if "seed" in spec:
-        seed = _as_int(spec["seed"], f"{path}.seed")
+            omega = make_sinusoid_disturbance(ospec.get("amplitudes", []), ospec.get("frequencies", []))
     with _under(path):
-        return NoiseSpec(v0=v0, seed=seed, omega=omega)
+        return NoiseSpec(v0=spec.get("v0", 0.0), seed=spec.get("seed", seed), omega=omega)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -257,24 +213,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     # run (``verify`` is another name for it) has none.
     mode, modes = raw.get("mode", "ideal"), ("ideal", "robust", "verify")
     _expect(mode in modes, "config.mode", f"expected one of {modes}")
-    seed = _as_int(raw.get("seed", 0), "config.seed")
+    # An ideal run builds no noise, but its seed is an integer all the same.
+    seed = raw.get("seed", 0)
+    with _under("config"):
+        NoiseSpec(seed=seed)
     noise_spec = raw.get("noise")
     both = "seed" in raw and isinstance(noise_spec, dict) and "seed" in noise_spec
     _expect(not both, "config.seed", "also set as noise.seed; set the seed in one place")
-    h = _as_float(raw.get("step_size", DEFAULT_STEP), "config.step_size")
-    t_end = _as_float(raw.get("end_time", DEFAULT_END), "config.end_time")
-    t0 = _as_float(raw.get("start_time", 0.0), "config.start_time")
 
-    fields = {}
-    for key, parse in (
-        ("filter_gains", _as_matrix),
-        ("observer_gain", _as_float_list),
-        ("gamma", _as_float_list),
-        ("theta_init", _as_matrix),
-        ("observer_init", _as_float_list),
-    ):
-        if key in raw:
-            fields[key] = parse(raw[key], f"config.{key}")
+    # ExperimentConfig reads None as unset, but a JSON null is a value.
+    keys = ("filter_gains", "observer_gain", "gamma", "theta_init", "observer_init")
+    fields = {key: raw[key] for key in keys if key in raw}
+    for key, value in fields.items():
+        _expect(value is not None, f"config.{key}", "expected a list, got null")
     for key, default in (("filter_gains", CHUA_FILTER_GAINS), ("observer_gain", CHUA_OBSERVER_GAIN)):
         _expect(key in fields or preset, f"config.{key}", "required for a custom plant")
         fields.setdefault(key, default)
@@ -289,7 +240,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigurationError(f"config.noise: {rule} in robust mode (mode is '{mode}')")
 
     with _under("config"):
-        step = StepConfig(step_size=h, end_time=t_end, start_time=t0)
+        step = StepConfig(
+            step_size=raw.get("step_size", DEFAULT_STEP),
+            end_time=raw.get("end_time", DEFAULT_END),
+            start_time=raw.get("start_time", 0.0),
+        )
         return ExperimentConfig(model=model, step=step, noise=noise, **fields)
 
 

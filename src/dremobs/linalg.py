@@ -11,9 +11,9 @@ every caller: the adaptation law, the trace's grid rows, the diagnostics
 and ``det_adjugate_batch``.
 
 The mixing evaluates into storage its caller owns: a caller that mixes
-chunk after chunk allocates it once (``mixing_storage``, or sized by
-``Cofactors.floats`` for the largest of its stacks) and passes it to every
-call, and a one-shot call gets fresh storage from the same code.
+chunk after chunk allocates it once, sized by ``Cofactors.floats`` for the
+largest of its stacks, and passes it to every call, and a one-shot call
+gets fresh storage from the same code.
 The module keeps no buffer of its own, so two runs never share storage and
 a run's storage goes with it.
 """
@@ -169,12 +169,6 @@ def _mixing_cofactors(k: int, rows: int) -> Cofactors:
     return Cofactors(k, [(i, j) for j in range(rows) for i in range(k)] + [(0, j) for j in range(rows, k)])
 
 
-def mixing_storage(k: int, rows: int, count: int) -> np.ndarray:
-    """Fresh storage for ``det_adjugate_rows`` with ``rows`` rows on stacks
-    of up to ``count`` k x k matrices."""
-    return np.empty(_mixing_cofactors(k, rows).floats(count))
-
-
 def det_adjugate_rows(
     matrices: np.ndarray, rows: int, storage: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -189,10 +183,11 @@ def det_adjugate_rows(
     rounding level even for singular members, and a member's bits depend
     neither on its stack nor on ``rows``.
 
-    The evaluation runs in ``storage`` from ``mixing_storage(k, rows,
-    count)`` for some count at least the stack's size, or in fresh storage
-    without it; the bits are the same either way, and the results never
-    share memory with the storage.
+    The evaluation runs in ``storage``, a float64 array of at least
+    ``_mixing_cofactors(k, rows).floats(count)`` entries for a count at
+    least the stack's size, or in fresh storage without it; the bits are
+    the same either way, and the results never share memory with the
+    storage.
     """
     k = matrices.shape[-1]
     cof = _mixing_cofactors(k, rows)(matrices, storage)

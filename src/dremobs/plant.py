@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from typing import Any, Callable, Union
 
@@ -28,28 +29,48 @@ def zero_input(t: float) -> float:
     return 0.0
 
 
+def checked_number(name: str, value) -> float:
+    """``value`` as a float: a real number, not a bool, within the float
+    range and finite; else ConfigurationError ``<name>: expected a number,
+    got ...`` or ``<name>: expected a finite number, got ...``.  This is the
+    package's one test of an input number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name}: expected a number, got {reprlib.repr(value)}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name}: expected a finite number, got {number}")
+    return number
+
+
 def checked_array(name: str, value, shape: tuple, rule: str | None = None) -> np.ndarray:
     """``value`` as a read-only float copy, so a checked input cannot change
-    afterwards, of ``shape`` (``None`` is any nonzero length) with finite
-    real entries, none of them a string or a bool; else ConfigurationError
-    ``<name>: <reason>``, the reason for a wrong shape being ``rule`` when
-    given."""
-    try:
-        entries = np.array(value, dtype=object)
-        for entry in entries.flat:
-            if isinstance(entry, bool) or not isinstance(entry, numbers.Real):
-                raise TypeError(f"entry {entry!r} is not a real number")
-        array = entries.astype(float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"{name}: expected an array of numbers ({exc})") from exc
-    array.setflags(write=False)
-    if array.ndim != len(shape) or any(
-        got != want if want is not None else got == 0 for got, want in zip(array.shape, shape)
-    ):
+    afterwards, of ``shape`` (``None`` is any length): nested lists as deep
+    as the shape is long, each entry passing ``checked_number`` under its
+    index (``name[0][1]``).  Else ConfigurationError ``<path>: <reason>``,
+    the reason for a wrong shape being ``rule`` when given."""
+
+    def entries(path, node, depth):
+        if depth == len(shape):
+            return checked_number(path, node)
+        if not (isinstance(node, (list, tuple)) or isinstance(node, np.ndarray) and node.ndim):
+            raise ConfigurationError(f"{path}: expected a list, got {reprlib.repr(node)}")
+        return [entries(f"{path}[{k}]", entry, depth + 1) for k, entry in enumerate(node)]
+
+    # An ndarray of another depth has the wrong shape whatever its entries.
+    array = value
+    if not isinstance(value, np.ndarray) or value.ndim == len(shape):
+        nested = entries(name, value, 0)
+        try:
+            array = np.array(nested, dtype=float)
+        except ValueError:  # numpy cannot stack lists of unequal lengths
+            raise ConfigurationError(f"{name}: expected a rectangular array, got lists of unequal lengths") from None
+    if array.ndim != len(shape) or any(want not in (None, got) for got, want in zip(array.shape, shape)):
         rule = rule or f"expected shape {shape}"
         raise ConfigurationError(f"{name}: {rule}, got shape {array.shape}")
-    if not np.isfinite(array).all():
-        raise ConfigurationError(f"{name}: entries must be finite")
+    array.setflags(write=False)
     return array
 
 
@@ -91,7 +112,8 @@ class StateRegionRule:
         for k, region in enumerate(self.regions):
             for side in ("lower", "upper"):
                 bound = getattr(region, side)
-                if bound is not None and (not _is_real(bound) or math.isnan(bound)):
+                real = isinstance(bound, numbers.Real) and not isinstance(bound, bool)
+                if bound is not None and (not real or math.isnan(bound)):
                     raise ConfigurationError(
                         f"regions[{k}].{side}: bound {bound!r} is neither None nor a number"
                     )
@@ -123,12 +145,14 @@ class TimeScheduleRule:
     def __post_init__(self):
         if not self.entries:
             raise ConfigurationError("entries: a schedule rule needs at least one entry")
-        times = [t for t, _ in self.entries]
-        for k, start in enumerate(times):
-            if not _is_real(start):
-                raise ConfigurationError(f"entries[{k}][0]: start time {start!r} is not a number")
+        entries = tuple(
+            (checked_number(f"entries[{k}][0]", start), index)
+            for k, (start, index) in enumerate(self.entries)
+        )
+        times = [t for t, _ in entries]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigurationError("entries: schedule times must be strictly increasing")
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_times", times)
 
     def subsystem_for(self, y: float, t: float) -> int:
@@ -138,11 +162,6 @@ class TimeScheduleRule:
                 f"schedule starts at t={self.entries[0][0]:.6g} but was queried at t={t:.6g}"
             )
         return self.entries[pos][1]
-
-
-def _is_real(value) -> bool:
-    """A real number other than a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _first_uncovered(regions) -> float | None:
@@ -204,17 +223,17 @@ class PlantModel:
         square = "expected a non-empty square matrix"
         a = checked_array("a", self.a, (None, None), square)
         n = a.shape[0]
-        if a.shape != (n, n):
+        if a.shape != (n, n) or not n:
             raise ConfigurationError(f"a: {square}, got shape {a.shape}")
         b, c, x0 = (
             checked_array(key, getattr(self, key), (n,), f"expected length n = {n}")
             for key in ("b", "c", "initial_state")
         )
-        params = checked_array(
-            "true_params", self.true_params, (None, None),
-            "expected s >= 1 parameter vectors of length m >= 1 as rows",
-        )
+        vectors = "expected s >= 1 parameter vectors of length m >= 1 as rows"
+        params = checked_array("true_params", self.true_params, (None, None), vectors)
         s, m = params.shape
+        if not s * m:
+            raise ConfigurationError(f"true_params: {vectors}, got shape {params.shape}")
         if n + m > MAX_SIDE:
             raise ConfigurationError(
                 f"true_params: m + n = {n + m} exceeds the supported maximum {MAX_SIDE}"
@@ -235,11 +254,7 @@ class PlantModel:
                 f"for {s} parameter vectors; region k activates subsystem k+1"
             )
         if isinstance(rule, TimeScheduleRule):
-            for k, (start, index) in enumerate(rule.entries):
-                if not math.isfinite(start):
-                    raise ConfigurationError(
-                        f"switching.entries[{k}][0]: start time {start} is not finite"
-                    )
+            for k, (_, index) in enumerate(rule.entries):
                 if not isinstance(index, numbers.Integral) or isinstance(index, bool):
                     raise ConfigurationError(
                         f"switching.entries[{k}][1]: subsystem index {index!r} is not an integer"
@@ -308,12 +323,11 @@ class NoiseSpec:
 
     def __post_init__(self):
         """Errors name the field at fault first, as ``<field>: <reason>``."""
-        if not (_is_real(self.v0) and math.isfinite(self.v0)):
-            raise ConfigurationError(f"v0: {self.v0!r} is not a finite number")
+        object.__setattr__(self, "v0", checked_number("v0", self.v0))
         if self.v0 < 0.0:
             raise ConfigurationError(f"v0: noise bound {self.v0} must be nonnegative")
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
-            raise ConfigurationError(f"seed: {self.seed!r} is not an integer")
+            raise ConfigurationError(f"seed: {reprlib.repr(self.seed)} is not an integer")
         # The noise stream masks the seed to 64 bits, which a numpy integer
         # cannot hold; its int gives the same stream.
         object.__setattr__(self, "seed", int(self.seed))
@@ -438,7 +452,9 @@ CHUA_NOISE_BOUND = 0.1
 
 def make_sinusoid_disturbance(amplitudes, frequencies) -> Callable[[np.ndarray], np.ndarray]:
     """Disturbance rate amplitudes * sin(frequencies * t), componentwise."""
-    amps = checked_array("amplitudes", amplitudes, (None,), "expected at least one amplitude")
+    amps = checked_array("amplitudes", amplitudes, (None,))
+    if not amps.size:
+        raise ConfigurationError(f"amplitudes: expected at least one amplitude, got shape {amps.shape}")
     freqs = checked_array("frequencies", frequencies, amps.shape, "expected one per amplitude")
 
     def omega(t):

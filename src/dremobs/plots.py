@@ -66,8 +66,15 @@ def render_line_plot(path, title: str, x: np.ndarray, series: list[tuple[str, np
     if yhi == ylo:
         ylo, yhi = ylo - 1.0, yhi + 1.0
     pad = 0.05 * (yhi - ylo)
-    ylo -= pad
-    yhi += pad
+    unit = 1.0
+    if math.isfinite((yhi + pad) - (ylo - pad)):
+        ylo -= pad
+        yhi += pad
+    else:
+        # The padded range is wider than the float range: map the outputs
+        # in units of eight, where the range times each tick index (at most
+        # 4) is finite, and leave the range unpadded so every tick is too.
+        ylo, yhi, unit = ylo / 8, yhi / 8, 8.0
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
@@ -75,7 +82,7 @@ def render_line_plot(path, title: str, x: np.ndarray, series: list[tuple[str, np
         return MARGIN_L + (v - xlo) / (xhi - xlo) * plot_w
 
     def py(v):
-        return MARGIN_T + (yhi - v) / (yhi - ylo) * plot_h
+        return MARGIN_T + (yhi - v / unit) / (yhi - ylo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -97,6 +104,7 @@ def render_line_plot(path, title: str, x: np.ndarray, series: list[tuple[str, np
             f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
         )
     for tick in _ticks(ylo, yhi):
+        tick *= unit
         ty = py(tick)
         parts.append(
             f'<line x1="{MARGIN_L - 5}" y1="{ty:.2f}" x2="{MARGIN_L}" y2="{ty:.2f}" '

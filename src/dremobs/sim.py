@@ -93,6 +93,7 @@ from .plant import (
     PlantModel,
     TimeScheduleRule,
     checked_array,
+    checked_number,
     disturbance_rows,
     sample_noise,
 )
@@ -126,18 +127,9 @@ class StepConfig:
     def __post_init__(self):
         """Errors name the field at fault first, as ``<field>: <reason>``."""
         for name in ("step_size", "end_time", "start_time"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigurationError(f"{name}: must be a real number, got {value!r}")
-            try:
-                float(value)
-            except OverflowError:
-                raise ConfigurationError(f"{name}: must be finite, got a number beyond the float range") from None
-        if not (self.step_size > 0.0 and math.isfinite(self.step_size)):
-            raise ConfigurationError("step_size: must be positive and finite")
-        for name in ("start_time", "end_time"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name}: must be finite, got {getattr(self, name)}")
+            object.__setattr__(self, name, checked_number(name, getattr(self, name)))
+        if not self.step_size > 0.0:
+            raise ConfigurationError(f"step_size: must be positive, got {self.step_size}")
         if self.end_time < self.start_time:
             raise ConfigurationError("end_time: must not precede start_time")
         span = self.end_time - self.start_time
@@ -321,14 +313,16 @@ class RunResult:
     diagnostics: Diagnostics | None = None
 
 
-def _matmul_ew(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _matmul_ew(a: np.ndarray, x: np.ndarray, out=None, term=None) -> np.ndarray:
     """``a @ x`` for stacks (..., r, n) and (..., n, N), as one elementwise
     product per inner index.  Every entry is summed in the same order
     whatever the stack shapes, so a grid step's values do not depend on how
-    many steps its chunk holds."""
-    out = a[..., :, 0, None] * x[..., None, 0, :]
+    many steps its chunk holds.  ``out`` and ``term``, arrays of the
+    result's shape, hold the sum and each product when given; else both
+    are fresh."""
+    out = np.multiply(a[..., :, 0, None], x[..., None, 0, :], out=out)
     for i in range(1, a.shape[-1]):
-        out += a[..., :, i, None] * x[..., None, i, :]
+        out += np.multiply(a[..., :, i, None], x[..., None, i, :], out=term)
     return out
 
 
@@ -589,11 +583,14 @@ class _Cascade:
     The chunk workspace is allocated once per run, for chunks of up to
     ``chunk`` = min(CHUNK, steps) steps, and every chunk writes into views
     of it: the bank's [z; d] buffer, whose drive columns beyond xu and
-    upsilon are written once, as zeros; the stage forcings; and the
-    mixing's storage, which serves both the law's stacks and the grid
-    rows' (``grid_row``).  Under an allocator that maps every large block,
+    upsilon are written once, as zeros; the stage forcings; the stages'
+    regressor rows with one product term of them; and the mixing's
+    storage, which serves both the law's stacks and the grid rows'
+    (``grid_row``).  Under an allocator that maps every large block,
     buffers allocated afresh each chunk would be new mappings, and
-    page-fault again wherever they are first written.
+    page-fault again wherever they are first written; one just below the
+    mapping threshold may sit at the heap's top, which is trimmed when it
+    is freed and faults again when it regrows.
     """
 
     def __init__(self, cfg: ExperimentConfig, layout: StateLayout):
@@ -623,6 +620,8 @@ class _Cascade:
         self.bank = np.zeros((chunk + 1, 2 * mn * n, layout.panel))
         # Flat, so a shorter last chunk views a contiguous prefix.
         self.forcing = np.empty(4 * mn * n * chunk * (1 + m))
+        # The regressor rows of every stage and one product term of them.
+        self.rows = np.empty((2, chunk, mn, 4, layout.panel))
         # One mixing storage for the law's stacks, m adjugate rows of four
         # stages a step, and the grid rows', all m+n rows of a step, a
         # switch or the last row each; a zero-step run still mixes its last.
@@ -686,7 +685,8 @@ class _Cascade:
         fs = bank[:, :units].reshape(steps + 1, mn, n, lay.panel)
 
         # Mixing over every stage of every step.
-        rows = _matmul_ew(self.crow_stages, fs[:steps])
+        rows, term = self.rows[:, :steps]
+        _matmul_ew(self.crow_stages, fs[:steps], rows, term)
         for s, off in enumerate(offsets, start=1):
             rows[:, :, s, :c1] += _matmul_ew(self.crow, off).reshape(mn, steps, c1).transpose(1, 0, 2)
         delta, zf, zbar = self.mix(rows, ybar, m)

@@ -8,10 +8,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dremobs.config import config_from_dict, load_config, run_experiment
+from conftest import chua_experiment
+from dremobs.config import DEFAULT_END, config_from_dict, load_config, run_experiment
 from dremobs.errors import ConfigurationError, GainStabilityError, SimulationAbort
 from dremobs.sim import StepConfig
-from dremobs.plant import CHUA_FILTER_GAINS, CHUA_OBSERVER_GAIN, StateRegionRule, TimeScheduleRule
+from dremobs.plant import (
+    CHUA_FILTER_GAINS,
+    CHUA_OBSERVER_GAIN,
+    NoiseSpec,
+    StateRegionRule,
+    TimeScheduleRule,
+    chua_preset,
+)
 
 
 def custom_plant_spec():
@@ -366,6 +374,45 @@ CHUA_AS_CUSTOM = dict(
         "initial_state": [2.88, -0.066, -2.12],
     },
 )
+
+
+def _custom_chua(**changes):
+    return dict(CHUA_AS_CUSTOM, mode="ideal", noise=None, plant=dict(CHUA_AS_CUSTOM["plant"], **changes))
+
+
+RAGGED_A = [[-10.0, 10.0, 0.0], [1.0, -1.0], [0.0, -16.0, -0.0385]]
+
+
+class TestOneWording:
+    """A bad number is checked by one rule, so a JSON file and the Python
+    constructors report it in the same words; the JSON error only adds the
+    path of the object that holds it."""
+
+    @pytest.mark.parametrize(
+        "raw, build, prefix",
+        [
+            ({"plant": "chua", "gamma": ["10", 10, 10]},
+             lambda: chua_experiment(1.0, gamma=["10", 10, 10]), "config."),
+            ({"plant": "chua", "theta_init": [[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+             lambda: chua_experiment(1.0, theta_init=[[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0]]), "config."),
+            ({"plant": "chua", "step_size": True},
+             lambda: StepConfig(step_size=True, end_time=DEFAULT_END), "config."),
+            (_custom_chua(c=[True, False, False]),
+             lambda: replace(chua_preset(), c=[True, False, False]), "config.plant."),
+            (_custom_chua(a=RAGGED_A), lambda: replace(chua_preset(), a=RAGGED_A), "config.plant."),
+            ({"plant": "chua", "mode": "robust", "noise": {"v0": math.inf}},
+             lambda: NoiseSpec(v0=math.inf), "config.noise."),
+            ({"plant": "chua", "mode": "robust", "noise": {"v0": 0.1, "seed": 1.5}},
+             lambda: NoiseSpec(v0=0.1, seed=1.5), "config.noise."),
+        ],
+        ids=["gamma-string", "theta-nan", "step-bool", "c-bool", "a-ragged", "v0-inf", "seed-float"],
+    )
+    def test_json_and_python_agree(self, raw, build, prefix):
+        with pytest.raises(ConfigurationError) as from_python:
+            build()
+        with pytest.raises(ConfigurationError) as from_json:
+            config_from_dict(raw)
+        assert str(from_json.value) == prefix + str(from_python.value)
 
 
 def _numbers(draw, shape, lo=-1.0, hi=1.0):

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from dremobs.linalg import (
     MAX_SIDE,
     Cofactors,
+    _mixing_cofactors,
     characteristic_polynomial,
     det_adjugate_batch,
     det_adjugate_rows,
     hurwitz_verdict,
-    mixing_storage,
     routh_verdict,
     unit_disc_verdict,
 )
@@ -226,7 +226,7 @@ class TestStorage:
         # one left in it.
         rng = np.random.default_rng(29)
         k = 5
-        storage = np.full(max(mixing_storage(k, rows, 24).size for rows in range(1, k + 1)), np.nan)
+        storage = np.full(max(_mixing_cofactors(k, rows).floats(24) for rows in range(1, k + 1)), np.nan)
         for shape in [(24,), (2, 3), (4, 1, 6), (1,), (3, 8), (12,)]:
             for rows in (2, k, 1, 3):
                 ms = rng.normal(size=shape + (k, k))
@@ -235,14 +235,14 @@ class TestStorage:
     def test_a_batch_smaller_than_the_storage(self):
         rng = np.random.default_rng(31)
         for k in range(1, MAX_SIDE + 1):
-            storage = mixing_storage(k, 2 if k > 1 else 1, 40)
+            storage = np.empty(_mixing_cofactors(k, 2 if k > 1 else 1).floats(40))
             for count in (1, 7, 40):
                 ms = rng.normal(size=(count, k, k))
                 self.assert_same_bits(*self.fresh_and_reused(ms, min(2, k), storage))
 
     def test_nan_inf_and_signed_zeros(self):
         rng = np.random.default_rng(37)
-        storage = mixing_storage(5, 2, 4 * 16)
+        storage = np.empty(_mixing_cofactors(5, 2).floats(4 * 16))
         with np.errstate(invalid="ignore", over="ignore"):
             for _ in range(5):
                 ms = special_values(rng, (16, 4, 5, 5))
@@ -256,7 +256,7 @@ class TestStorage:
     def test_a_call_after_a_non_finite_batch_is_unaffected(self):
         rng = np.random.default_rng(41)
         ms = rng.normal(size=(8, 4, 5, 5))
-        storage = mixing_storage(5, 2, ms.shape[0] * ms.shape[1])
+        storage = np.empty(_mixing_cofactors(5, 2).floats(ms.shape[0] * ms.shape[1]))
         clean = det_adjugate_rows(ms, 2, storage)
         with np.errstate(invalid="ignore", over="ignore"):
             det_adjugate_rows(np.full(ms.shape, np.nan), 2, storage)
@@ -267,7 +267,7 @@ class TestStorage:
     def test_too_small_a_storage_is_rejected(self):
         ms = np.eye(4)[None].repeat(3, axis=0)
         with pytest.raises(ValueError, match="needed"):
-            det_adjugate_rows(ms, 4, mixing_storage(4, 4, 2))
+            det_adjugate_rows(ms, 4, np.empty(_mixing_cofactors(4, 4).floats(2)))
 
 
 def bracket_real_root(coeffs, lo=-1e4, hi=0.0, iters=200):

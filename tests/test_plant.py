@@ -159,9 +159,9 @@ class TestScheduleRule:
     @pytest.mark.parametrize(
         "entries, match",
         [
-            (((0.0, 1), (None, 2)), r"^entries\[1\]\[0\]: start time None is not a number"),
-            ((("0", 1),), r"^entries\[0\]\[0\]: start time '0' is not a number"),
-            (((False, 1), (1.0, 2)), r"^entries\[0\]\[0\]: start time False is not a number"),
+            (((0.0, 1), (None, 2)), r"^entries\[1\]\[0\]: expected a number, got None"),
+            ((("0", 1),), r"^entries\[0\]\[0\]: expected a number, got '0'"),
+            (((False, 1), (1.0, 2)), r"^entries\[0\]\[0\]: expected a number, got False"),
         ],
         ids=["none", "text", "bool"],
     )
@@ -243,16 +243,16 @@ class TestChuaPreset:
         "fields, match",
         [
             ({"a": np.ones((3, 2))}, r"^a: expected a non-empty square matrix, got shape \(3, 2\)"),
-            ({"a": [[1.0, 2.0], [3.0]]}, r"^a: expected an array of numbers"),
+            ({"a": [[1.0, 2.0], [3.0]]}, r"^a: expected a rectangular array"),
             ({"b": np.zeros(4)}, r"^b: expected length n = 3, got shape \(4,\)"),
-            ({"c": np.full(3, np.nan)}, r"^c: entries must be finite"),
+            ({"c": np.full(3, np.nan)}, r"^c\[0\]: expected a finite number, got nan"),
             ({"initial_state": np.zeros((3, 1))}, r"^initial_state: expected length n = 3"),
             ({"true_params": np.zeros(2)}, r"^true_params: expected s >= 1 parameter vectors"),
             ({"true_params": np.zeros((3, 6))}, r"^true_params: m \+ n = 9 exceeds"),
             ({"true_params": np.zeros((2, 2))}, r"^switching\.regions: 3 regions for 2 parameter"),
             ({"psi": lambda y, u: np.zeros((3, 3))}, r"^psi: must map floats"),
-            ({"c": ["1", "0", "0"]}, r"^c: expected an array of numbers"),
-            ({"c": [True, False, False]}, r"^c: expected an array of numbers"),
+            ({"c": ["1", "0", "0"]}, r"^c\[0\]: expected a number, got '1'"),
+            ({"c": [True, False, False]}, r"^c\[0\]: expected a number, got True"),
         ],
         ids=["a-not-square", "a-ragged", "b-length", "c-nan", "x0-shape", "params-flat",
              "m+n-9", "regions-count", "psi-shape", "c-strings", "c-bools"],

@@ -103,9 +103,9 @@ class TestStepConfig:
             StepConfig(step_size=0.1, end_time=-1.0)
         # A non-finite time is blamed on its own field, not on the row limit.
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ConfigurationError, match=r"^start_time: must be finite"):
+            with pytest.raises(ConfigurationError, match=r"^start_time: expected a finite number"):
                 StepConfig(1e-3, 1.0, start_time=bad)
-            with pytest.raises(ConfigurationError, match=r"^end_time: must be finite"):
+            with pytest.raises(ConfigurationError, match=r"^end_time: expected a finite number"):
                 StepConfig(1e-3, bad)
         # So is an integer beyond the float range, which math.isfinite
         # cannot convert.
@@ -114,7 +114,7 @@ class TestStepConfig:
             ((10**400, 1.0), "step_size"),
             ((1e-3, 1.0, -(10**400)), "start_time"),
         ):
-            with pytest.raises(ConfigurationError, match=rf"^{field}: must be finite"):
+            with pytest.raises(ConfigurationError, match=rf"^{field}: expected a finite number, got -?inf"):
                 StepConfig(*fields)
         # A field that is not a real number, a bool included, is named.
         for fields, field in (
@@ -124,7 +124,7 @@ class TestStepConfig:
             ({"step_size": 0.1, "end_time": 1.0, "start_time": False}, "start_time"),
             ({"step_size": 0.1, "end_time": np.bool_(True)}, "end_time"),
         ):
-            with pytest.raises(ConfigurationError, match=rf"^{field}: must be a real number, got "):
+            with pytest.raises(ConfigurationError, match=rf"^{field}: expected a number, got "):
                 StepConfig(**fields)
 
     def test_trace_row_limit(self):
@@ -267,7 +267,7 @@ class TestRunSimulation:
     @pytest.mark.parametrize("gamma", [["10", "10", "10"], [True, True, True]], ids=["strings", "bools"])
     def test_gamma_of_strings_or_bools_rejected(self, gamma):
         # Such entries used to load as 10.0 and 1.0.
-        with pytest.raises(ConfigurationError, match=r"^gamma: expected an array of numbers"):
+        with pytest.raises(ConfigurationError, match=r"^gamma\[0\]: expected a number, got "):
             chua_experiment(1.0, gamma=gamma)
 
     def test_sigma_constant_between_events(self, short_ideal_run):
@@ -1052,18 +1052,20 @@ class TestScheduleEntries:
     """Schedule entries are finite start times and integer subsystem
     indices.  An index of 1.5 used to pass the range check and raise an
     IndexError at its switch; a NaN start time was never reached, so its
-    entry was silently skipped.  Both are rejected when the model is built,
-    before the plant is stepped."""
+    entry was silently skipped, and an integer start time beyond the float
+    range raised OverflowError.  All are rejected when the rule or the
+    model is built, before the plant is stepped."""
 
     @pytest.mark.parametrize(
         "entries, match",
         [
             (((0.0, 2), (0.1, 1.5)), r"switching\.entries\[1\]\[1\]: .*not an integer"),
             (((0.0, 2), (0.1, True)), r"switching\.entries\[1\]\[1\]: .*not an integer"),
-            (((0.0, 2), (math.nan, 1)), r"switching\.entries\[1\]\[0\]: .*not finite"),
-            (((0.0, 2), (math.inf, 1)), r"switching\.entries\[1\]\[0\]: .*not finite"),
+            (((0.0, 2), (math.nan, 1)), r"^entries\[1\]\[0\]: expected a finite number, got nan"),
+            (((0.0, 2), (math.inf, 1)), r"^entries\[1\]\[0\]: expected a finite number, got inf"),
+            (((0.0, 2), (10**400, 1)), r"^entries\[1\]\[0\]: expected a finite number, got inf"),
         ],
-        ids=["fractional-index", "bool-index", "nan-time", "inf-time"],
+        ids=["fractional-index", "bool-index", "nan-time", "inf-time", "huge-int-time"],
     )
     def test_rejected_before_integration(self, entries, match, monkeypatch):
         cfg = small_switched_setup(StepConfig(1e-3, 1.0))

@@ -204,6 +204,20 @@ class TestByteIdentity:
             assert got.read_bytes() == want.read_bytes(), got.name
 
 
+class TestPlotRange:
+    @pytest.mark.parametrize(
+        "y", [[1.7e308, -1.7e308], [0.85e308, -0.85e308, 0.0]], ids=["span-overflows", "padding-overflows"]
+    )
+    def test_range_beyond_the_float_range_has_finite_coordinates(self, tmp_path, y):
+        # A finite span or padded span beyond the float range used to draw
+        # nan coordinates and tick labels, with a RuntimeWarning.
+        path = tmp_path / "wide.svg"
+        plots.render_line_plot(path, "wide", np.linspace(0.0, 1.0, len(y)), [("y", np.array(y))])
+        svg = path.read_text()
+        assert "nan" not in svg and "inf" not in svg
+        assert f">{max(y):g}</text>" in svg and f">{min(y):g}</text>" in svg
+
+
 class TestFormatErrors:
     def test_missing_tag(self, tmp_path):
         path = tmp_path / "bad.csv"
