@@ -62,6 +62,11 @@ def _under(path: str):
         raise type(exc)(f"{path}.{exc}") from exc
 
 
+def _known_keys(spec: dict, path: str, known) -> None:
+    for key in spec:
+        _expect(key in known, f"{path}.{key}", "unknown key")
+
+
 def _as_bool(value, path: str) -> bool:
     _expect(isinstance(value, bool), path, "expected true or false")
     return value
@@ -72,9 +77,9 @@ def _build_affine_psi(spec: dict, path: str):
     The blocks are matrices of one shape, which ``PlantModel`` checks is
     (n, m)."""
     _expect(isinstance(spec, dict), path, "expected an object")
+    _known_keys(spec, path, ("constant", "output_gain", "input_gain"))
     blocks = {}
     for key, value in spec.items():
-        _expect(key in ("constant", "output_gain", "input_gain"), f"{path}.{key}", "unknown key")
         with _under(path):
             block = blocks[key] = checked_array(key, value, (None, None), "expected a matrix")
         shape = next(iter(blocks.values())).shape
@@ -105,6 +110,7 @@ def _build_switching(spec: dict, path: str):
     _expect(isinstance(spec, dict), path, "expected an object")
     kind = spec.get("type")
     _expect(kind in ("regions", "schedule"), f"{path}.type", "expected 'regions' or 'schedule'")
+    _known_keys(spec, path, ("type", "regions" if kind == "regions" else "entries"))
     if kind == "regions":
         regions_spec = spec.get("regions")
         _expect(isinstance(regions_spec, list) and regions_spec, f"{path}.regions", "expected a non-empty list")
@@ -112,12 +118,7 @@ def _build_switching(spec: dict, path: str):
         for k, r in enumerate(regions_spec):
             rpath = f"{path}.regions[{k}]"
             _expect(isinstance(r, dict), rpath, "expected an object")
-            for key in r:
-                _expect(
-                    key in ("min", "max", "min_inclusive", "max_inclusive"),
-                    f"{rpath}.{key}",
-                    "unknown key",
-                )
+            _known_keys(r, rpath, ("min", "max", "min_inclusive", "max_inclusive"))
             lower = checked_number(f"{rpath}.min", r["min"]) if "min" in r else None
             upper = checked_number(f"{rpath}.max", r["max"]) if "max" in r else None
             regions.append(
@@ -142,9 +143,7 @@ def _build_custom_plant(spec: dict, path: str) -> PlantModel:
     required = ("a", "b", "c", "psi", "true_params", "switching", "initial_state")
     for key in required:
         _expect(key in spec, f"{path}.{key}", "required for a custom plant")
-    known = set(required) | {"name"}
-    for key in spec:
-        _expect(key in known, f"{path}.{key}", "unknown key")
+    _known_keys(spec, path, required + ("name",))
     psi = _build_affine_psi(spec["psi"], f"{path}.psi")
     rule = _build_switching(spec["switching"], f"{path}.switching")
     name = spec.get("name", "custom")
@@ -164,14 +163,12 @@ def _build_custom_plant(spec: dict, path: str) -> PlantModel:
 
 def _build_noise(spec, path: str, seed: int) -> NoiseSpec:
     _expect(isinstance(spec, dict), path, "expected an object")
-    for key in spec:
-        _expect(key in ("v0", "seed", "omega"), f"{path}.{key}", "unknown key")
+    _known_keys(spec, path, ("v0", "seed", "omega"))
     omega = None
     if spec.get("omega") is not None:
         ospec = spec["omega"]
         _expect(isinstance(ospec, dict), f"{path}.omega", "expected an object")
-        for key in ospec:
-            _expect(key in ("amplitudes", "frequencies"), f"{path}.omega.{key}", "unknown key")
+        _known_keys(ospec, f"{path}.omega", ("amplitudes", "frequencies"))
         with _under(f"{path}.omega"):
             omega = make_sinusoid_disturbance(ospec.get("amplitudes", []), ospec.get("frequencies", []))
     with _under(path):
@@ -196,8 +193,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         "observer_init",
         "noise",
     }
-    for key in raw:
-        _expect(key in known, f"config.{key}", "unknown key")
+    _known_keys(raw, "config", known)
     _expect("plant" in raw, "config.plant", "required")
 
     plant_spec = raw["plant"]

@@ -12,7 +12,7 @@ import bisect
 import math
 import numbers
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Union
 
 import numpy as np
@@ -29,17 +29,25 @@ def zero_input(t: float) -> float:
     return 0.0
 
 
+def _as_float(value) -> float | None:
+    """``value`` as a float when it is a real number and not a bool, an
+    integer beyond the float range as an infinity; else None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def checked_number(name: str, value) -> float:
     """``value`` as a float: a real number, not a bool, within the float
     range and finite; else ConfigurationError ``<name>: expected a number,
     got ...`` or ``<name>: expected a finite number, got ...``.  This is the
     package's one test of an input number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    number = _as_float(value)
+    if number is None:
         raise ConfigurationError(f"{name}: expected a number, got {reprlib.repr(value)}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf if value > 0 else -math.inf
     if not math.isfinite(number):
         raise ConfigurationError(f"{name}: expected a finite number, got {number}")
     return number
@@ -109,14 +117,24 @@ class StateRegionRule:
     def __post_init__(self):
         if not self.regions:
             raise ConfigurationError("regions: a state-region rule needs at least one region")
+        regions = []
         for k, region in enumerate(self.regions):
+            bounds = {}
             for side in ("lower", "upper"):
                 bound = getattr(region, side)
-                real = isinstance(bound, numbers.Real) and not isinstance(bound, bool)
-                if bound is not None and (not real or math.isnan(bound)):
+                number = None if bound is None else _as_float(bound)
+                if bound is not None and (number is None or math.isnan(number)):
                     raise ConfigurationError(
-                        f"regions[{k}].{side}: bound {bound!r} is neither None nor a number"
+                        f"regions[{k}].{side}: bound {reprlib.repr(bound)} is neither None nor a number"
                     )
+                bounds[side] = number
+                flag = getattr(region, f"{side}_closed")
+                if not isinstance(flag, bool):
+                    raise ConfigurationError(
+                        f"regions[{k}].{side}_closed: expected True or False, got {reprlib.repr(flag)}"
+                    )
+            regions.append(replace(region, **bounds))
+        object.__setattr__(self, "regions", tuple(regions))
         seam = _first_uncovered(self.regions)
         if seam is not None:
             raise ConfigurationError(

@@ -518,7 +518,7 @@ class _Plant:
         """Write row 0: the initial state, its output and its subsystem."""
         x0 = self.model.initial_state
         y = float(self.dot_c(x0))
-        trace.x[0], trace.y[0], trace.data[0, 1] = x0, y, self.rule_for(y, self.t0)
+        trace.x[0], trace.y[0], trace.sigma_float[0] = x0, y, self.rule_for(y, self.t0)
 
     def disturbance(self, lo: int, hi: int) -> tuple:
         """Disturbance rows of steps lo..hi-1 at their start, middle and end
@@ -540,7 +540,7 @@ class _Plant:
         reached, the true outputs and the inputs of every stage of the steps
         taken, each (steps, 4), and the rows where the subsystem switched.
         """
-        xs, ys, sigmas = trace.x, trace.y, trace.data[:, 1]
+        xs, ys, sigmas = trace.x, trace.y, trace.sigma_float
         reached, y, states, outputs, inputs, actives, switches = self.steps(
             self, xs[lo], float(ys[lo]), int(sigmas[lo]), lo, hi, *self.disturbance(lo, hi)
         )
@@ -798,7 +798,7 @@ def _fill_errors(trace, model, cascade, lo, panels, switch_rows, diagnostics) ->
         return
     starts = np.asarray(switch_rows)
     last = np.searchsorted(starts, np.arange(rows.start, rows.stop), side="right") - 1
-    theta_sigma = model.true_params[trace.data[rows, 1].astype(np.int64) - 1]
+    theta_sigma = model.true_params[trace.sigma_float[rows].astype(np.int64) - 1]
     theta_bar = np.concatenate([theta_sigma, trace.x[starts[last]]], axis=1)
     # The panels [xu | upsilon | phi] against [1; theta_sigma; x(t_k)].
     weights = np.concatenate([np.ones((len(theta_bar), 1)), theta_bar], axis=1)
@@ -843,7 +843,7 @@ def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> 
     data = np.empty((steps + 1, len(column_names(n, m, s))))
     data[:, 0] = t0 + h * np.arange(steps + 1)
     trace = SimulationTrace(meta=meta, data=data)
-    sigma = data[:, 1]
+    sigma = trace.sigma_float
     diagnostics = None
     if collect_diagnostics:
         rows = steps + 1

@@ -10,9 +10,9 @@ block on the way out, numpy's C text reader per block on the way in.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -23,18 +23,34 @@ from .errors import TraceFormatError
 FORMAT_TAG = "dremobs-trace 1"
 
 
+def column_blocks(n: int, m: int, s: int) -> tuple:
+    """The column blocks of a row, in order: the view's name, the prefix of
+    its column names and the shape of one row of the block.  This table is
+    the one statement of the layout; a column is named by its prefix and its
+    1-based index within the block (``thetahat2_1``), a scalar block by its
+    prefix alone."""
+    return (
+        ("t", "t", ()),
+        ("sigma_float", "sigma", ()),
+        ("x", "x", (n,)),
+        ("xhat", "xhat", (n,)),
+        ("y", "y", ()),
+        ("ybar", "ybar", ()),
+        ("z", "z", (m + n,)),
+        ("delta", "delta", ()),
+        ("theta_hat", "thetahat", (s, m)),
+        ("theta_error", "theta_err", (s,)),
+        ("x_error", "x_err", ()),
+        ("excitation", "exc", (s,)),
+    )
+
+
 def column_names(n: int, m: int, s: int) -> list[str]:
-    names = ["t", "sigma"]
-    names += [f"x{i + 1}" for i in range(n)]
-    names += [f"xhat{i + 1}" for i in range(n)]
-    names += ["y", "ybar"]
-    names += [f"z{j + 1}" for j in range(m + n)]
-    names += ["delta"]
-    names += [f"thetahat{i + 1}_{j + 1}" for i in range(s) for j in range(m)]
-    names += [f"theta_err{i + 1}" for i in range(s)]
-    names += ["x_err"]
-    names += [f"exc{i + 1}" for i in range(s)]
-    return names
+    return [
+        prefix + "_".join(str(i + 1) for i in index)
+        for _, prefix, shape in column_blocks(n, m, s)
+        for index in itertools.product(*map(range, shape))
+    ]
 
 
 @dataclass
@@ -44,6 +60,15 @@ class SimulationTrace:
     ``meta`` must contain the dimensions ``n``, ``m``, ``s``; the remaining
     entries echo the run configuration.  ``pre_reset_delta`` aligns with
     ``switch_times`` (NaN for the initial reset, which has no prior state).
+
+    Each block of ``column_blocks`` is an attribute named after it, a view
+    of ``data`` of shape (rows, *block shape) bound once when the trace is
+    built: ``t``, ``sigma_float``, ``x``, ``xhat``, ``y``, ``ybar``, ``z``,
+    ``delta``, ``theta_hat`` (rows, s, m), ``theta_error``, ``x_error`` and
+    ``excitation``.  A write through a view lands in ``data``.  The package
+    never reassigns ``data``, deep-copies or pickles a trace, so the views
+    bound once stay views of ``data``.  ``sigma`` is an int copy of the
+    ``sigma_float`` column, and ``columns`` holds the column names.
     """
 
     meta: dict
@@ -61,23 +86,28 @@ class SimulationTrace:
             value = self.meta[key]
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
                 raise TraceFormatError(f"trace meta '{key}' must be an integer >= 1, got {value!r}")
-        # The width column_names gives, compared before any name is built.
-        n, m, s = self.n, self.m, self.num_subsystems
-        width = 6 + 3 * n + m + s * m + 2 * s
-        if self.data.shape[1] != width:
+        # The column count, compared before any name is built.
+        rows, width = self.data.shape
+        dims = self.n, self.m, self.num_subsystems
+        blocks = column_blocks(*dims)
+        count = sum(math.prod(shape) for _, _, shape in blocks)
+        if width != count:
             raise TraceFormatError(
-                f"trace has {self.data.shape[1]} columns, "
-                f"expected {width} for the declared dimensions"
+                f"trace has {width} columns, expected {count} for the declared dimensions"
             )
+        self.columns = column_names(*dims)
+        start = 0
+        for view, _, shape in blocks:
+            stop = start + math.prod(shape)
+            setattr(self, view, self.data[:, start:stop].reshape(rows, *shape))
+            start = stop
         if len(self.pre_reset_delta) != len(self.switch_times):
             raise TraceFormatError("pre_reset_delta must align with switch_times")
-        t = self.data[:, 0]
-        if not np.isfinite(t).all():
+        if not np.isfinite(self.t).all():
             raise TraceFormatError("time column must be finite")
-        if t.shape[0] > 1 and np.any(np.diff(t) <= 0):
+        if rows > 1 and np.any(np.diff(self.t) <= 0):
             raise TraceFormatError("time column must be strictly increasing")
 
-    # -- schema ------------------------------------------------------------
     @property
     def n(self) -> int:
         return int(self.meta["n"])
@@ -90,69 +120,9 @@ class SimulationTrace:
     def num_subsystems(self) -> int:
         return int(self.meta["s"])
 
-    @functools.cached_property
-    def columns(self) -> list[str]:
-        """Column names, fixed by the dimensions the trace was built with."""
-        return column_names(self.n, self.m, self.num_subsystems)
-
-    def _col(self, name: str) -> int:
-        return self.columns.index(name)
-
-    # -- column views --------------------------------------------------
-    @property
-    def t(self) -> np.ndarray:
-        return self.data[:, 0]
-
     @property
     def sigma(self) -> np.ndarray:
-        return self.data[:, 1].astype(int)
-
-    @property
-    def x(self) -> np.ndarray:
-        start = 2
-        return self.data[:, start : start + self.n]
-
-    @property
-    def xhat(self) -> np.ndarray:
-        start = 2 + self.n
-        return self.data[:, start : start + self.n]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.data[:, self._col("y")]
-
-    @property
-    def ybar(self) -> np.ndarray:
-        return self.data[:, self._col("ybar")]
-
-    @property
-    def z(self) -> np.ndarray:
-        start = self._col("z1")
-        return self.data[:, start : start + self.m + self.n]
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.data[:, self._col("delta")]
-
-    @property
-    def theta_hat(self) -> np.ndarray:
-        start = self._col("thetahat1_1")
-        s, m = self.num_subsystems, self.m
-        return self.data[:, start : start + s * m].reshape(-1, s, m)
-
-    @property
-    def theta_error(self) -> np.ndarray:
-        start = self._col("theta_err1")
-        return self.data[:, start : start + self.num_subsystems]
-
-    @property
-    def x_error(self) -> np.ndarray:
-        return self.data[:, self._col("x_err")]
-
-    @property
-    def excitation(self) -> np.ndarray:
-        start = self._col("exc1")
-        return self.data[:, start : start + self.num_subsystems]
+        return self.sigma_float.astype(int)
 
 
 def traces_equal(a: SimulationTrace, b: SimulationTrace) -> bool:
@@ -201,8 +171,7 @@ def _text_blocks(trace: SimulationTrace):
     """The canonical text in pieces: the header, then the data rows a block
     at a time, each block formatted by a single ``%``."""
     yield _header_text(trace)
-    width = trace.data.shape[1]
-    row = ",".join(["%.17g", "%d"] + ["%.17g"] * (width - 2)) + "\n"
+    row = ",".join("%d" if name == "sigma" else "%.17g" for name in trace.columns) + "\n"
     for lo in range(0, trace.data.shape[0], BLOCK_ROWS):
         block = trace.data[lo : lo + BLOCK_ROWS]
         yield (row * block.shape[0]) % tuple(block.ravel().tolist())
@@ -315,7 +284,7 @@ def read_trace(path) -> SimulationTrace:
         raise TraceFormatError(f"{path}: {exc}") from None
     if header != trace.columns:
         raise TraceFormatError(f"{path}: column header does not match the declared dimensions")
-    sigma, s = trace.data[:, 1], trace.num_subsystems
+    sigma, s = trace.sigma_float, trace.num_subsystems
     bad = np.flatnonzero(~np.isin(sigma, np.arange(1, s + 1)))
     if bad.size:
         raise TraceFormatError(

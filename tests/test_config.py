@@ -127,6 +127,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=r"^config\.noise\.lipschitz_psi: unknown key"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "switching, key",
+        [
+            ({"type": "regions", "regions": [{}], "bogus": 1}, "bogus"),
+            ({"type": "regions", "regions": [{}], "entries": [[0.0, 1]]}, "entries"),
+            ({"type": "schedule", "entries": [[0.0, 1]], "regions": [{}]}, "regions"),
+        ],
+        ids=["bogus", "regions-with-entries", "schedule-with-regions"],
+    )
+    def test_unknown_switching_key_rejected(self, switching, key):
+        # The one JSON object that did not check its keys: each of these ran.
+        spec = dict(custom_plant_spec(), true_params=[[0.3]], switching=switching)
+        raw = {"plant": spec, "filter_gains": [[2.0, 0.0], [1.0, 1.0], [3.0, 0.5]], "observer_gain": [2.0, 0.5]}
+        config_from_dict(dict(raw, plant=dict(spec, switching={k: v for k, v in switching.items() if k != key})))
+        with pytest.raises(ConfigurationError, match=rf"^config\.plant\.switching\.{key}: unknown key$"):
+            config_from_dict(raw)
+
     def test_gamma_length_checked(self):
         with pytest.raises(ConfigurationError, match="config.gamma"):
             config_from_dict({"plant": "chua", "gamma": [10.0, 10.0]})
@@ -515,11 +532,13 @@ def mutated(draw, base):
 def _load_and_run_five_steps(raw):
     """A config either fails to load with ConfigurationError or runs the
     horizon of five steps from its start time, to the end or to a
-    SimulationAbort; nothing else may escape."""
+    SimulationAbort; nothing else may escape.  A config that still holds an
+    unknown key must fail to load."""
     try:
         cfg = config_from_dict(raw)
     except ConfigurationError:
         return "rejected"
+    assert not any(isinstance(v, dict) and "unexpected_key" in v for _, v in _paths(raw))
     h, t0 = cfg.step.step_size, cfg.step.start_time
     cfg = replace(cfg, step=StepConfig(step_size=h, end_time=t0 + 5 * h, start_time=t0))
     try:

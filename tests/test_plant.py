@@ -78,14 +78,30 @@ class TestRegionRule:
             ((OutputRegion(), OutputRegion(upper=[1.0])), r"^regions\[1\]\.upper: bound \[1\.0\]"),
             ((OutputRegion(lower=math.nan),), r"^regions\[0\]\.lower: bound nan"),
             ((OutputRegion(upper=True),), r"^regions\[0\]\.upper: bound True"),
+            (
+                (OutputRegion(upper=0.0, upper_closed="no"), OutputRegion(lower=0.0)),
+                r"^regions\[0\]\.upper_closed: expected True or False, got 'no'$",
+            ),
+            (
+                (OutputRegion(), OutputRegion(lower_closed=None)),
+                r"^regions\[1\]\.lower_closed: expected True or False, got None$",
+            ),
         ],
-        ids=["text", "list", "nan", "bool"],
+        ids=["text", "list", "nan", "bool", "text-flag", "none-flag"],
     )
     def test_rejects_bound_that_is_not_a_number(self, regions, match):
         # Compared in the coverage sweep before anything checked its type: a
-        # raw TypeError, or for NaN a region that contained every output.
+        # raw TypeError, or for NaN a region that contained every output.  A
+        # flag that is not a bool counted as its truth value: with "no",
+        # y = 0 picked subsystem 1.
         with pytest.raises(ConfigurationError, match=match):
             StateRegionRule(regions)
+
+    def test_integer_bound_beyond_the_float_range_is_an_infinity(self):
+        # math.isnan raised a raw OverflowError on the integer.
+        rule = StateRegionRule((OutputRegion(upper=10**400), OutputRegion(lower=-(10**400))))
+        assert [(r.lower, r.upper) for r in rule.regions] == [(None, math.inf), (-math.inf, None)]
+        assert rule.subsystem_for(1e308, 0.0) == 1
 
     def test_covering_seams_accepted(self):
         inf = None

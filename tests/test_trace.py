@@ -85,6 +85,53 @@ class TestSchema:
         assert trace.n == 3 and trace.m == 2 and trace.num_subsystems == 3
         assert trace.data.shape[1] == 29
 
+    def test_column_names_for_small_dimensions(self):
+        assert column_names(2, 1, 4) == [
+            "t", "sigma", "x1", "x2", "xhat1", "xhat2", "y", "ybar", "z1", "z2", "z3", "delta",
+            "thetahat1_1", "thetahat2_1", "thetahat3_1", "thetahat4_1",
+            "theta_err1", "theta_err2", "theta_err3", "theta_err4", "x_err",
+            "exc1", "exc2", "exc3", "exc4",
+        ]
+
+    @pytest.mark.parametrize("n, m, s", [(3, 2, 3), (2, 1, 4)], ids=["chua", "n2-m1-s4"])
+    def test_views_share_data_with_their_documented_shapes(self, n, m, s):
+        # Each view's shape of one row and its column names, as the README
+        # lists them.
+        views = {
+            "t": ((), ["t"]),
+            "sigma_float": ((), ["sigma"]),
+            "x": ((n,), [f"x{i + 1}" for i in range(n)]),
+            "xhat": ((n,), [f"xhat{i + 1}" for i in range(n)]),
+            "y": ((), ["y"]),
+            "ybar": ((), ["ybar"]),
+            "z": ((m + n,), [f"z{j + 1}" for j in range(m + n)]),
+            "delta": ((), ["delta"]),
+            "theta_hat": ((s, m), [f"thetahat{i + 1}_{j + 1}" for i in range(s) for j in range(m)]),
+            "theta_error": ((s,), [f"theta_err{i + 1}" for i in range(s)]),
+            "x_error": ((), ["x_err"]),
+            "excitation": ((s,), [f"exc{i + 1}" for i in range(s)]),
+        }
+        rows = 4
+        data = np.zeros((rows, len(column_names(n, m, s))))
+        data[:, 0] = np.arange(rows)
+        trace = SimulationTrace(meta={"n": n, "m": m, "s": s}, data=data)
+        assert trace.columns == [name for _, names in views.values() for name in names]
+        for view, (shape, names) in views.items():
+            values = getattr(trace, view)
+            assert np.shares_memory(values, trace.data), view
+            assert values.shape == (rows, *shape) and values.dtype == np.float64, view
+            before = trace.data.copy()
+            written = 100.0 + np.arange(values.size).reshape(values.shape)
+            values[...] = written
+            cols = [trace.columns.index(name) for name in names]
+            np.testing.assert_array_equal(trace.data[:, cols], written.reshape(rows, -1))
+            others = np.setdiff1d(np.arange(trace.data.shape[1]), cols)
+            np.testing.assert_array_equal(trace.data[:, others], before[:, others])
+        trace.sigma_float[:] = [1.0, 2.0, 2.0, 1.0]
+        sigma = trace.sigma
+        assert sigma.dtype == np.int_ and sigma.tolist() == [1, 2, 2, 1]
+        assert not np.shares_memory(sigma, trace.data)
+
     def test_misdeclared_dimensions_rejected(self):
         trace, hand = tiny_run().trace, hand_built_trace(3)
         # (trace, key, value, data columns kept): a width other than the

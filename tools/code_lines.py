@@ -2,10 +2,15 @@
 blank lines, comment lines or the lines of a docstring.
 
 Usage:
-    python3 tools/code_lines.py PATH...
+    python3 tools/code_lines.py [--parent REV] PATH...
 
 A PATH is a ``.py`` file or a directory, searched for ``.py`` files.  The
-script prints one ``<lines>  <file>`` line per file, then the total.  A line
+script prints one ``<lines>  <file>`` line per file, then the total.  With
+``--parent``, it exports the git revision ``REV`` with
+``bench_pairs.export_tree`` into a temporary directory, reads each PATH
+there and in this checkout (relative to its root), and prints a
+``parent  change  delta  file`` line per file, then the totals; a file
+present on one side only counts 0 on the other.  A line
 counts once however many tokens it holds, and every line of a multi-line
 expression or string that is not a docstring counts.  A docstring is a
 string literal standing as the first statement of a module, class or
@@ -17,9 +22,13 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import shutil
 import sys
+import tempfile
 import tokenize
 from pathlib import Path
+
+from bench_pairs import ROOT, export_tree
 
 # Tokens that are layout or commentary, not code.
 NOT_CODE = {
@@ -57,18 +66,50 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
-def _sources(paths: list[str]) -> list[Path]:
+def _sources(paths) -> list[Path]:
     files = []
     for path in map(Path, paths):
         files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
     return files
 
 
+def _tree_counts(root: Path, paths: list[Path]) -> dict[str, int]:
+    """Code lines of the sources under ``paths``, taken relative to
+    ``root``, by file path relative to ``root``."""
+    return {
+        path.relative_to(root).as_posix(): code_lines(path.read_text(encoding="utf-8"))
+        for path in _sources([root / p for p in paths if (root / p).exists()])
+    }
+
+
+def compare(rev: str, paths: list[str]) -> None:
+    """Print the parent, change and delta lines of ``paths`` between the
+    revision ``rev`` and this checkout."""
+    relative = [Path(p).resolve().relative_to(ROOT) for p in paths]
+    scratch = Path(tempfile.mkdtemp(prefix="code-lines-"))
+    try:
+        export_tree(rev, scratch)
+        parent = _tree_counts(scratch, relative)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    change = _tree_counts(ROOT, relative)
+    print("parent  change   delta  file")
+    rows = [(parent.get(f, 0), change.get(f, 0), f) for f in sorted(parent.keys() | change.keys())]
+    rows.append((sum(parent.values()), sum(change.values()), "total"))
+    for before, after, name in rows:
+        print(f"{before:6d}  {after:6d}  {after - before:+6d}  {name}")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="Count the code lines of Python sources.")
     parser.add_argument("paths", nargs="+", help="a .py file or a directory searched for them")
+    parser.add_argument("--parent", metavar="REV", help="git revision to compare against")
+    args = parser.parse_args(argv)
+    if args.parent is not None:
+        compare(args.parent, args.paths)
+        return 0
     total = 0
-    for path in _sources(parser.parse_args(argv).paths):
+    for path in _sources(args.paths):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path}")
