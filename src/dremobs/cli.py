@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import (
@@ -17,12 +17,11 @@ from .config import (
     DEFAULT_STEP,
     ExperimentConfig,
     config_from_dict,
-    load_config,
+    read_config,
     run_experiment,
 )
 from .errors import ConfigurationError, SimulationAbort, TraceFormatError
 from .plots import render_trace_plots
-from .sim import StepConfig
 from .trace import read_trace, write_trace
 from .verification import oracle_checks, summarize
 
@@ -53,10 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument(
-        "--seed", type=int, default=None, help="noise seed override (no effect without noise)"
+        "--seed", type=int, default=None, help="the config's seed (no effect without noise)"
     )
-    sim.add_argument("--h", type=float, default=None, help="integration step override")
-    sim.add_argument("--T", type=float, default=None, help="end time override")
+    sim.add_argument("--h", type=float, default=None, help="the config's step_size")
+    sim.add_argument("--T", type=float, default=None, help="the config's end_time")
     sim.add_argument("--no-plots", action="store_true", help="skip SVG rendering")
 
     ver = sub.add_parser("verify", help="run the oracle suite on an ideal run")
@@ -72,37 +71,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if not args.config:
-        raw = {"plant": args.preset, "mode": args.mode or "ideal"}
-        for key, value in (("seed", args.seed), ("step_size", args.h), ("end_time", args.T)):
+    """The run's JSON object, the preset's or the file's, with ``--seed``,
+    ``--h`` and ``--T`` written into it as ``seed``, ``step_size`` and
+    ``end_time``, parsed once, so a flag is checked as its key in a file.
+    A file's ``noise`` object that sets its own ``seed`` takes ``--seed``
+    there, since the seed may be set in one place only."""
+    raw = read_config(args.config) if args.config else {"plant": args.preset, "mode": args.mode or "ideal"}
+    if isinstance(raw, dict):
+        noise = raw.get("noise")
+        seeded = noise if isinstance(noise, dict) and "seed" in noise else raw
+        flags = ((seeded, "seed", args.seed), (raw, "step_size", args.h), (raw, "end_time", args.T))
+        for target, key, value in flags:
             if value is not None:
-                raw[key] = value
-        return config_from_dict(raw)
-    cfg = load_config(args.config)
+                target[key] = value
+    cfg = config_from_dict(raw)
     mode = "ideal" if cfg.noise is None else "robust"
-    if args.mode is not None and args.mode != mode:
+    if args.mode not in (None, mode):
         raise ConfigurationError(
-            f"config.mode: the file's run is '{mode}' but --mode asks for "
-            f"'{args.mode}'; set the mode in the file"
+            f"config.mode: the file's run is '{mode}' but --mode asks for '{args.mode}'; "
+            "set the mode in the file"
         )
-    if args.seed is None and args.h is None and args.T is None:
-        return cfg
-    # The overrides build a new config, checked as the file's was.
-    step, noise = cfg.step, cfg.noise
-    if args.seed is not None and noise is not None:
-        noise = replace(noise, seed=args.seed)
-    try:
-        return replace(
-            cfg,
-            step=StepConfig(
-                step_size=args.h if args.h is not None else step.step_size,
-                end_time=args.T if args.T is not None else step.end_time,
-                start_time=step.start_time,
-            ),
-            noise=noise,
-        )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"--seed/--T/--h override: {exc}") from exc
+    return cfg
 
 
 def _output_dir(path) -> Path | None:

@@ -244,8 +244,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         return ExperimentConfig(model=model, step=step, noise=noise, **fields)
 
 
-def load_config(path) -> ExperimentConfig:
-    """Load and validate a JSON experiment configuration."""
+def read_config(path):
+    """The JSON value of a configuration file, not yet checked."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -254,8 +254,12 @@ def load_config(path) -> ExperimentConfig:
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{p}: not UTF-8 text ({exc})") from exc
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise ConfigurationError(f"{p}: invalid JSON ({exc})") from exc
-    return config_from_dict(raw)
+
+
+def load_config(path) -> ExperimentConfig:
+    """Load and validate a JSON experiment configuration."""
+    return config_from_dict(read_config(path))
 

@@ -139,14 +139,13 @@ class Cofactors:
             rhs = storage[size + widest : size + widest + used].reshape(lhs.shape)
             level = buf[start:stop]
             # Term by term, so every member of a stack is summed in the same
-            # order whatever the stack's shape.
+            # order whatever the stack's shape.  The first term takes columns
+            # 0..half-1, so its sign exponent half*(half-1) is even.
             for term, sign in enumerate(signs):
                 np.take(buf, left[term], axis=0, out=lhs, mode="clip")
                 np.take(buf, right[term], axis=0, out=rhs, mode="clip")
                 if term == 0:
                     np.multiply(lhs, rhs, out=level)
-                    if sign < 0.0:
-                        np.negative(level, out=level)
                 else:
                     np.multiply(lhs, rhs, out=lhs)
                     (np.add if sign > 0.0 else np.subtract)(level, lhs, out=level)

@@ -53,7 +53,7 @@ def column_names(n: int, m: int, s: int) -> list[str]:
     ]
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationTrace:
     """One row per grid point plus switch-event markers.
 
@@ -69,6 +69,9 @@ class SimulationTrace:
     never reassigns ``data``, deep-copies or pickles a trace, so the views
     bound once stay views of ``data``.  ``sigma`` is an int copy of the
     ``sigma_float`` column, and ``columns`` holds the column names.
+
+    ``==`` is identity, as for any object: ``traces_equal`` compares two
+    traces' contents.
     """
 
     meta: dict

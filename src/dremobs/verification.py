@@ -89,18 +89,16 @@ def check_mixing(result: RunResult) -> CheckResult:
     )
 
 
+def _active(trace) -> np.ndarray:
+    """(steps, s): whether subsystem i is active on each grid step."""
+    return trace.sigma_float[:-1, None] == np.arange(1, trace.num_subsystems + 1)
+
+
 def check_freeze(result: RunResult) -> CheckResult:
     """Inactive estimates are bit-frozen between grid points."""
     trace = result.trace
-    theta = trace.theta_hat  # (T, s, m)
-    sigma_step = trace.sigma[:-1]
-    worst = 0.0
-    for i in range(trace.num_subsystems):
-        inactive = sigma_step != i + 1
-        if not inactive.any():
-            continue
-        step_change = np.abs(theta[1:, i, :] - theta[:-1, i, :]).max(axis=1)
-        worst = max(worst, float(step_change[inactive].max()))
+    step_change = np.abs(np.diff(trace.theta_hat, axis=0)).max(axis=2)  # (steps, s)
+    worst = float(step_change[~_active(trace)].max(initial=0.0))
     return CheckResult(
         name="inactive_freeze",
         passed=worst == 0.0,
@@ -149,11 +147,8 @@ def excitation_endpoints(trace) -> tuple[np.ndarray, np.ndarray]:
     t = trace.t
     d2_left = trace.delta[:-1] ** 2
     d2_right = trace.delta[1:] ** 2
-    for time, pre in zip(trace.switch_times, trace.pre_reset_delta):
-        if np.isnan(pre):
-            continue
-        row = int(np.searchsorted(t, time))
-        if 1 <= row < t.shape[0]:
+    for row, pre in zip(np.searchsorted(t, trace.switch_times), trace.pre_reset_delta):
+        if not np.isnan(pre) and 1 <= row < t.shape[0]:
             d2_right[row - 1] = pre * pre
     return d2_left, d2_right
 
@@ -167,8 +162,7 @@ def excitation_segments(trace) -> np.ndarray:
 def _active_sums(trace, per_step: np.ndarray) -> np.ndarray:
     """Per-subsystem sums of a per-step quantity over the steps on which
     each subsystem is active."""
-    sigma_step = trace.sigma[:-1]
-    return np.array([per_step[sigma_step == i + 1].sum() for i in range(trace.num_subsystems)])
+    return np.array([per_step[active].sum() for active in _active(trace).T])
 
 
 def trapezoid_excitation(trace) -> np.ndarray:
@@ -190,7 +184,7 @@ def trapezoid_error_estimate(trace) -> np.ndarray:
     left, right = excitation_endpoints(trace)
     fine = excitation_segments(trace)
     coarse = 0.5 * (t[2:] - t[:-2]) * (left[:-1] + right[1:])
-    sigma_step = trace.sigma[:-1]
+    sigma_step = trace.sigma_float[:-1]
     paired = sigma_step[:-1] == sigma_step[1:]
     share = np.where(paired, np.abs(fine[:-1] + fine[1:] - coarse) / 6.0, 0.0)
     step_error, pairs = np.zeros_like(fine), np.zeros_like(fine)
@@ -220,13 +214,10 @@ def excitation_window_means(trace, window: float) -> np.ndarray:
     steps_per_window = int(round(window / h))
     if steps_per_window < 1:
         raise ConfigurationError("window must cover at least one step")
-    seg = excitation_segments(trace)
-    sigma_step = trace.sigma[:-1]
-    cums = np.zeros((trace.num_subsystems, t.shape[0]))
-    for i in range(trace.num_subsystems):
-        cums[i, 1:] = np.cumsum(seg * (sigma_step == i + 1))
+    cums = np.zeros((t.shape[0], trace.num_subsystems))
+    np.cumsum(excitation_segments(trace)[:, None] * _active(trace), axis=0, out=cums[1:])
     width = steps_per_window * h
-    return (cums[:, steps_per_window:] - cums[:, :-steps_per_window]) / width
+    return (cums[steps_per_window:] - cums[:-steps_per_window]).T / width
 
 
 def check_excitation_consistency(result: RunResult) -> CheckResult:

@@ -130,6 +130,17 @@ class TestSimulateCommand:
         assert "spectral radius 1 or more" in err
         assert not out.exists()
 
+    def test_step_flag_on_a_file_is_checked_as_its_key(self, tmp_path, capsys):
+        # --h on a file used to fail under an "--seed/--T/--h override"
+        # wrapper that named no config path.
+        path = tmp_path / "chua.json"
+        path.write_text(json.dumps({"plant": "chua"}))
+        out = tmp_path / "o"
+        code = run_cli("simulate", "--config", str(path), "--h", "0.3", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert "config.filter_gains[0]: [0.0, -1.0, -15.0] at step_size 0.3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_step_whose_loops_stay_inside_the_unit_circle_runs(self, tmp_path):
         # At h = 0.2 every step polynomial's radius is below 1 (largest 0.998).
         out = tmp_path / "o"
@@ -160,7 +171,7 @@ class TestSimulateCommand:
         [
             pytest.param(1e300, None, "config.end_time", id="config-1e300"),
             pytest.param(1e9, None, "config.end_time", id="config-1e9"),
-            pytest.param(1.0, "1e300", "--T/--h override", id="override-1e300"),
+            pytest.param(1.0, "1e300", "config.end_time", id="override-1e300"),
         ],
     )
     def test_horizon_beyond_trace_row_limit_exits_2(self, tmp_path, end_time, override, names):
@@ -190,7 +201,7 @@ class TestSimulateCommand:
                 id="config-1e16",
             ),
             pytest.param(
-                {"start_time": 1e12, "end_time": 1000000000001}, "1e-4", "--T/--h override",
+                {"start_time": 1e12, "end_time": 1000000000001}, "1e-4", "config.start_time",
                 id="override-1e12",
             ),
         ],
@@ -339,6 +350,27 @@ class TestRunDescription:
         assert "\n# seed: 9\n" in (out / "trace.csv").read_text()
         assert read_trace(out / "trace.csv").meta["seed"] == 9
         assert json.loads((out / "summary.json").read_text())["seed"] == 9
+
+    def test_seed_flag_replaces_the_seed_of_the_noise_object(self, tmp_path):
+        # The file sets its seed inside its noise object, where a second
+        # top-level seed would be rejected: --seed takes its place there.
+        noise = {"v0": 0.1, "seed": 3}
+        path = tmp_path / "robust.json"
+        path.write_text(json.dumps({"plant": "chua", "mode": "robust", "end_time": 0.01, "noise": noise}))
+        out = tmp_path / "o"
+        code = run_cli("simulate", "--config", str(path), "--seed", "9", "--out", str(out), "--no-plots")
+        assert code == EXIT_OK
+        assert "\n# seed: 9\n" in (out / "trace.csv").read_text()
+        assert json.loads((out / "summary.json").read_text())["seed"] == 9
+
+    def test_file_that_is_not_an_object_takes_no_flags(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([{"plant": "chua"}]))
+        proc = run_module("simulate", "--config", str(path), "--T", "1", "--out", str(tmp_path / "o"))
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "config error: config: expected a JSON object\n"
+        assert not (tmp_path / "o").exists()
 
     def test_verify_file_is_an_ideal_run(self, tmp_path):
         # The mode a file's run has follows from its noise; verify has none.

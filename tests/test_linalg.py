@@ -180,6 +180,15 @@ class TestFastPath:
                 assert det_rows.reshape(12).tobytes() == dets.tobytes()
                 assert adj_rows.reshape(12, rows, k).tobytes() == adjs[:, :rows].tobytes()
 
+    def test_first_term_of_every_level_is_positive(self):
+        # A level's first term takes columns 0..half-1, sign exponent
+        # half*(half-1), so its product is stored without a negation.
+        for k in range(1, MAX_SIDE + 1):
+            tables = [Cofactors(k, [(i, j) for i in range(k) for j in range(k)])]
+            tables += [_mixing_cofactors(k, rows) for rows in range(1, k + 1)]
+            for table in tables:
+                assert all(signs[0] == 1.0 for *_, signs in table._levels), k
+
     def test_batched_det_small_matches_lapack(self):
         # LAPACK serves only as an oracle here; the library never calls it.
         rng = np.random.default_rng(19)

@@ -92,7 +92,7 @@ class TestLeafChanges:
 class TestMain:
     """``main`` with the export and the CLI runs replaced by fakes."""
 
-    def run_main(self, monkeypatch, capsys, changed=None, cores=None, kernel_calls=None):
+    def run_main(self, monkeypatch, capsys, changed=None, cores=None, kernel_calls=None, configs=None):
         calls = []
 
         def fake_run(tree, args, out, kernel=None):
@@ -100,7 +100,10 @@ class TestMain:
             # elapsed time, and prints its own output directory and tree;
             # ``changed`` names an artifact the change alters, under a
             # forced kernel prefixed with the kernel's name.
-            calls.append((tree == output_digests.ROOT, args[0]))
+            calls.append((tree == output_digests.ROOT, args))
+            if configs is not None and "--config" in args:
+                path = args[args.index("--config") + 1]
+                configs.append((path, json.loads(Path(path).read_text())))
             if kernel_calls is not None:
                 kernel_calls.append(kernel)
             out.mkdir(parents=True)
@@ -130,15 +133,25 @@ class TestMain:
         return code, calls, capsys.readouterr().out.splitlines()
 
     def test_identical_artifacts_exit_0(self, monkeypatch, capsys):
-        code, calls, lines = self.run_main(monkeypatch, capsys)
+        configs = []
+        code, calls, lines = self.run_main(monkeypatch, capsys, configs=configs)
         assert code == 0
         runs = len(output_digests.RUNS)
-        assert calls == [(False, a[0]) for a in output_digests.RUNS.values()] + [
-            (True, a[0]) for a in output_digests.RUNS.values()
-        ]
+        assert [(side, args[0]) for side, args in calls] == [
+            (False, a[0]) for a in output_digests.RUNS.values()
+        ] + [(True, a[0]) for a in output_digests.RUNS.values()]
         assert len(lines) == 4 * runs and all(line.endswith(": same") for line in lines)
         assert "verify/verify_report.json: same" in lines
         assert "robust-seed7/summary.json: same" in lines
+        assert "robust-config/summary.json: same" in lines
+        # Both sides read one file for the --config run, whose noise object
+        # sets the seed that --seed replaces.
+        assert len(configs) == 2 and configs[0] == configs[1]
+        path, config = configs[0]
+        assert config == output_digests.CONFIG_FILE and config["noise"]["seed"] == 3
+        assert [args for _, args in calls].count(
+            ["simulate", "--config", path, "--seed", "5", "--T", "20"]
+        ) == 2
         # Each side printed its own directories, which the record replaces.
         assert "ideal/console.txt: same" in lines
 

@@ -175,6 +175,14 @@ class TestRoundTrip:
         assert traces_equal(res.trace, back)
         assert np.array_equal(res.trace.data, back.data)
 
+    def test_eq_is_identity_and_traces_equal_compares_content(self):
+        # A generated __eq__ compared the data arrays and raised ValueError.
+        a, b = hand_built_trace(2), hand_built_trace(2)
+        assert (a == b) is False and (a == a) is True
+        assert traces_equal(a, b)
+        b.x[1] = 7.0
+        assert not traces_equal(a, b)
+
     def test_written_bytes_are_deterministic(self, tmp_path):
         res = tiny_run(end_time=0.1, noise_seed=5)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

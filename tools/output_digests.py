@@ -9,6 +9,10 @@ In that tree and in this checkout it runs, each into a directory of its own:
 
 * ``dremobs simulate --preset chua --T 100``, ideal, and robust with
   ``--seed 1`` and with ``--seed 7``;
+* ``dremobs simulate --config FILE --seed 5 --T 20``, where ``FILE`` is
+  ``CONFIG_FILE``, a robust Chua config whose ``noise`` object sets
+  ``"seed": 3``, written once into the temporary directory so both trees
+  read the same bytes;
 * ``dremobs verify --out``.
 
 Beside each run's artifacts it writes ``console.txt``: the run's exit code,
@@ -78,11 +82,27 @@ for lib in sorted(libs.glob("*openblas*")):
 # Each run's exit code, stdout and stderr, written beside its artifacts.
 CONSOLE = "console.txt"
 
+# The config file of the ``--config`` run: the robust preset's noise, with
+# a seed of its own for ``--seed`` to replace.
+CONFIG_FILE = {
+    "plant": "chua",
+    "mode": "robust",
+    "noise": {
+        "v0": 0.1,
+        "seed": 3,
+        "omega": {"amplitudes": [0.05, 0.005, 0.1], "frequencies": [7.0, 5.0, 13.0]},
+    },
+}
+
+# Stands for the path of ``CONFIG_FILE`` in a run's arguments.
+CONFIG = "<config>"
+
 # Output directory name and CLI arguments of every run.
 RUNS = {
     "ideal": ["simulate", "--preset", "chua", "--T", "100"],
     "robust-seed1": ["simulate", "--preset", "chua", "--mode", "robust", "--seed", "1", "--T", "100"],
     "robust-seed7": ["simulate", "--preset", "chua", "--mode", "robust", "--seed", "7", "--T", "100"],
+    "robust-config": ["simulate", "--config", CONFIG, "--seed", "5", "--T", "20"],
     "verify": ["verify"],
 }
 
@@ -177,12 +197,13 @@ def leaf_changes(parent, change, path: str = "") -> list[str]:
     return [line for child, a, b in children for line in leaf_changes(a, b, child)]
 
 
-def tree_digests(tree: Path, out: Path, kernel: str | None = None) -> dict[str, str]:
-    """Run every run of ``RUNS`` on ``tree`` into ``out``, under the
-    OpenBLAS ``kernel`` when one is given, and return the digest of each
-    artifact, the runs' console records among them, by its path relative to
-    ``out``."""
+def tree_digests(tree: Path, out: Path, config: Path, kernel: str | None = None) -> dict[str, str]:
+    """Run every run of ``RUNS`` on ``tree`` into ``out``, with ``config``
+    for ``CONFIG`` and under the OpenBLAS ``kernel`` when one is given, and
+    return the digest of each artifact, the runs' console records among
+    them, by its path relative to ``out``."""
     for name, args in RUNS.items():
+        args = [str(config) if arg == CONFIG else arg for arg in args]
         proc = run_cli(tree, args, out / name, kernel)
         (out / name / CONSOLE).write_text(console_record(proc, out / name, tree), encoding="utf-8")
     return {
@@ -218,6 +239,8 @@ def main(argv=None) -> int:
     try:
         parent_tree = scratch / "parent"
         export_tree(args.parent, parent_tree)
+        config = scratch / "robust-config.json"
+        config.write_text(json.dumps(CONFIG_FILE, indent=2) + "\n", encoding="ascii")
         for kernel in [None, *(KERNELS if args.kernels else ())]:
             if kernel is not None and kernel_core(kernel) != KERNELS[kernel]:
                 print(f"{kernel}: unavailable")
@@ -227,7 +250,8 @@ def main(argv=None) -> int:
             parent_out = scratch / "parent-out" / (kernel or "default")
             change_out = scratch / "change-out" / (kernel or "default")
             lines = compare(
-                tree_digests(parent_tree, parent_out, kernel), tree_digests(ROOT, change_out, kernel)
+                tree_digests(parent_tree, parent_out, config, kernel),
+                tree_digests(ROOT, change_out, config, kernel),
             )
             for name, verdict in lines:
                 print(f"{label}{name}: {verdict}")
