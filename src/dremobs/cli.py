@@ -12,14 +12,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import (
-    DEFAULT_END,
-    DEFAULT_STEP,
-    ExperimentConfig,
-    config_from_dict,
-    read_config,
-    run_experiment,
-)
+from .config import ExperimentConfig, config_from_dict, read_config, run_experiment
 from .errors import ConfigurationError, SimulationAbort, TraceFormatError
 from .plots import render_trace_plots
 from .trace import read_trace, write_trace
@@ -60,9 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the oracle suite on an ideal run")
     ver.add_argument("--preset", default="chua", help="built-in plant preset")
-    ver.add_argument("--h", type=float, default=DEFAULT_STEP)
-    ver.add_argument("--T", type=float, default=DEFAULT_END)
+    ver.add_argument("--h", type=float, default=None, help="the config's step_size")
+    ver.add_argument("--T", type=float, default=None, help="the config's end_time")
     ver.add_argument("--out", default=None, help="optional directory for the report")
+    ver.set_defaults(config=None, mode="verify", seed=None)
 
     plt = sub.add_parser("plot", help="render SVG panels from a saved trace")
     plt.add_argument("--trace", required=True, help="path to a trace CSV")
@@ -75,7 +69,8 @@ def _resolve_config(args) -> ExperimentConfig:
     ``--h`` and ``--T`` written into it as ``seed``, ``step_size`` and
     ``end_time``, parsed once, so a flag is checked as its key in a file.
     A file's ``noise`` object that sets its own ``seed`` takes ``--seed``
-    there, since the seed may be set in one place only."""
+    there, since the seed may be set in one place only.  A preset's mode is
+    ``--mode``; a file's must match it when it is given."""
     raw = read_config(args.config) if args.config else {"plant": args.preset, "mode": args.mode or "ideal"}
     if isinstance(raw, dict):
         noise = raw.get("noise")
@@ -86,7 +81,7 @@ def _resolve_config(args) -> ExperimentConfig:
                 target[key] = value
     cfg = config_from_dict(raw)
     mode = "ideal" if cfg.noise is None else "robust"
-    if args.mode not in (None, mode):
+    if args.config and args.mode not in (None, mode):
         raise ConfigurationError(
             f"config.mode: the file's run is '{mode}' but --mode asks for '{args.mode}'; "
             "set the mode in the file"
@@ -119,15 +114,16 @@ def _write_json(path: Path, value) -> None:
     path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
 
-def _run(config, out_arg, report, collect_diagnostics: bool = False) -> int:
+def _run(args, out_arg, report, collect_diagnostics: bool = False) -> int:
     """The path ``simulate`` and ``verify`` share: build the run's config
-    with ``config()``, create the output directory ``out_arg`` unless it is
-    None, run, and return the exit code of ``report(result, out)``, which
-    writes the artifacts and prints.  A config error, an output directory
-    that cannot be created, a runtime abort and an artifact that cannot be
-    written are each printed and end the command with their exit code."""
+    from ``args`` (``_resolve_config``), create the output directory
+    ``out_arg`` unless it is None, run, and return the exit code of
+    ``report(result, out)``, which writes the artifacts and prints.  A
+    config error, an output directory that cannot be created, a runtime
+    abort and an artifact that cannot be written are each printed and end
+    the command with their exit code."""
     try:
-        cfg = config()
+        cfg = _resolve_config(args)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -166,7 +162,7 @@ def _cmd_simulate(args) -> int:
             )
         return EXIT_OK
 
-    return _run(lambda: _resolve_config(args), args.out, report)
+    return _run(args, args.out, report)
 
 
 def _cmd_verify(args) -> int:
@@ -184,8 +180,7 @@ def _cmd_verify(args) -> int:
         print("all checks passed" if all_passed else "some checks FAILED")
         return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
-    raw = {"plant": args.preset, "mode": "verify", "step_size": args.h, "end_time": args.T}
-    return _run(lambda: config_from_dict(raw), args.out or None, report, collect_diagnostics=True)
+    return _run(args, args.out or None, report, collect_diagnostics=True)
 
 
 def _cmd_plot(args) -> int:

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import math
 
+# RK4 is stable for z' = -a z, a > 0, while h * a stays at or below this
+# bound: the real root of 1 + z/2 + z^2/6 + z^3/24 = 0, negated.
+RK4_STABILITY_LIMIT = 2.785293563405289
+
 
 class ConfigurationError(ValueError):
     """A model, rule, or experiment configuration is invalid."""
@@ -26,27 +30,22 @@ class SimulationAbort(RuntimeError):
         adaptation_step: the largest gated adaptation step
             h * gamma_i * delta^2 over the chunk of grid steps that aborted
             (NaN when not measured).
-        stability_limit: RK4's real-axis stability limit, against which the
-            message judges ``adaptation_step``.
+        stability_limit: ``RK4_STABILITY_LIMIT``, RK4's real-axis
+            stability limit, against which the message judges
+            ``adaptation_step``.
     """
 
-    def __init__(
-        self,
-        time: float,
-        component: str,
-        adaptation_step: float = math.nan,
-        stability_limit: float = math.nan,
-    ):
+    def __init__(self, time: float, component: str, adaptation_step: float = math.nan):
         message = f"simulation aborted at t={time:.6g}: non-finite value in component '{component}'"
         if not math.isnan(adaptation_step):
-            relation = "past" if adaptation_step > stability_limit else "within"
+            relation = "past" if adaptation_step > RK4_STABILITY_LIMIT else "within"
             message += (
                 f"; the gated adaptation step h*gamma*delta^2 reached {adaptation_step:.3g}"
                 f" in the aborting chunk, {relation} RK4's real-axis stability limit"
-                f" {stability_limit:.4g}"
+                f" {RK4_STABILITY_LIMIT:.4g}"
             )
         super().__init__(message)
         self.time = time
         self.component = component
         self.adaptation_step = adaptation_step
-        self.stability_limit = stability_limit
+        self.stability_limit = RK4_STABILITY_LIMIT

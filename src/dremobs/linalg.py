@@ -8,7 +8,8 @@ precisely because no division ever takes place, and the regressor
 determinant routinely passes through zero.  One routine,
 ``det_adjugate_rows``, computes the determinant and the adjugate rows for
 every caller: the adaptation law, the trace's grid rows, the diagnostics
-and ``det_adjugate_batch``.
+and ``det_adjugate_batch``.  Its sums go through ``_matmul_ew``, the
+package's one fixed-order contraction, which the cascade shares.
 
 The mixing evaluates into storage its caller owns: a caller that mixes
 chunk after chunk allocates it once, sized by ``Cofactors.floats`` for the
@@ -152,12 +153,18 @@ class Cofactors:
         return np.moveaxis(buf[self._out], 0, -1) * self._signs
 
 
-def _sum_last(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, term by term in index order."""
-    total = terms[..., 0].copy()
-    for j in range(1, terms.shape[-1]):
-        total += terms[..., j]
-    return total
+def _matmul_ew(a: np.ndarray, x: np.ndarray, out=None, term=None) -> np.ndarray:
+    """``a @ x`` for stacks (..., r, n) and (..., n, N), as one elementwise
+    product per inner index, added in index order.  This is the package's
+    one fixed-order contraction: every entry is summed in the same order
+    whatever the stack shapes, so a grid step's values do not depend on how
+    many steps its chunk holds.  ``out`` and ``term``, arrays of the
+    result's shape, hold the sum and each product when given; else both
+    are fresh."""
+    out = np.multiply(a[..., :, 0, None], x[..., None, 0, :], out=out)
+    for i in range(1, a.shape[-1]):
+        out += np.multiply(a[..., :, i, None], x[..., None, i, :], out=term)
+    return out
 
 
 @functools.cache
@@ -192,7 +199,7 @@ def det_adjugate_rows(
     cof = _mixing_cofactors(k, rows)(matrices, storage)
     adjugate = cof[..., : rows * k].reshape(cof.shape[:-1] + (rows, k))
     first_row = np.concatenate((adjugate[..., 0], cof[..., rows * k :]), axis=-1)
-    return _sum_last(matrices[..., 0, :] * first_row), adjugate
+    return _matmul_ew(matrices[..., :1, :], first_row[..., None])[..., 0, 0], adjugate
 
 
 def det_adjugate_batch(matrices) -> tuple[np.ndarray, np.ndarray]:

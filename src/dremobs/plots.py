@@ -165,7 +165,7 @@ def render_trace_plots(trace, out_dir) -> list[Path]:
     def per_subsystem(values):
         return [(f"subsystem {i + 1}", values[:, i]) for i in range(trace.num_subsystems)]
 
-    steps, sigma = _staircase(t, trace.sigma.astype(float), trace.switch_times)
+    steps, sigma = _staircase(t, trace.sigma_float, trace.switch_times)
     # (file stem, title, abscissa, series) of every panel.
     panels = [
         ("mode", "Active subsystem", steps, [("sigma", sigma)]),

@@ -86,8 +86,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, GainStabilityError, SimulationAbort
-from .linalg import _mixing_cofactors, _sum_last, det_adjugate_rows, hurwitz_verdict, unit_disc_verdict
+from .errors import RK4_STABILITY_LIMIT, ConfigurationError, GainStabilityError, SimulationAbort
+from .linalg import _matmul_ew, _mixing_cofactors, det_adjugate_rows, hurwitz_verdict, unit_disc_verdict
 from .plant import (
     NoiseSpec,
     PlantModel,
@@ -102,10 +102,6 @@ from .trace import SimulationTrace, column_names
 # Grid steps per downstream pass, sized to bound the per-chunk buffers.
 # Every grid value is summed in an order that does not depend on it.
 CHUNK = 128
-
-# RK4 is stable for z' = -a z, a > 0, while h * a stays at or below this
-# bound: the real root of 1 + z/2 + z^2/6 + z^3/24 = 0, negated.
-RK4_STABILITY_LIMIT = 2.785293563405289
 
 # Largest number of grid rows a run may record, start row included; the
 # README gives the reason for the value.
@@ -311,19 +307,6 @@ class RunResult:
     final_panels: np.ndarray  # (m+n, n, 1+m+n) filter bank at the last row
     elapsed_seconds: float
     diagnostics: Diagnostics | None = None
-
-
-def _matmul_ew(a: np.ndarray, x: np.ndarray, out=None, term=None) -> np.ndarray:
-    """``a @ x`` for stacks (..., r, n) and (..., n, N), as one elementwise
-    product per inner index.  Every entry is summed in the same order
-    whatever the stack shapes, so a grid step's values do not depend on how
-    many steps its chunk holds.  ``out`` and ``term``, arrays of the
-    result's shape, hold the sum and each product when given; else both
-    are fresh."""
-    out = np.multiply(a[..., :, 0, None], x[..., None, 0, :], out=out)
-    for i in range(1, a.shape[-1]):
-        out += np.multiply(a[..., :, i, None], x[..., None, i, :], out=term)
-    return out
 
 
 def _rk4_offsets(h: float, apply, forcing):
@@ -636,7 +619,7 @@ class _Cascade:
         nt = rows[..., 1:].transpose(0, 2, 1, 3)
         zf = ybar[:, :, None] - rows[..., 0].transpose(0, 2, 1)
         delta, adjugate = det_adjugate_rows(nt, mixed, self.mixing)
-        return delta, zf, _sum_last(adjugate * zf[..., None, :])
+        return delta, zf, _matmul_ew(adjugate, zf[..., None])[..., 0]
 
     def grid_row(self, panels: np.ndarray, ybar: np.ndarray):
         """The regressor stack N (R, m+n, m+n), the determinant (R,), the
@@ -712,11 +695,11 @@ class _Cascade:
         trace.theta_hat[lo + 1 : hi + 1] = np.reshape(theta_rows, (steps, lay.s, m))
 
         # Excitation accumulators: a masked cumulative sum of the steps.
+        # Their rate delta^2 >= +0 does not read the accumulator, and adding
+        # 0.0 to it is exact.
         acc = np.zeros((steps + 1, lay.s))
         acc[0] = trace.excitation[lo]
-        acc[np.arange(1, steps + 1), active - 1] = (h / 6.0) * (
-            exc_rate[:, 0] + 2.0 * (exc_rate[:, 1] + exc_rate[:, 2]) + exc_rate[:, 3]
-        )
+        acc[np.arange(1, steps + 1), active - 1] = _rk4_offsets(h, lambda s, z: 0.0, exc_rate.T)[1]
         trace.excitation[lo + 1 : hi + 1] = np.cumsum(acc, axis=0)[1:]
 
         # Observer, driven by the active estimate's stage values.
@@ -805,7 +788,7 @@ def _fill_errors(trace, model, cascade, lo, panels, switch_rows, diagnostics) ->
     recon = _matmul_ew(panels, weights[:, None, :, None])[..., 0]
     nt, delta, z, zbar = cascade.grid_row(panels, trace.ybar[rows])
     diagnostics.decomposition_residual[rows] = np.linalg.norm(x[:, None] - recon, axis=2).max(axis=1)
-    diagnostics.lre_residual_max[rows] = np.abs(z - _sum_last(nt * theta_bar[:, None])).max(axis=1)
+    diagnostics.lre_residual_max[rows] = np.abs(z - _matmul_ew(nt, theta_bar[..., None])[..., 0]).max(axis=1)
     diagnostics.dbar[rows] = zbar - delta[:, None] * theta_bar
 
 
@@ -882,7 +865,7 @@ def run_experiment(cfg: ExperimentConfig, collect_diagnostics: bool = False) -> 
             bad = _first_non_finite(blocks, pre_reset, m)
             if bad is not None:
                 at = t0 + (lo + bad[0]) * h
-                raise SimulationAbort(at, bad[1], peak_step, RK4_STABILITY_LIMIT)
+                raise SimulationAbort(at, bad[1], peak_step)
             if switches:
                 pre_resets = np.stack(list(pre_reset.values()))
                 switch_rows += switches

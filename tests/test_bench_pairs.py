@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -95,22 +96,52 @@ class TestWorkloadSelection:
             bench_pairs.select_workloads(BENCHMARK, "fourth")
 
 
+class TestWorkingTreeCopy:
+    def test_tracked_and_untracked_files_with_their_working_tree_contents(self, tmp_path):
+        repo = tmp_path / "repo"
+        (repo / "sub").mkdir(parents=True)
+
+        def git(*argv):
+            subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *argv],
+                           check=True, capture_output=True)
+
+        git("init", "-q")
+        files = {".gitignore": "ignored.txt\n", "kept.py": "kept\n", "sub/edited.py": "committed\n",
+                 "deleted.py": "gone\n"}
+        for name, text in files.items():
+            (repo / name).write_text(text)
+        git("add", "-A")
+        git("commit", "-q", "-m", "start")
+        (repo / "sub" / "edited.py").write_text("edited\n")
+        (repo / "deleted.py").unlink()
+        (repo / "untracked.py").write_text("new\n")
+        (repo / "ignored.txt").write_text("build output\n")
+
+        dest = tmp_path / "change"
+        bench_pairs.copy_working_tree(repo, dest)
+        copied = {p.relative_to(dest).as_posix(): p.read_text() for p in dest.rglob("*") if p.is_file()}
+        assert copied == {".gitignore": "ignored.txt\n", "kept.py": "kept\n",
+                          "sub/edited.py": "edited\n", "untracked.py": "new\n"}
+
+
 class TestMain:
-    """``main`` with the export and the perfbench runs replaced by fakes."""
+    """``main`` with the export, the copy and the perfbench runs replaced
+    by fakes."""
 
     def run_main(self, monkeypatch, capsys, argv, slow=()):
         calls = []
         benchmark = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())
 
         def fake_run(tree, workload, seed, seconds):
-            calls.append((tree.name, workload))
+            calls.append((tree, workload))
             # The change halves steps_per_s on the workloads named in ``slow``.
-            scale = 0.5 if workload in slow and tree == bench_pairs.ROOT else 1.0
+            scale = 0.5 if workload in slow and tree.name == "change" else 1.0
             values = {m["name"]: 1.0 for m in benchmark["end_to_end"]}
             values["steps_per_s"] = 100.0 * scale
             return {"correct": True, "metrics": values}
 
         monkeypatch.setattr(bench_pairs, "export_tree", lambda rev, dest: None)
+        monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda root, dest: None)
         monkeypatch.setattr(bench_pairs, "run_once", fake_run)
         code = bench_pairs.main(["--parent", "HEAD", "--seed", "1", "--pairs", "2",
                                  "--seconds", "1", *argv])
@@ -134,3 +165,12 @@ class TestMain:
         code, _, out, _ = self.run_main(monkeypatch, capsys, [], slow=("verify-plot",))
         assert code == 1
         assert "EXCEEDED" in out.split("== verify-plot ==")[1]
+
+    def test_both_sides_run_from_sibling_trees_of_equal_path_length(self, monkeypatch, capsys):
+        # The change used to run from the checkout and the parent from an
+        # export, and peak_rss_mb followed the length of the path.
+        _, calls, _, _ = self.run_main(monkeypatch, capsys, ["--workload", "simulate-ideal"])
+        trees = {tree.name: tree for tree, _ in calls}
+        assert sorted(trees) == ["change", "parent"]
+        assert trees["parent"].parent == trees["change"].parent != bench_pairs.ROOT
+        assert len(str(trees["parent"])) == len(str(trees["change"]))

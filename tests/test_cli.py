@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dremobs.cli import EXIT_ABORT, EXIT_CONFIG, EXIT_OK, main
+from dremobs.cli import EXIT_ABORT, EXIT_CONFIG, EXIT_OK, _build_parser, _resolve_config, main
 from dremobs.trace import read_trace
 
 
@@ -235,6 +235,19 @@ class TestVerifyCommand:
         report = json.loads((out / "verify_report.json").read_text())
         assert report["all_passed"] is True
         assert len(report["checks"]) == 6
+
+    def test_flags_left_out_take_the_config_defaults(self):
+        args = _build_parser().parse_args(["verify"])
+        cfg = _resolve_config(args)
+        assert (cfg.step.step_size, cfg.step.end_time) == (1e-3, 100.0)
+        assert cfg.noise is None
+
+    def test_step_flag_is_checked_as_its_key(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        code = run_cli("verify", "--h", "0.3", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert "config.filter_gains[0]: [0.0, -1.0, -15.0] at step_size 0.3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPlotCommand:

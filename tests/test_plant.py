@@ -49,6 +49,21 @@ class TestRegionRule:
         assert rule.subsystem_for(1.0, 0.0) == 1
         assert rule.subsystem_for(-1.0, 0.0) == 3
 
+    def test_non_finite_outputs_and_boundaries_map_to_a_subsystem(self):
+        # NaN fails every bound test, so the first region holds it.
+        rule = chua_preset().switching_rule
+        ys = [math.nan, math.inf, -math.inf, 1.0, math.nextafter(1.0, 0.0), -1.0, math.nextafter(-1.0, 0.0)]
+        assert [rule.subsystem_for(y, 0.0) for y in ys] == [1, 1, 3, 1, 2, 3, 2]
+        # An infinite end written open is closed, as the coverage sweep takes
+        # it: y = inf used to match no region and raise a raw ValueError.
+        rule = StateRegionRule((
+            OutputRegion(lower=0.0, upper=math.inf, upper_closed=False),
+            OutputRegion(lower=-math.inf, upper=0.0, lower_closed=False, upper_closed=False),
+        ))
+        assert [(r.lower_closed, r.upper_closed) for r in rule.regions] == [(True, True), (True, False)]
+        ys = [math.nan, math.inf, -math.inf, 0.0, -5e-324]
+        assert [rule.subsystem_for(y, 0.0) for y in ys] == [1, 1, 2, 1, 2]
+
     def test_every_output_has_exactly_one_first_match(self):
         regions = chua_preset().switching_rule.regions
         rng = np.random.default_rng(0)

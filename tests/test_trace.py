@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import tracemalloc
 
@@ -165,6 +166,21 @@ class TestSchema:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_malformed_arguments_rejected(self):
+        hand = hand_built_trace(3)
+        cases = [
+            (dict(meta=hand.meta, data=hand.data[0]), "trace data must be a 2-D array"),
+            (dict(meta={"n": 1, "m": 1}, data=hand.data), "trace meta is missing 's'"),
+            (
+                dict(meta=hand.meta, data=hand.data, switch_times=hand.switch_times,
+                     pre_reset_delta=hand.pre_reset_delta + [1.0]),
+                "pre_reset_delta must align with switch_times",
+            ),
+        ]
+        for fields, reason in cases:
+            with pytest.raises(TraceFormatError, match=reason):
+                SimulationTrace(**fields)
+
 
 class TestRoundTrip:
     def test_write_read_equality(self, tmp_path):
@@ -215,6 +231,16 @@ class TestRoundTrip:
         back = read_trace(path)
         assert math.isnan(back.pre_reset_delta[0])
 
+    def test_no_switch_times_read_back_equal(self, tmp_path):
+        # The awkward values, infinities replaced, since a read rejects them.
+        hand = hand_built_trace(4)
+        trace = SimulationTrace(meta=hand.meta, data=np.where(np.isfinite(hand.data), hand.data, 1.5))
+        path = tmp_path / "none.csv"
+        write_trace(trace, path)
+        assert "\n# switch_times: []\n# pre_reset_delta: []\n" in path.read_text()
+        back = read_trace(path)
+        assert back.switch_times == [] and back.pre_reset_delta == []
+        assert traces_equal(back, trace)
 
     def test_crlf_line_endings_read_back_equal(self, tmp_path):
         res = tiny_run(end_time=0.05, noise_seed=2)
@@ -339,6 +365,42 @@ class TestFormatErrors:
             lines[3] = "# switch_times: [0,zero]"
 
         assert "switch_times" in self._corrupt(tmp_path, edit)
+
+    def test_meta_that_is_not_an_object_rejected(self, tmp_path):
+        def edit(lines):
+            lines[1] = "# meta: [1, 2]"
+
+        assert "'meta:' header line is not a JSON object" in self._corrupt(tmp_path, edit)
+
+    def test_header_without_column_names_is_incomplete(self, tmp_path):
+        def edit(lines):
+            del lines[2:]
+
+        assert "incomplete trace header" in self._corrupt(tmp_path, edit)
+
+    def test_switch_times_without_brackets_rejected(self, tmp_path):
+        def edit(lines):
+            lines[3] = "# switch_times: 0"
+
+        assert "malformed list in trace header: ' 0'" in self._corrupt(tmp_path, edit)
+
+    def test_rows_that_all_lack_their_last_field_name_the_first(self, tmp_path):
+        # Every row parses, to a block one column short, so the block's shape
+        # is what fails.
+        def edit(lines):
+            lines[6:] = [line.rsplit(",", 1)[0] for line in lines[6:]]
+
+        assert "row 0 has 28 fields, expected 29" in self._corrupt(tmp_path, edit)
+
+    def test_declared_dimensions_that_miscount_the_columns_name_the_file(self, tmp_path):
+        def edit(lines):
+            meta = json.loads(lines[1][len("# meta: "):])
+            lines[1] = "# meta: " + json.dumps(dict(meta, n=4))
+
+        message = self._corrupt(tmp_path, edit)
+        assert message == (
+            f"{tmp_path / 'c.csv'}: trace has 29 columns, expected 32 for the declared dimensions"
+        )
 
     def test_blank_body_line_rejected(self, tmp_path):
         def edit(lines):

@@ -3,13 +3,16 @@
 Usage:
     python3 tools/bench_pairs.py --parent REV [--workload W] --seed S --pairs N --seconds T
 
-Exports ``REV`` with ``git archive`` into a temporary directory, then, for
-the workload ``W`` or, without ``--workload``, for every workload of
-``BENCHMARK.json`` in turn, runs ``perfbench/run.py --trace 0`` there and in
-this checkout ``N`` times each, alternating which side runs first, and
-parses each run's last JSON line.  Under a heading per workload it prints
-every pair's end-to-end metrics, each side's median and quartiles, and two
-verdicts per metric, by the rules of ``BENCHMARK.json``:
+Exports ``REV`` with ``git archive`` into ``parent/`` and copies this
+checkout's working tree, uncommitted edits included, into ``change/``, two
+sibling directories of one temporary directory, so both sides run from
+paths of one length.  Then, for the workload ``W`` or, without
+``--workload``, for every workload of ``BENCHMARK.json`` in turn, it runs
+``perfbench/run.py --trace 0`` in each tree ``N`` times, alternating which
+side runs first, and parses each run's last JSON line.  Under a heading
+per workload it prints every pair's end-to-end metrics, each side's median
+and quartiles, and two verdicts per metric, by the rules of
+``BENCHMARK.json``:
 
 * gain: the change wins at least nine tenths of the pairs (ties count for
   neither side) and the medians differ, in the better direction, by more
@@ -21,7 +24,8 @@ verdicts per metric, by the rules of ``BENCHMARK.json``:
 
 Each workload's section ends with one JSON object line holding the same
 numbers.  The exit code is 1 when a run fails or a metric is worse than its
-bound on any workload, else 0.  The export is removed when the script ends.
+bound on any workload, else 0.  Both trees are removed when the script
+ends.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -105,6 +110,24 @@ def export_tree(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+def copy_working_tree(root: Path, dest: Path) -> None:
+    """Copy into ``dest`` the working-tree contents of the files
+    ``git ls-files --cached --others --exclude-standard`` lists in the
+    checkout at ``root``: every tracked file and every untracked file that
+    is not ignored.  A tracked file deleted from the working tree is left
+    out."""
+    listed = subprocess.run(
+        ["git", "-C", str(root), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        check=True, capture_output=True,
+    )
+    dest.mkdir(parents=True, exist_ok=True)
+    for name in os.fsdecode(listed.stdout).split("\0"):
+        source = root / name
+        if name and source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
 def select_workloads(benchmark: dict, workload: str | None) -> list[str]:
     """The workloads to compare: ``workload`` alone, or every workload of
     ``benchmark`` (the parsed ``BENCHMARK.json``) in its order when it is
@@ -117,15 +140,15 @@ def select_workloads(benchmark: dict, workload: str | None) -> list[str]:
     return [workload]
 
 
-def compare(parent_tree: Path, workload: str, args, metrics: list[dict]) -> dict:
-    """Run one workload's alternating pairs, print them and the verdicts,
-    and return the workload's report."""
+def compare(trees: dict, workload: str, args, metrics: list[dict]) -> dict:
+    """Run one workload's alternating pairs in ``trees``, the tree of each
+    side by name, print them and the verdicts, and return the workload's
+    report."""
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            tree = parent_tree if side == "parent" else ROOT
-            runs[side].append(run_once(tree, workload, args.seed, args.seconds))
+            runs[side].append(run_once(trees[side], workload, args.seed, args.seconds))
         cells = "; ".join(
             f"{m['name']} {runs['parent'][-1]['metrics'][m['name']]:.6g} vs "
             f"{runs['change'][-1]['metrics'][m['name']]:.6g}"
@@ -174,13 +197,14 @@ def main(argv=None) -> int:
     metrics = benchmark["end_to_end"]
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    parent_tree = scratch / "parent"
+    trees = {"parent": scratch / "parent", "change": scratch / "change"}
     reports = []
     try:
-        export_tree(args.parent, parent_tree)
+        export_tree(args.parent, trees["parent"])
+        copy_working_tree(ROOT, trees["change"])
         for workload in workloads:
             print(f"== {workload} ==", flush=True)
-            reports.append(compare(parent_tree, workload, args, metrics))
+            reports.append(compare(trees, workload, args, metrics))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     passed = all(
